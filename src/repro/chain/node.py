@@ -41,7 +41,7 @@ from repro.obs.trace import get_tracer
 from repro.storage import rlp
 from repro.storage.kv import AppendLogKV, KVStore, MemoryKV
 from repro.storage.lsm import LsmKV, PlatformFreshness, StorageSealer
-from repro.storage.merkle import state_root as compute_state_root
+from repro.storage.merkle import StateCommitment
 from repro.tee.attestation import AttestationService
 
 DEFAULT_BLOCK_BYTES = 4096  # the paper's 4 KB block size (§6.1)
@@ -100,6 +100,11 @@ def consensus_state(kv: KVStore) -> dict[bytes, bytes]:
         for key, value in kv.items()
         if key.startswith(CONSENSUS_PREFIXES)
     }
+
+
+def scan_state_commitment(kv: KVStore) -> StateCommitment:
+    """Build the state commitment from storage: one full-store scan."""
+    return StateCommitment(consensus_state(kv).items())
 
 
 @dataclass
@@ -178,6 +183,11 @@ class Node:
         # storage cannot reconstruct it, which is exactly when the
         # quorum-cert fallback path takes over.
         self.tx_outcomes: dict[bytes, tuple[int, bool]] = {}
+        # The maintained commitment to the replicated state (derived
+        # data, memory only).  It follows the store, never leads it:
+        # None whenever it cannot be known to match what is committed,
+        # and then the next use re-seeds it with one scan.
+        self._commitment: StateCommitment | None = None
 
     # -- key agreement helpers ---------------------------------------------
 
@@ -303,11 +313,18 @@ class Node:
         """
         if self._closed:
             raise ChainError("node is closed; cannot apply a block")
+        commitment = self._commitment
+        if commitment is None:
+            commitment = scan_state_commitment(self.kv)
+        # Adopted again only once the scope below has exited cleanly: an
+        # enclave fault, an aborted block or a failed fsync leaves the
+        # store at the last committed block and this update orphaned.
+        self._commitment = None
         # Everything the block writes — every per-key state commit the
         # engines make during execution, plus the header/body/receipt
         # records below — lands in ONE atomic storage commit, so crash
         # recovery can only ever observe whole blocks.
-        with self.kv.block_batch():
+        with self.kv.block_batch() as writes:
             with get_tracer().span("chain.block_execute",
                                    num_txs=len(transactions),
                                    height=self.height + 1):
@@ -315,22 +332,30 @@ class Node:
                 report = self.executor.execute_block(transactions)
                 exec_seconds = time.perf_counter() - exec_started
 
-            receipt_blobs = []
-            for tx, outcome in zip(transactions, report.outcomes):
-                blob = (
-                    outcome.sealed_receipt
-                    if outcome.sealed_receipt is not None
-                    else outcome.receipt.encode()
-                )
-                receipt_blobs.append(blob)
-                # First write wins: a transaction resubmitted after it
-                # already committed (a crash-recovering cross-shard
-                # coordinator, a confused client) re-executes into a
-                # replay rejection — the original outcome must stay
-                # authoritative for receipt queries and attestation.
-                self.receipts.setdefault(tx.tx_hash, blob)
+            receipt_blobs = [
+                outcome.sealed_receipt
+                if outcome.sealed_receipt is not None
+                else outcome.receipt.encode()
+                for outcome in report.outcomes
+            ]
 
-            state_root = compute_state_root(consensus_state(self.kv))
+            # The store's own record of the block's writes, not the
+            # outcomes' write sets: those miss nonce bumps, code records,
+            # CCLe public halves and migration re-seals.
+            with get_tracer().span("chain.state_commit") as span:
+                puts = {
+                    key: value for key, value in writes.puts.items()
+                    if key.startswith(CONSENSUS_PREFIXES)
+                }
+                deletes = [
+                    key for key in writes.deletes
+                    if key.startswith(CONSENSUS_PREFIXES)
+                ]
+                inserted = commitment.update(puts, deletes)
+                span.set("touched", len(puts) + len(deletes))
+                span.set("inserted", inserted)
+                span.set("leaves", len(commitment))
+            state_root = commitment.root
             header = BlockHeader(
                 height=self.height + 1,
                 prev_hash=self.head_hash,
@@ -357,9 +382,20 @@ class Node:
             )
             write_seconds = time.perf_counter() - write_started
 
+        self._commitment = commitment
         self.chain.append(block)
         self._receipt_blobs_by_height[header.height] = receipt_blobs
-        for tx, outcome in zip(transactions, report.outcomes):
+        # Receipts are published only now that the block is committed
+        # (and, with storage_sync, durable): a receipt a client can read
+        # must never belong to a block a crash can still erase.
+        for tx, outcome, blob in zip(transactions, report.outcomes,
+                                     receipt_blobs):
+            # First write wins: a transaction resubmitted after it
+            # already committed (a crash-recovering cross-shard
+            # coordinator, a confused client) re-executes into a
+            # replay rejection — the original outcome must stay
+            # authoritative for receipt queries and attestation.
+            self.receipts.setdefault(tx.tx_hash, blob)
             self.tx_outcomes.setdefault(
                 tx.tx_hash, (header.height, outcome.receipt.success)
             )
@@ -419,8 +455,24 @@ class Node:
         return applied
 
     def state_root(self) -> bytes:
-        """Commitment over the replicated portion of this node's store."""
-        return compute_state_root(consensus_state(self.kv))
+        """Commitment over the replicated portion of this node's store,
+        recomputed from storage — the audit that detects a store which
+        has drifted from the chain (never the maintained root)."""
+        return scan_state_commitment(self.kv).root
+
+    def check_commitment(self) -> None:
+        """Audit the maintained commitment against :meth:`state_root`:
+        the root carried forward block by block must be the root the
+        store recomputes to.  (Nothing to check while the commitment
+        awaits re-seeding.)"""
+        if self._commitment is None:
+            return
+        recomputed = self.state_root()
+        if self._commitment.root != recomputed:
+            raise ChainError(
+                f"maintained state root {self._commitment.root.hex()[:16]} "
+                f"but the store recomputes to {recomputed.hex()[:16]}"
+            )
 
     # -- snapshots and fast bootstrap ---------------------------------------
 
@@ -435,7 +487,7 @@ class Node:
         blob = rlp.encode([
             rlp.encode_int(self.height),
             self.head_hash,
-            self.state_root(),
+            StateCommitment(items).root,
             [[key, value] for key, value in items],
         ])
         self.kv.put(_SNAPSHOT_KEY, blob)
@@ -471,10 +523,12 @@ class Node:
         snapshot = peer.latest_snapshot()
         if snapshot is None:
             return self.sync_from(peer)
+        self._commitment = None
         with self.kv.block_batch():
             for key, value in sorted(snapshot.items.items()):
                 self.kv.put(key, value)
-            if compute_state_root(consensus_state(self.kv)) != snapshot.state_root:
+            commitment = scan_state_commitment(self.kv)
+            if commitment.root != snapshot.state_root:
                 raise ChainError(
                     "state-sync snapshot does not recompute to its state root"
                 )
@@ -511,6 +565,7 @@ class Node:
                 raise ChainError(
                     "state-sync snapshot disagrees with the peer chain head"
                 )
+        self._commitment = commitment
         noter = getattr(self.kv, "note_state_root", None)
         if noter is not None:
             noter(snapshot.state_root)
@@ -559,11 +614,13 @@ class Node:
                 for tx, blob_i in zip(block.transactions, blobs):
                     self.receipts[tx.tx_hash] = blob_i
             restored += 1
-        if self.chain and self.chain[-1].header.state_root != self.state_root():
+        commitment = scan_state_commitment(self.kv)
+        if self.chain and self.chain[-1].header.state_root != commitment.root:
             raise ChainError(
                 "restored chain head disagrees with the state recomputed "
                 "from storage (durability violation)"
             )
+        self._commitment = commitment
         return restored
 
     def header_at(self, height: int) -> BlockHeader:

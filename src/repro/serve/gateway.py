@@ -471,6 +471,9 @@ class AsyncGatewayServer:
             thread_name_prefix="serve-rpc",
         )
         self._connections: set[asyncio.Task] = set()
+        # Connections between "request read" and "response written".
+        self._busy: set[asyncio.Task] = set()
+        self._stopping = False
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -504,10 +507,16 @@ class AsyncGatewayServer:
                     break
                 body, headers, keep_alive = request
                 client = headers.get("x-client-id", default_client)
-                response = await loop.run_in_executor(
-                    self._request_pool, self.gateway.handle_raw, body, client
-                )
-                await self._write_response(writer, response, keep_alive)
+                self._busy.add(task)
+                try:
+                    response = await loop.run_in_executor(
+                        self._request_pool, self.gateway.handle_raw,
+                        body, client,
+                    )
+                    keep_alive = keep_alive and not self._stopping
+                    await self._write_response(writer, response, keep_alive)
+                finally:
+                    self._busy.discard(task)
                 if not keep_alive:
                     break
         except (asyncio.IncompleteReadError, ConnectionError,
@@ -587,11 +596,19 @@ class AsyncGatewayServer:
 
     async def stop(self, close_node: bool = True,
                    drain_timeout: float | None = 30.0) -> None:
-        """Ordered shutdown; safe to call more than once."""
+        """Ordered shutdown; safe to call more than once.
+
+        ``drain_timeout`` is ONE deadline for the whole shutdown —
+        answering the requests already read, then draining the core —
+        and None means in-flight work may take as long as it needs.
+        A connection with no request in flight never counts against it.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = (None if drain_timeout is None
+                    else loop.time() + drain_timeout)
+        self._stopping = True  # responses from here on say "close"
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+            self._server.close()  # stop listening; open connections live on
         if self._producer_task is not None:
             self._producer_task.cancel()
             try:
@@ -599,15 +616,31 @@ class AsyncGatewayServer:
             except asyncio.CancelledError:
                 pass
             self._producer_task = None
+        # An idle keep-alive peer has nothing to finish: cancel it now,
+        # so it can hold neither the shutdown nor the node's clean close
+        # hostage.  Requests already read get the deadline to be
+        # answered; past it they are cancelled too.
+        for task in self._connections - self._busy:
+            task.cancel()
+        if self._busy:
+            _, late = await asyncio.wait(set(self._busy),
+                                         timeout=drain_timeout)
+            for task in late:
+                task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        loop = asyncio.get_running_loop()
+        if self._server is not None:
+            # After the connections: from Python 3.12 this waits for them.
+            await self._server.wait_closed()
+            self._server = None
+        remaining = (None if deadline is None
+                     else max(0.0, deadline - loop.time()))
         # Drain + close on the (now idle) producer thread: the core
         # blocks on inflight requests and block execution, which must
         # stall neither the loop nor the request pool it is waiting on.
         await loop.run_in_executor(
             self._producer_pool, lambda: self.gateway.close(
-                close_node=close_node, drain_timeout=drain_timeout
+                close_node=close_node, drain_timeout=remaining
             )
         )
         self._producer_pool.shutdown(wait=True)

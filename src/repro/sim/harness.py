@@ -48,6 +48,7 @@ from repro.sim.invariants import (
     ConfidentialityChecker,
     SafetyChecker,
     check_epc_sanity,
+    check_state_commitment,
 )
 from repro.sim.transport import SimTransport
 from repro.workloads.clients import Client
@@ -457,6 +458,8 @@ class _Simulation:
                 # through — its raw files are scanned below instead.
                 if sim_node.alive or self.config.storage == "memory":
                     self.scanner.scan_kv(sim_node.node_id, sim_node.kv)
+                if sim_node.alive:
+                    check_state_commitment(sim_node.node)
                 if sim_node.data_dir is not None:
                     self.scanner.scan_files(sim_node.node_id, sim_node.data_dir)
 

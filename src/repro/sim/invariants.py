@@ -5,7 +5,8 @@ Three classes, checked after every step:
 - **safety** — no two honest nodes ever commit conflicting blocks at
   the same height; every commit a node makes must match the ordering
   service's canonical decision for that height, bit for bit (block hash
-  *and* state root).
+  *and* state root); the state root a node maintains incrementally must
+  equal the root recomputed from its store.
 - **durability** — a node restarted from persisted storage must replay
   to exactly the chain it had committed (checked inside
   ``Node.restore_chain_from_storage`` and re-checked against the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import os
 
-from repro.errors import InvariantViolation
+from repro.errors import ChainError, InvariantViolation
 from repro.storage.kv import KVStore
 from repro.tee.epc import EpcAllocator
 
@@ -126,8 +127,16 @@ class ConfidentialityChecker:
             path = os.path.join(directory, name)
             if not os.path.isfile(path):
                 continue
-            with open(path, "rb") as f:
-                blob = f.read()
+            try:
+                with open(path, "rb") as f:
+                    blob = f.read()
+            except FileNotFoundError:
+                # A live node's background flusher works in this
+                # directory: since the listing it renamed a `.tmp` into
+                # place (or dropped a merged segment).  Nothing is
+                # hidden — a renamed file is read under its new name by
+                # this scan or the next, a deleted one is off the disk.
+                continue
             needle = self._hit(blob)
             if needle is not None:
                 raise InvariantViolation(
@@ -153,6 +162,18 @@ class ConfidentialityChecker:
                 raise InvariantViolation(
                     f"confidentiality: canary {needle[:24]!r} in {context}"
                 )
+
+
+def check_state_commitment(node) -> None:
+    """The root a node maintains block by block must be the root its
+    store recomputes to — under every fault schedule, not only clean
+    runs."""
+    try:
+        node.check_commitment()
+    except ChainError as exc:
+        raise InvariantViolation(
+            f"safety: node {node.node_id}: {exc}"
+        ) from None
 
 
 def check_epc_sanity(node_id: int, epc: EpcAllocator) -> None:

@@ -53,7 +53,10 @@ from repro.shard.relay import (
     ReceiptRelay,
     build_cross_shard_bundle,
 )
-from repro.sim.invariants import ConfidentialityChecker
+from repro.sim.invariants import (
+    ConfidentialityChecker,
+    check_state_commitment,
+)
 from repro.workloads.clients import Client
 
 SHARD_FAULT_KINDS = ("partition", "coordinator_crash")
@@ -269,6 +272,7 @@ class _ShardSimulation:
             for group in self.consortium.groups:
                 for node in group.nodes:
                     self.scanner.scan_kv(node.node_id, node.kv)
+                    check_state_commitment(node)
 
     def _check_atomicity(self, require_terminal: bool = False) -> None:
         """Exactly-one-of {applied, aborted}; no remote effect without

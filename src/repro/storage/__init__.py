@@ -1,12 +1,19 @@
 """Storage substrate: pluggable KV stores, RLP, and merkle commitments."""
 
-from repro.storage.kv import AppendLogKV, KVStore, MemoryKV, NamespacedKV
+from repro.storage.kv import (
+    AppendLogKV,
+    BlockWrites,
+    KVStore,
+    MemoryKV,
+    NamespacedKV,
+)
 from repro.storage.lsm import LsmKV, StorageSealer
 from repro.storage.merkle import (
     EMPTY_ROOT,
     MerkleProof,
     MerkleTree,
     ProofStep,
+    StateCommitment,
     state_root,
     verify_proof,
 )
@@ -14,6 +21,7 @@ from repro.storage.rlp import decode, decode_int, encode, encode_int
 
 __all__ = [
     "AppendLogKV",
+    "BlockWrites",
     "EMPTY_ROOT",
     "KVStore",
     "LsmKV",
@@ -23,6 +31,7 @@ __all__ = [
     "MerkleTree",
     "NamespacedKV",
     "ProofStep",
+    "StateCommitment",
     "decode",
     "decode_int",
     "encode",

@@ -17,18 +17,77 @@ atomically.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import zlib
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import StorageError
 
 
+@dataclass
+class BlockWrites:
+    """The write set of one :meth:`KVStore.block_batch` scope: every key
+    the store was asked to put or delete inside it, last write per key
+    winning.  Callers write through the store and read ``puts`` /
+    ``deletes``; :class:`KVStore` does the recording."""
+
+    puts: dict[bytes, bytes] = field(default_factory=dict)
+    deletes: set[bytes] = field(default_factory=set)
+
+    def stage_put(self, key: bytes, value: bytes) -> None:
+        self.deletes.discard(key)
+        self.puts[bytes(key)] = bytes(value)
+
+    def stage_delete(self, key: bytes) -> None:
+        self.puts.pop(key, None)
+        self.deletes.add(bytes(key))
+
+    def stage_batch(self, puts: dict[bytes, bytes],
+                    deletes: set[bytes] = frozenset()) -> None:
+        for key in deletes:
+            self.stage_delete(key)
+        for key, value in puts.items():
+            self.stage_put(key, value)
+
+
+def _recorded(write, stage):
+    """``write``, followed — inside the scope :meth:`KVStore.block_batch`
+    opens, and only once the write has succeeded — by ``stage``."""
+
+    @functools.wraps(write)
+    def recorded_write(self, *args, **kwargs):
+        write(self, *args, **kwargs)
+        if self._block_writes is not None:
+            stage(self._block_writes, *args, **kwargs)
+
+    return recorded_write
+
+
 class KVStore(ABC):
     """Minimal byte-oriented KV interface."""
+
+    _block_writes: BlockWrites | None = None  # set while a scope is open
+
+    def __init_subclass__(cls, **kwargs):
+        # The recording lives here and nowhere else: whatever ``put`` /
+        # ``delete`` / ``write_batch`` a store defines, the scope opened
+        # by this class's ``block_batch`` sees its writes, so a store
+        # cannot forget to report them.  A store that overrides
+        # ``block_batch`` owns its scope and yields its own write set —
+        # for LsmKV the staging buffer *is* the write path.
+        super().__init_subclass__(**kwargs)
+        if "block_batch" in cls.__dict__:
+            return
+        for name, stage in (("put", BlockWrites.stage_put),
+                            ("delete", BlockWrites.stage_delete),
+                            ("write_batch", BlockWrites.stage_batch)):
+            if name in cls.__dict__:
+                setattr(cls, name, _recorded(cls.__dict__[name], stage))
 
     @abstractmethod
     def get(self, key: bytes) -> bytes | None:
@@ -66,12 +125,20 @@ class KVStore(ABC):
     def block_batch(self):
         """Scope under which every write belongs to one block commit.
 
-        The default is a no-op (writes apply as they happen); stores
-        with a write-ahead log override this to stage the scope's writes
-        and commit them as a single atomic record, so crash recovery
-        always lands on a block boundary.
+        Yields the scope's :class:`BlockWrites`, which the caller may
+        read at any point to learn exactly what the block has written so
+        far.  By default writes still apply as they happen and are only
+        recorded; stores with a write-ahead log override this to stage
+        the scope's writes and commit them as a single atomic record, so
+        crash recovery always lands on a block boundary.
         """
-        yield self
+        if self._block_writes is not None:
+            raise StorageError("block_batch does not nest")
+        writes = self._block_writes = BlockWrites()
+        try:
+            yield writes
+        finally:
+            self._block_writes = None
 
 
 class MemoryKV(KVStore):
@@ -248,3 +315,7 @@ class NamespacedKV(KVStore):
         plen = len(self._prefix)
         for key, value in self._inner.items_with_prefix(self._prefix):
             yield key[plen:], value
+
+    def block_batch(self):
+        """The inner store's scope: its write set carries full keys."""
+        return self._inner.block_batch()

@@ -49,11 +49,11 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import StorageError
-from repro.storage.kv import KVStore
+from repro.storage.kv import BlockWrites, KVStore
 from repro.storage.lsm.cache import BlockCache
 from repro.storage.lsm.compaction import merge_entries, plan_compaction
 from repro.storage.lsm.manifest import (
@@ -110,22 +110,6 @@ class LsmStats:
         return dict(self.__dict__)
 
 
-@dataclass
-class _BlockBuffer:
-    """Writes staged inside one :meth:`LsmKV.block_batch`."""
-
-    puts: dict[bytes, bytes] = field(default_factory=dict)
-    deletes: set[bytes] = field(default_factory=set)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self.deletes.discard(key)
-        self.puts[bytes(key)] = bytes(value)
-
-    def delete(self, key: bytes) -> None:
-        self.puts.pop(key, None)
-        self.deletes.add(bytes(key))
-
-
 class LsmKV(KVStore):
     """Persistent, optionally sealed, crash-consistent KV store."""
 
@@ -155,7 +139,7 @@ class LsmKV(KVStore):
         self._lock = threading.RLock()
         self._bg_cond = threading.Condition(self._lock)
         self._memtable = Memtable()
-        self._buffer: _BlockBuffer | None = None
+        self._buffer: BlockWrites | None = None
         self._closed = False
         self._closing = False  # close() in progress: final flush only
         # Background flush/compaction worker state.
@@ -312,7 +296,7 @@ class LsmKV(KVStore):
             self._require_open()
             self.stats.puts += 1
             if self._buffer is not None:
-                self._buffer.put(key, value)
+                self._buffer.stage_put(key, value)
                 return
             token = self._commit({bytes(key): bytes(value)}, set())
         self._await_durable(token)
@@ -321,7 +305,7 @@ class LsmKV(KVStore):
         with self._lock:
             self._require_open()
             if self._buffer is not None:
-                self._buffer.delete(key)
+                self._buffer.stage_delete(key)
                 return
             token = self._commit({}, {bytes(key)})
         self._await_durable(token)
@@ -331,10 +315,7 @@ class LsmKV(KVStore):
             self._require_open()
             self.stats.puts += len(puts)
             if self._buffer is not None:
-                for key in deletes:
-                    self._buffer.delete(key)
-                for key, value in puts.items():
-                    self._buffer.put(key, value)
+                self._buffer.stage_batch(puts, deletes)
                 return
             token = self._commit(
                 {bytes(k): bytes(v) for k, v in puts.items()},
@@ -371,14 +352,16 @@ class LsmKV(KVStore):
     @contextmanager
     def block_batch(self):
         """Stage every write until exit, then commit them as ONE WAL
-        record; on exception nothing is committed (see module doc)."""
+        record; on exception nothing is committed (see module doc).
+        Yields the staging buffer itself — the block's write set (so the
+        base class's recording scope is never open on this store)."""
         with self._lock:
             self._require_open()
             if self._buffer is not None:
                 raise StorageError("block_batch does not nest")
-            self._buffer = _BlockBuffer()
+            writes = self._buffer = BlockWrites()
         try:
-            yield self
+            yield writes
         except BaseException:
             with self._lock:
                 self._buffer = None
@@ -386,9 +369,9 @@ class LsmKV(KVStore):
         else:
             token = None
             with self._lock:
-                buffer, self._buffer = self._buffer, None
-                if buffer.puts or buffer.deletes:
-                    token = self._commit(buffer.puts, buffer.deletes)
+                self._buffer = None
+                if writes.puts or writes.deletes:
+                    token = self._commit(writes.puts, writes.deletes)
                     self.stats.block_commits += 1
             self._await_durable(token)
 

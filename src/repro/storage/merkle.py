@@ -9,14 +9,19 @@ The paper's security model (§3.3) leans on two commitments:
   results are computed based on the latest states can pass the consensus
   phase" — replicas cross-check state roots.
 
-Both are served by :class:`MerkleTree`.  A *consensus read* from a
-possibly-malicious node is verified with :func:`verify_proof` against a
-root learned from a quorum (see :mod:`repro.chain.spv`).
+The first is served by :class:`MerkleTree`, the second by
+:class:`StateCommitment` — the same tree shape, kept up to date from
+each block's write set instead of rebuilt from the store.  A *consensus
+read* from a possibly-malicious node is verified with
+:func:`verify_proof` against a root learned from a quorum (see
+:mod:`repro.chain.spv`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.crypto.hashes import sha256
 from repro.errors import StorageError
@@ -33,6 +38,22 @@ def _hash_leaf(data: bytes) -> bytes:
 
 def _hash_node(left: bytes, right: bytes) -> bytes:
     return sha256(_NODE_PREFIX + left + right)
+
+
+def _build_levels(leaf_hashes: list[bytes]) -> list[list[bytes]]:
+    """Every level of the tree, leaves first; odd nodes are promoted."""
+    levels = [leaf_hashes]
+    level = leaf_hashes
+    while len(level) > 1:
+        nxt = [
+            _hash_node(level[i], level[i + 1])
+            for i in range(0, len(level) - 1, 2)
+        ]
+        if len(level) & 1:
+            nxt.append(level[-1])
+        levels.append(nxt)
+        level = nxt
+    return levels
 
 
 @dataclass(frozen=True)
@@ -62,16 +83,7 @@ class MerkleTree:
 
     def __init__(self, leaves: list[bytes]):
         self._leaf_hashes = [_hash_leaf(leaf) for leaf in leaves]
-        self._levels: list[list[bytes]] = [list(self._leaf_hashes)]
-        level = self._levels[0]
-        while len(level) > 1:
-            nxt = []
-            for i in range(0, len(level) - 1, 2):
-                nxt.append(_hash_node(level[i], level[i + 1]))
-            if len(level) & 1:
-                nxt.append(level[-1])
-            self._levels.append(nxt)
-            level = nxt
+        self._levels = _build_levels(list(self._leaf_hashes))
 
     @property
     def root(self) -> bytes:
@@ -113,9 +125,100 @@ def verify_proof(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
     return node == root
 
 
+def _state_leaf(key: bytes, value: bytes) -> bytes:
+    return _hash_leaf(len(key).to_bytes(4, "big") + key + value)
+
+
+class StateCommitment:
+    """Commitment to a whole KV state, maintained block by block.
+
+    The root is the :class:`MerkleTree` root over the key-sorted leaves
+    ``len(key) ‖ key ‖ value``.  Construction hashes every pair once;
+    :meth:`update` then folds in a block's write set without touching
+    the store: an overwritten value re-hashes one root path, an insert
+    or delete re-hashes the internal nodes from the first shifted leaf
+    rightwards.  Only keys, leaf hashes and internal nodes are held —
+    all derived data, in memory only; values stay in the store.
+    """
+
+    def __init__(self, items: Iterable[tuple[bytes, bytes]] = ()):
+        pairs = sorted(items)
+        self._keys = [key for key, _ in pairs]
+        self._levels = _build_levels(
+            [_state_leaf(key, value) for key, value in pairs]
+        )
+
+    @property
+    def root(self) -> bytes:
+        if not self._keys:
+            return EMPTY_ROOT
+        return self._levels[-1][0]
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def update(self, puts: dict[bytes, bytes],
+               deletes: Iterable[bytes] = ()) -> int:
+        """Apply one write set (a key is in `puts` or `deletes`, not
+        both; deleting an absent key is a no-op).  Returns the number of
+        keys inserted."""
+        keys, leaves = self._keys, self._levels[0]
+        changed: set[int] = set()  # overwritten in place
+        # First leaf whose position or existence changed.  Every edit
+        # moves only leaves at or right of its own index, so anything
+        # left of the smallest edit index — `changed` included — stays
+        # where it was.
+        shifted = None
+        inserted = 0
+        for key in deletes:
+            index = bisect_left(keys, key)
+            if index < len(keys) and keys[index] == key:
+                del keys[index], leaves[index]
+                shifted = index if shifted is None else min(shifted, index)
+        for key, value in puts.items():
+            leaf = _state_leaf(key, value)
+            index = bisect_left(keys, key)
+            if index < len(keys) and keys[index] == key:
+                if leaves[index] != leaf:
+                    leaves[index] = leaf
+                    changed.add(index)
+            else:
+                keys.insert(index, key)
+                leaves.insert(index, leaf)
+                shifted = index if shifted is None else min(shifted, index)
+                inserted += 1
+        self._rehash(changed, shifted)
+        return inserted
+
+    def _rehash(self, changed: set[int], shifted: int | None) -> None:
+        """Recompute the internal nodes above the `changed` leaves and
+        above every leaf at or right of `shifted`."""
+        levels = self._levels
+        level = levels[0]
+        depth = 0
+        while len(level) > 1:
+            depth += 1
+            if depth == len(levels):
+                levels.append([])
+            parents = levels[depth]
+            size = (len(level) + 1) // 2
+            del parents[size:]
+            first = size if shifted is None else shifted >> depth
+            changed = {i >> 1 for i in changed if i >> 1 < first}
+            for index in (*changed, *range(first, size)):
+                left = 2 * index
+                node = (
+                    _hash_node(level[left], level[left + 1])
+                    if left + 1 < len(level) else level[left]
+                )
+                if index < len(parents):
+                    parents[index] = node
+                else:
+                    parents.append(node)
+            level = parents
+        del levels[depth + 1:]
+
+
 def state_root(items: dict[bytes, bytes]) -> bytes:
     """Commitment to a whole KV state: merkle root over sorted pairs."""
-    leaves = [
-        len(k).to_bytes(4, "big") + k + v for k, v in sorted(items.items())
-    ]
-    return MerkleTree(leaves).root
+    return StateCommitment(items.items()).root

@@ -232,12 +232,19 @@ def decode_module(blob: bytes) -> Module:
     return module
 
 
+def _decode_name(body: bytes, pos: int, length: int) -> str:
+    try:
+        return body[pos : pos + length].decode()
+    except UnicodeDecodeError:
+        raise VMError("module name is not valid UTF-8") from None
+
+
 def _decode_hosts(body: bytes) -> list[host_mod.HostImport]:
     count, pos = decode_uleb(body, 0)
     hosts = []
     for _ in range(count):
         nlen, pos = decode_uleb(body, pos)
-        name = body[pos : pos + nlen].decode()
+        name = _decode_name(body, pos, nlen)
         pos += nlen
         nparams, pos = decode_uleb(body, pos)
         nresults, pos = decode_uleb(body, pos)
@@ -291,7 +298,7 @@ def _decode_exports(body: bytes) -> dict[str, int]:
     exports = {}
     for _ in range(count):
         nlen, pos = decode_uleb(body, pos)
-        name = body[pos : pos + nlen].decode()
+        name = _decode_name(body, pos, nlen)
         pos += nlen
         idx, pos = decode_uleb(body, pos)
         exports[name] = idx

@@ -741,3 +741,83 @@ class TestAsyncServer:
         for tx_hash_hex in accepted:
             assert bytes.fromhex(tx_hash_hex) in harness.node.receipts
         checker.scan_kv(0, harness.node.kv)
+
+    @pytest.mark.parametrize("drain_timeout", [30.0, None])
+    def test_stop_does_not_wait_for_an_idle_keepalive_connection(
+            self, coldchain_artifact, drain_timeout):
+        # Regression: stop() awaited every open connection with no bound,
+        # so one client that answered a request and then sat idle on its
+        # keep-alive socket held shutdown — and the node's clean close —
+        # forever.  An idle connection has nothing to finish: it costs
+        # neither the drain bound nor, with no bound, the shutdown.
+        harness = GatewayHarness(coldchain_artifact)
+
+        def one_request_then_idle(port: int):
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            connection.request("POST", "/rpc", body=rpc_body("node_status"))
+            assert connection.getresponse().status == 200
+            return connection  # left open
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            connection = await loop.run_in_executor(
+                None, one_request_then_idle, server.port
+            )
+            try:
+                await asyncio.wait_for(
+                    server.stop(drain_timeout=drain_timeout), timeout=10
+                )
+            finally:
+                connection.close()
+
+        asyncio.run(scenario())
+        assert harness.node.closed
+
+    def test_stop_answers_the_request_in_flight_and_closes_it(
+            self, coldchain_artifact):
+        # The other half of the rule: a request already read when stop()
+        # begins is answered (inside the drain bound), and the response
+        # ends the keep-alive so the connection does not linger.
+        harness = GatewayHarness(coldchain_artifact)
+        entered, release = threading.Event(), threading.Event()
+        handle_raw = harness.gateway.handle_raw
+
+        def slow_handle_raw(body, client=""):
+            entered.set()
+            assert release.wait(30)
+            return handle_raw(body, client)
+
+        harness.gateway.handle_raw = slow_handle_raw
+
+        def one_request(port: int):
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            try:
+                connection.request("POST", "/rpc",
+                                   body=rpc_body("node_status"))
+                response = connection.getresponse()
+                return (response.status, response.getheader("Connection"),
+                        json.loads(response.read()))
+            finally:
+                connection.close()
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            request = loop.run_in_executor(None, one_request, server.port)
+            await loop.run_in_executor(None, entered.wait, 30)
+            stopping = asyncio.ensure_future(server.stop(drain_timeout=30.0))
+            await asyncio.sleep(0.05)
+            assert not stopping.done()  # waiting on the request, bounded
+            release.set()
+            await asyncio.wait_for(stopping, timeout=10)
+            return await request
+
+        status, connection_header, decoded = asyncio.run(scenario())
+        assert status == 200 and "result" in decoded
+        assert connection_header == "close"
+        assert harness.node.closed

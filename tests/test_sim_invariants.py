@@ -5,6 +5,8 @@ least one test that *plants a real violation* and asserts the checker
 fires — so weakening any check makes these tests fail, not pass.
 """
 
+import os
+
 import pytest
 
 from repro.crypto.ecc import decode_point
@@ -161,6 +163,30 @@ class TestConfidentialityInvariant:
         alloc._evicted_bytes[handle] = self.CANARY * 10
         with pytest.raises(InvariantViolation, match="evicted EPC"):
             checker.scan_epc(0, alloc)
+
+    def test_file_scan_survives_the_flushers_rename_and_hides_nothing(
+            self, tmp_path, monkeypatch):
+        # A live node's background flusher commits by rename.  With the
+        # commitment check armed beside it, the file scan lost this race
+        # in ~1 of 16 runs of TestSimOnLsm: MANIFEST.tmp was listed, then
+        # renamed into place before the open.  Reproduce it exactly.
+        checker = ConfidentialityChecker([self.CANARY])
+        tmp, final = tmp_path / "MANIFEST.tmp", tmp_path / "MANIFEST"
+        tmp.write_bytes(b"leaky" + self.CANARY)
+        isfile = os.path.isfile
+
+        def isfile_then_rename(path):
+            found = isfile(path)
+            if path == str(tmp) and found:
+                os.replace(tmp, final)  # the flusher wins the race
+            return found
+
+        monkeypatch.setattr(os.path, "isfile", isfile_then_rename)
+        checker.scan_files(0, str(tmp_path))  # no FileNotFoundError
+        # The renamed file is not lost to the checker: the next scan
+        # reads it under its new name.
+        with pytest.raises(InvariantViolation, match="storage file MANIFEST"):
+            checker.scan_files(0, str(tmp_path))
 
     def test_plaintext_blob_surface_detected(self):
         checker = ConfidentialityChecker([self.CANARY])

@@ -974,11 +974,11 @@ class TestCrashDuringBackgroundFlush:
             kv = LsmKV(directory, sync=True, memtable_bytes=1024)
             expected: dict[bytes, bytes] = {}
             for block in range(12):
-                with kv.block_batch() as batch:
+                with kv.block_batch():
                     for i in range(6):
                         key = b"b%02d-%d" % (block, i)
                         value = b"v" * 48
-                        batch.put(key, value)
+                        kv.put(key, value)
                         expected[key] = value
             kv.crash()
             reopened = LsmKV(directory, sync=True, memtable_bytes=1024)
@@ -1008,12 +1008,12 @@ class TestCrashDuringBackgroundFlush:
         monkeypatch.setattr(db_mod, "write_sstable", slow_write)
         directory = str(tmp_path / "db")
         kv = LsmKV(directory, sync=True, memtable_bytes=512)
-        with kv.block_batch() as batch:
+        with kv.block_batch():
             for i in range(20):
-                batch.put(b"frozen-%02d" % i, b"x" * 64)
+                kv.put(b"frozen-%02d" % i, b"x" * 64)
         assert flushing.wait(timeout=10), "no freeze triggered"
-        with kv.block_batch() as batch:
-            batch.put(b"live", b"after-rotation")
+        with kv.block_batch():
+            kv.put(b"live", b"after-rotation")
 
         crasher = _threading.Thread(target=kv.crash)
         crasher.start()
@@ -1053,9 +1053,9 @@ class TestCrashDuringBackgroundFlush:
         monkeypatch.setattr(db_mod, "write_sstable", slow_write)
         directory = str(tmp_path / "db")
         kv = LsmKV(directory, sync=True, memtable_bytes=512)
-        with kv.block_batch() as batch:
+        with kv.block_batch():
             for i in range(20):
-                batch.put(b"g%02d" % i, b"y" * 64)
+                kv.put(b"g%02d" % i, b"y" * 64)
         assert flushing.wait(timeout=10)
         crasher = _threading.Thread(target=kv.crash)
         crasher.start()
@@ -1090,12 +1090,12 @@ class TestCrashDuringBackgroundFlush:
         monkeypatch.setattr(db_mod, "write_sstable", slow_write)
         directory = str(tmp_path / "db")
         kv = LsmKV(directory, sync=True, memtable_bytes=512)
-        with kv.block_batch() as batch:
+        with kv.block_batch():
             for i in range(20):
-                batch.put(b"frozen-%02d" % i, b"x" * 64)
+                kv.put(b"frozen-%02d" % i, b"x" * 64)
         assert flushing.wait(timeout=10)
-        with kv.block_batch() as batch:
-            batch.put(b"live", b"tail")
+        with kv.block_batch():
+            kv.put(b"live", b"tail")
         crasher = _threading.Thread(target=kv.crash)
         crasher.start()
         while not kv._crashed:

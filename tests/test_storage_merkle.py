@@ -1,6 +1,7 @@
 """Merkle tree and proof tests."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from repro.errors import StorageError
 from repro.storage.merkle import (
     EMPTY_ROOT,
     MerkleTree,
+    StateCommitment,
     state_root,
     verify_proof,
 )
@@ -93,3 +95,63 @@ class TestStateRoot:
 
     def test_empty_state(self):
         assert state_root({}) == EMPTY_ROOT
+
+
+def _reference_root(state: dict[bytes, bytes]) -> bytes:
+    """The batch tree the commitment must reproduce bit for bit."""
+    return MerkleTree([
+        len(key).to_bytes(4, "big") + key + value
+        for key, value in sorted(state.items())
+    ]).root
+
+
+class TestStateCommitment:
+    def test_bulk_build_is_state_root(self):
+        state = {b"k%d" % i: b"v%d" % i for i in range(7)}
+        assert StateCommitment(state.items()).root == state_root(state)
+        assert state_root(state) == _reference_root(state)
+
+    def test_empty_to_one_and_back(self):
+        commitment = StateCommitment()
+        assert commitment.root == EMPTY_ROOT
+        assert commitment.update({b"k": b"v"}) == 1
+        assert commitment.root == _reference_root({b"k": b"v"})
+        commitment.update({}, [b"k"])
+        assert commitment.root == EMPTY_ROOT and len(commitment) == 0
+
+    def test_deleting_an_absent_key_is_a_noop(self):
+        commitment = StateCommitment([(b"a", b"1"), (b"c", b"3")])
+        before = commitment.root
+        assert commitment.update({}, [b"b", b"zz"]) == 0
+        assert commitment.root == before
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_write_sets_match_the_batch_tree(self, seed):
+        # Overwrite / insert / delete / re-insert over a small keyspace
+        # (so keys collide and leaf counts cross every odd/even and
+        # power-of-two boundary, down to empty and back), checked
+        # against the from-scratch tree after every step.
+        rng = random.Random(seed)
+        keyspace = [bytes([65 + i]) * rng.randrange(1, 4) for i in range(20)]
+        state: dict[bytes, bytes] = {}
+        commitment = StateCommitment()
+        for step in range(120):
+            puts: dict[bytes, bytes] = {}
+            deletes: set[bytes] = set()
+            if step % 40 == 39:
+                deletes.update(state)  # drain to empty
+            for _ in range(rng.randrange(0, 6)):
+                key = rng.choice(keyspace)
+                if rng.random() < 0.35:
+                    puts.pop(key, None)
+                    deletes.add(key)
+                else:
+                    deletes.discard(key)
+                    puts[key] = rng.randbytes(rng.randrange(0, 5))
+            inserted = commitment.update(puts, deletes)
+            assert inserted == sum(1 for key in puts if key not in state)
+            for key in deletes:
+                state.pop(key, None)
+            state.update(puts)
+            assert commitment.root == _reference_root(state), (seed, step)
+            assert len(commitment) == len(state)
