@@ -11,9 +11,9 @@ The comparison fails the build when:
 - WAL group commit stops coalescing: with concurrent committers on a
   ``sync`` store the bench must observe strictly fewer than one fsync per
   commit (serial is exactly one by construction);
-- the parallel pipeline loses determinism (``deterministic_equivalent``),
-  or — only where the cores exist (``cpu_count > 1``) — the preverify
-  pool no longer beats serial.
+- the pre-verification pool loses determinism
+  (``deterministic_equivalent``), or — only where the cores exist
+  (``cpu_count > 1``) — it no longer beats serial.
 
 Every report records the runner's ``cpu_count`` next to the baseline's so
 a cross-machine comparison is visible in the CI log.
@@ -91,33 +91,26 @@ def check_storage(fresh: dict, baseline: dict,
 
 
 def check_parallel(fresh: dict, baseline: dict):
-    """Return ``(failures, report_lines)`` for a parallel bench pair."""
+    """Return ``(failures, report_lines)`` for a pre-verification pool
+    bench pair."""
     failures: list[str] = []
     lines: list[str] = []
     cpu_count = fresh.get("cpu_count") or os.cpu_count() or 1
     lines.append("parallel: fresh cpu_count=%s baseline cpu_count=%s"
                  % (cpu_count, baseline.get("cpu_count", "?")))
-    execution = fresh.get("execution", {})
     preverify = fresh.get("preverify", {})
-    lines.append("  preverify speedup %.2f  exec speedup %.2f  "
-                 "queue depth peak %s"
+    lines.append("  preverify speedup %.2f  queue depth peak %s"
                  % (preverify.get("speedup", 0.0),
-                    execution.get("speedup", 0.0),
                     preverify.get("queue_depth_peak", "?")))
-    if execution.get("deterministic_equivalent") is not True:
-        failures.append("parallel: execution lost deterministic "
-                        "equivalence with the serial schedule")
+    if preverify.get("deterministic_equivalent") is not True:
+        failures.append("parallel: pooled pre-verification lost "
+                        "deterministic equivalence with the serial path")
     # Speedup expectations only hold where the cores exist; a 1-cpu
     # runner records its numbers but is not gated on them.
-    if cpu_count > 1:
-        if preverify.get("speedup", 0.0) <= 1.0:
-            failures.append(
-                "parallel: preverify speedup %.2f <= 1.0 on a %d-cpu "
-                "runner" % (preverify.get("speedup", 0.0), cpu_count))
-        if execution.get("speedup", 0.0) <= 1.0:
-            failures.append(
-                "parallel: execution speedup %.2f <= 1.0 on a %d-cpu "
-                "runner" % (execution.get("speedup", 0.0), cpu_count))
+    if cpu_count > 1 and preverify.get("speedup", 0.0) <= 1.0:
+        failures.append(
+            "parallel: preverify speedup %.2f <= 1.0 on a %d-cpu "
+            "runner" % (preverify.get("speedup", 0.0), cpu_count))
     return failures, lines
 
 

@@ -1,41 +1,20 @@
-"""Block executor: real k-way parallel execution with OCC validation.
+"""Block executor: serial execution plus the modeled parallel-lane schedule.
 
 Ant Blockchain "supports smart contract paralleled execution" (§6.2).
-Two mechanisms coexist here:
-
-- **Modeled lanes** (``lane_schedule``) — the original analytical model:
-  list-scheduling of measured per-transaction durations onto k lanes
-  under conflict constraints.  It is kept as a *crosscheck metric*: the
-  modeled makespan of a block should track what real parallel execution
-  achieves on hardware with k cores.
-
-- **Real dispatch** (``workers > 1``) — the dependency-aware scheduler
-  (:mod:`repro.chain.scheduler`) plans contiguous waves of transactions
-  with disjoint conflict domains; a thread pool executes each wave's
-  transactions speculatively (state effects buffered in-enclave), and a
-  pipelined in-order commit walks the wave: each transaction's *actual*
-  read set is validated against the writes committed before it in the
-  wave, and on overlap the speculation is discarded and the transaction
-  re-executed against the committed prefix.  Deploys/upgrades/unknown
-  profiles are barriers and run alone.
-
-Determinism contract: commits happen strictly in block order, and any
-transaction whose reads could have observed a wave-mate's writes is
-re-executed serially against the fully-committed prefix — so parallel
-execution produces byte-identical receipts and state to serial
-execution regardless of thread timing (docs/parallelism.md).
+Transactions execute one after another in block order; the parallelism
+the paper describes is *modeled* by ``lane_schedule``: list-scheduling
+of the measured per-transaction durations onto k lanes under the
+read/write-set conflict constraints (Fig. 11).  Real concurrent dispatch
+cannot win here — the VM is pure Python under the GIL — so block
+execution has exactly one path (docs/parallelism.md).
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.chain.scheduler import Wave, build_waves
 from repro.chain.transaction import Transaction
-from repro.core.preprocessor import TxProfile
 from repro.core.receipts import ANALYSIS_SOURCE_BYTECODE, KIND_ANALYSIS
 from repro.errors import ChainError
 from repro.obs.collect import block_metrics_snapshot
@@ -60,13 +39,6 @@ class BlockExecutionReport:
     # were the only line of defense)?
     analysis_rejections_source: int = 0
     analysis_rejections_bytecode_only: int = 0
-    # Real-dispatch facts (workers > 1; zeros on the serial path).
-    workers: int = 0
-    waves: int = 0
-    barrier_waves: int = 0
-    conflict_aborts: int = 0  # speculations discarded at validation
-    reexecutions: int = 0  # conflict aborts re-run against committed state
-    parallel_wall_s: float = 0.0
     # Post-block observability snapshot: cumulative engine metrics as of
     # this block's commit ("name{label=value}" -> value), from the same
     # ledgers Table 1 reads.
@@ -75,13 +47,6 @@ class BlockExecutionReport:
     @property
     def speedup(self) -> float:
         return self.serial_duration_s / self.makespan_s if self.makespan_s else 1.0
-
-    @property
-    def measured_speedup(self) -> float:
-        """Serial-equivalent work time over real parallel wall time."""
-        if not self.parallel_wall_s:
-            return 1.0
-        return self.serial_duration_s / self.parallel_wall_s
 
 
 def _conflicts(a: "ExecutionOutcome", b: "ExecutionOutcome") -> bool:
@@ -121,58 +86,25 @@ class BlockExecutor:
         confidential: "ConfidentialEngine",
         public: "PublicEngine",
         lanes: int = 1,
-        workers: int = 0,
     ):
         self.confidential = confidential
         self.public = public
         self.lanes = lanes
-        self.workers = workers
-        self._pool: ThreadPoolExecutor | None = None
-        # Cumulative dispatch counters (across blocks), for metrics.
-        self.total_conflict_aborts = 0
-        self.total_reexecutions = 0
-        self.total_waves = 0
-        self.total_barrier_waves = 0
-
-    # -- engine routing -----------------------------------------------------
-
-    def _engine_for(self, tx: Transaction):
-        return self.confidential if tx.is_confidential else self.public
 
     def _execute(self, tx: Transaction) -> "ExecutionOutcome":
-        return self._engine_for(tx).execute(tx)
-
-    def _execute_speculative(self, tx: Transaction):
-        return self._engine_for(tx).execute_speculative(tx)
-
-    def _profile_of(self, tx: Transaction) -> TxProfile | None:
-        if tx.is_confidential:
-            return self.confidential.tx_profile(tx.tx_hash)
-        try:
-            return TxProfile.of(tx.raw())
-        except ChainError:
-            return None
-
-    # -- block execution ----------------------------------------------------
+        engine = self.confidential if tx.is_confidential else self.public
+        return engine.execute(tx)
 
     def execute_block(self, transactions: list[Transaction]) -> BlockExecutionReport:
-        parallel = self.workers > 1 and len(transactions) > 1
-        with get_tracer().span("block.execute", num_txs=len(transactions),
-                               workers=self.workers if parallel else 0) as span:
+        with get_tracer().span("block.execute", num_txs=len(transactions)) as span:
             report = BlockExecutionReport(lanes=self.lanes)
-            if parallel:
-                self._execute_parallel(transactions, report)
-            else:
-                for tx in transactions:
-                    self._record(report, self._execute(tx))
+            for tx in transactions:
+                self._record(report, self._execute(tx))
             report.makespan_s, report.conflict_edges = lane_schedule(
                 report.outcomes, self.lanes
             )
             report.metrics = block_metrics_snapshot(self.confidential, self.public)
             span.set("conflict_edges", report.conflict_edges)
-            if parallel:
-                span.set("waves", report.waves)
-                span.set("reexecutions", report.reexecutions)
         return report
 
     def _record(self, report: BlockExecutionReport,
@@ -185,71 +117,3 @@ class BlockExecutor:
                 report.analysis_rejections_source += 1
             else:
                 report.analysis_rejections_bytecode_only += 1
-
-    def _execute_parallel(self, transactions: list[Transaction],
-                          report: BlockExecutionReport) -> None:
-        pool = self._ensure_pool()
-        profiles = [self._profile_of(tx) for tx in transactions]
-        waves = build_waves(profiles)
-        report.workers = self.workers
-        report.waves = len(waves)
-        report.barrier_waves = sum(1 for wave in waves if wave.barrier)
-        started = time.perf_counter()
-        outcomes: list["ExecutionOutcome | None"] = [None] * len(transactions)
-        for wave in waves:
-            self._run_wave(pool, wave, transactions, outcomes, report)
-        report.parallel_wall_s = time.perf_counter() - started
-        for outcome in outcomes:
-            assert outcome is not None
-            self._record(report, outcome)
-        self.total_conflict_aborts += report.conflict_aborts
-        self.total_reexecutions += report.reexecutions
-        self.total_waves += report.waves
-        self.total_barrier_waves += report.barrier_waves
-
-    def _run_wave(self, pool: ThreadPoolExecutor, wave: Wave,
-                  transactions: list[Transaction],
-                  outcomes: list, report: BlockExecutionReport) -> None:
-        if wave.barrier or len(wave.indices) == 1:
-            # Barriers (deploys/upgrades/unknown profiles) and singleton
-            # waves take the committed serial path directly.
-            index = wave.indices[0]
-            outcomes[index] = self._execute(transactions[index])
-            return
-        with get_tracer().span("block.wave", size=len(wave.indices)):
-            futures = {
-                index: pool.submit(self._execute_speculative,
-                                   transactions[index])
-                for index in wave.indices
-            }
-            # Pipelined in-order commit: transaction i's validation and
-            # commit overlap the still-running executions of j > i.
-            wave_written: set[bytes] = set()
-            for index in wave.indices:
-                speculative = futures[index].result()
-                engine = self._engine_for(transactions[index])
-                outcome = speculative.outcome
-                if outcome.read_set & wave_written:
-                    # The speculation may have observed (or missed) a
-                    # wave-mate's write: discard it and re-execute against
-                    # the committed prefix — exactly the serial result.
-                    engine.discard_speculative(speculative.token)
-                    report.conflict_aborts += 1
-                    report.reexecutions += 1
-                    outcome = self._execute(transactions[index])
-                else:
-                    engine.commit_speculative(speculative.token)
-                wave_written |= outcome.write_set
-                outcomes[index] = outcome
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="exec"
-            )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None

@@ -159,10 +159,7 @@ class Node:
         # the machine the keys were sealed to.
         self.confidential = ConfidentialEngine(self.kv, config, platform=platform)
         self.public = PublicEngine(self.kv, config)
-        self.executor = BlockExecutor(
-            self.confidential, self.public, lanes,
-            workers=config.exec_workers,
-        )
+        self.executor = BlockExecutor(self.confidential, self.public, lanes)
         # §5.2 off-path pre-verification pool; workers=0 runs inline.
         self.preverify_pool = PreverifyPool(
             workers=config.preverify_workers,
@@ -264,8 +261,8 @@ class Node:
         return moved
 
     def close(self, close_kv: bool = True) -> None:
-        """Shut down the node's worker pools and (by default) cleanly
-        close the underlying KV store, releasing its file handles.
+        """Shut down the node's pre-verification pool and (by default)
+        cleanly close the underlying KV store, releasing its file handles.
 
         Idempotent, and flips :attr:`closed` first so block production
         racing a shutdown fails loudly (a block applied into a closing
@@ -275,7 +272,6 @@ class Node:
             return
         self._closed = True
         self.preverify_pool.close()
-        self.executor.close()
         if close_kv:
             closer = getattr(self.kv, "close", None)
             if closer is not None:

@@ -36,7 +36,6 @@ from repro.core import t_protocol
 from repro.core.preprocessor import PreverifiedRecord
 from repro.crypto.keys import KeyPair
 
-DEFAULT_CHUNK_SIZE = 16  # legacy fixed size; pools now adapt by default
 # Adaptive chunks never shrink below this: a submission carrying fewer
 # transactions than this pays more in dispatch than it wins in overlap.
 _MIN_ADAPTIVE_CHUNK = 4
@@ -45,8 +44,10 @@ _MODES = ("serial", "thread", "process")
 
 
 # One tx result crossing back from a worker, as a picklable tuple:
-# (tx_hash, tx_type, verified, k_tx, sender, contract, is_deploy,
-#  is_upgrade, decrypt_seconds, verify_seconds)
+# (tx_hash, tx_type, verified, k_tx, sender, is_deploy, is_upgrade,
+#  decrypt_seconds, verify_seconds).  The sender and flags are what the
+# shard router's RoutingPreprocessor routes on; the install path drops
+# them.
 _WireResult = tuple
 
 
@@ -64,20 +65,20 @@ def _preverify_one(sk: KeyPair | None, tx_type: int,
             raw = t_protocol.open_body(k_tx, body)
         except Exception:
             decrypt_elapsed = time.perf_counter() - started
-            return (tx.tx_hash, tx_type, False, b"", b"", b"", False, False,
+            return (tx.tx_hash, tx_type, False, b"", b"", False, False,
                     decrypt_elapsed, 0.0)
         decrypt_elapsed = time.perf_counter() - started
     else:
         try:
             raw = RawTransaction.decode(payload)
         except Exception:
-            return (tx.tx_hash, tx_type, False, b"", b"", b"", False, False,
+            return (tx.tx_hash, tx_type, False, b"", b"", False, False,
                     0.0, 0.0)
     started = time.perf_counter()
     verified = raw.verify_signature()
     verify_elapsed = time.perf_counter() - started
     return (
-        tx.tx_hash, tx_type, verified, k_tx, raw.sender, raw.contract,
+        tx.tx_hash, tx_type, verified, k_tx, raw.sender,
         raw.is_deploy, raw.is_upgrade, decrypt_elapsed, verify_elapsed,
     )
 
@@ -107,13 +108,10 @@ def _preverify_chunk(
 
 
 def _record_from_wire(wire: _WireResult) -> PreverifiedRecord:
-    (tx_hash, tx_type, verified, k_tx, sender, contract, is_deploy,
-     is_upgrade, decrypt_s, verify_s) = wire
+    (tx_hash, tx_type, verified, k_tx, _, _, _, decrypt_s, verify_s) = wire
     return PreverifiedRecord(
         tx_hash=tx_hash, tx_type=tx_type, verified=verified, k_tx=k_tx,
-        sender=sender, contract=contract, is_deploy=is_deploy,
-        is_upgrade=is_upgrade, decrypt_seconds=decrypt_s,
-        verify_seconds=verify_s,
+        decrypt_seconds=decrypt_s, verify_seconds=verify_s,
     )
 
 

@@ -347,19 +347,14 @@ def cmd_bench(args) -> int:
             num_txs=8 if args.quick else 32,
             out_path=args.parallel_out,
         )
-        pre, execution = result["preverify"], result["execution"]
-        print(f"parallel pipeline bench ({result['cpu_count']} CPU(s), "
+        pre = result["preverify"]
+        print(f"pre-verification pool bench ({result['cpu_count']} CPU(s), "
               f"{args.workers} workers)")
         print(f"  preverify : serial {pre['serial_s'] * 1000:8.1f} ms  "
               f"pool {pre['pool_s'] * 1000:8.1f} ms  "
               f"speedup {pre['speedup']:.2f}x  mode={pre['mode']}")
-        print(f"  execute   : serial {execution['serial_exec_s'] * 1000:8.1f} ms  "
-              f"parallel {execution['parallel_exec_s'] * 1000:8.1f} ms  "
-              f"speedup {execution['speedup']:.2f}x  "
-              f"waves={execution['waves']} "
-              f"reexec={execution['reexecutions']}")
-        print("  determinism: parallel replica produced bit-identical "
-              "state/receipt roots")
+        print("  determinism: pool records bit-identical to serial "
+              "(verdicts and k_tx)")
         if args.parallel_out:
             print(f"wrote {args.parallel_out}")
         return 0
@@ -775,10 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="print the paper's tables/figures")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="run the serial-vs-parallel pipeline bench with "
-                        "N workers instead of the paper tables")
+                   help="run the serial-vs-pooled pre-verification bench "
+                        "with N workers instead of the paper tables")
     p.add_argument("--parallel-out", metavar="FILE",
-                   help="write the parallel bench result JSON here "
+                   help="write the pre-verification bench result JSON here "
                         "(e.g. BENCH_parallel.json)")
     p.add_argument("--storage", metavar="BACKENDS",
                    help="run the storage-backend bench instead of the "

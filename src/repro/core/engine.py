@@ -12,14 +12,13 @@
   one-time ``k_tx``.
 
 Both engines execute each transaction against a write overlay that only
-commits on success, collect read/write sets (for the parallel executor's
-conflict detection), and record the per-operation timings behind
-Table 1.
+commits on success, collect read/write sets (for the modeled
+parallel-lane schedule of Fig. 11), and record the per-operation
+timings behind Table 1.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -123,31 +122,14 @@ class _TxScope:
     gas_used: int = 0
     storage_reads: int = 0
     storage_writes: int = 0
-    # Nonce bumps are buffered here (not written through) so a
-    # speculative execution leaves zero footprint until it commits.
+    # Nonce bumps are buffered here (not written through) and applied
+    # with the scope, ahead of the overlay.
     nonce_updates: dict[bytes, bytes] = field(default_factory=dict)
     success: bool = False
     # Set on deploy/upgrade: which static-analysis mode admitted the
     # artifact ("source+bytecode" / "bytecode-only"); surfaced on the
     # receipt.
     analysis_mode: str = ""
-
-
-@dataclass(frozen=True)
-class SpeculativeExecution:
-    """A deferred-commit execution: the outcome plus a commit handle.
-
-    The parallel block executor runs non-conflicting transactions
-    concurrently; each produces a :class:`SpeculativeExecution` whose
-    state effects (overlay writes *and* nonce bumps) stay buffered
-    inside the engine until :meth:`_BaseEngine.commit_speculative` is
-    called in block order.  ``token is None`` means the engine had to
-    commit inline (deploys/upgrades mutate the code registry and never
-    defer); there is nothing left to commit or discard.
-    """
-
-    outcome: ExecutionOutcome
-    token: int | None
 
 
 def _state_key(address: bytes, key: bytes) -> bytes:
@@ -237,15 +219,9 @@ class _BaseEngine:
             )
         # Exclusive-time tracking for CONTRACT_CALL (children and storage
         # spans are subtracted from the enclosing call's duration).
-        # Thread-local: pre-verification and parallel-execution workers
-        # share the engine, and one thread's nesting must not leak into
-        # another's accounting.
+        # Thread-local: every thread sharing the engine keeps its own
+        # nesting, so one thread's accounting never leaks into another's.
         self._tls = threading.local()
-        # Speculative (deferred-commit) executions awaiting their
-        # commit-or-discard decision from the parallel block executor.
-        self._pending_scopes: dict[int, _TxScope] = {}
-        self._spec_tokens = itertools.count(1)
-        self._spec_lock = threading.Lock()
 
     @property
     def _excluded_stack(self) -> list[float]:
@@ -468,38 +444,11 @@ class _BaseEngine:
         for key, value in scope.nonce_updates.items():
             self._raw_kv_set(key, value)
 
-    # -- speculative (deferred-commit) execution ---------------------------
-
-    def _stash_scope(self, scope: _TxScope) -> int:
-        with self._spec_lock:
-            token = next(self._spec_tokens)
-            self._pending_scopes[token] = scope
-        return token
-
-    def _take_scope(self, token: int) -> _TxScope:
-        with self._spec_lock:
-            scope = self._pending_scopes.pop(token, None)
-        if scope is None:
-            raise ChainError(f"unknown speculative-execution token {token}")
-        return scope
-
     def _apply_scope(self, scope: _TxScope) -> None:
         """Apply a buffered scope: nonce bumps always, overlay on success."""
         self._apply_nonce_updates(scope)
         if scope.success:
             self._commit_state(self.contracts, scope)
-
-    def commit_speculative(self, token: int | None) -> None:
-        """Apply a deferred execution's buffered effects, in block order."""
-        if token is None:
-            return
-        self._apply_scope(self._take_scope(token))
-
-    def discard_speculative(self, token: int | None) -> None:
-        """Drop a deferred execution (conflict abort); zero state effect."""
-        if token is None:
-            return
-        self._take_scope(token)
 
     def _apply_raw(self, raw: RawTransaction, scope: _TxScope) -> bytes:
         """Deploy or call; returns the receipt output."""
@@ -584,14 +533,6 @@ class PublicEngine(_BaseEngine):
 
     def execute(self, tx: Transaction) -> ExecutionOutcome:
         """Execute one public transaction; returns its outcome."""
-        return self._execute_public(tx, commit=True).outcome
-
-    def execute_speculative(self, tx: Transaction) -> SpeculativeExecution:
-        """Execute with effects buffered for an in-order commit later."""
-        return self._execute_public(tx, commit=False)
-
-    def _execute_public(self, tx: Transaction,
-                        commit: bool) -> SpeculativeExecution:
         with get_tracer().span("engine.execute_tx", kind="public") as span:
             started = time.perf_counter()
             raw = tx.raw()
@@ -606,21 +547,14 @@ class PublicEngine(_BaseEngine):
                 receipt = Receipt(tx.tx_hash, False, error="invalid signature",
                                   sender=raw.sender, contract=raw.contract,
                                   kind=KIND_BAD_SIGNATURE)
-                outcome = ExecutionOutcome(
+                return ExecutionOutcome(
                     receipt, None, time.perf_counter() - started,
                     frozenset(), frozenset(),
                 )
-                return SpeculativeExecution(outcome, None)
-            if not commit and (raw.is_deploy or raw.is_upgrade):
-                # Deploys/upgrades mutate the shared code registry and
-                # persist immediately; they never defer.  The scheduler
-                # treats them as barriers, so this is a safety valve.
-                return self._execute_public(tx, commit=True)
             try:
                 output = self._apply_raw(raw, scope)
                 scope.success = True
-                if commit:
-                    self._apply_scope(scope)
+                self._apply_scope(scope)
                 receipt = Receipt(
                     tx.tx_hash, True, output=output,
                     logs=tuple(scope.logs),
@@ -633,8 +567,7 @@ class PublicEngine(_BaseEngine):
                 span.set("outcome", "ok")
             except ReproError as exc:
                 span.set("outcome", "reverted")
-                if commit:
-                    self._apply_scope(scope)
+                self._apply_scope(scope)
                 kind = (KIND_ANALYSIS if isinstance(exc, AnalysisError)
                         else KIND_REVERT)
                 receipt = Receipt(tx.tx_hash, False, error=str(exc),
@@ -642,12 +575,10 @@ class PublicEngine(_BaseEngine):
                                   kind=kind,
                                   analysis_mode=getattr(
                                       exc, "analysis_mode", ""))
-            outcome = ExecutionOutcome(
+            return ExecutionOutcome(
                 receipt, None, time.perf_counter() - started,
                 frozenset(scope.read_set), frozenset(scope.write_set),
             )
-            token = None if commit else self._stash_scope(scope)
-            return SpeculativeExecution(outcome, token)
 
 
 class CSEnclave(Enclave):
@@ -695,25 +626,12 @@ class CSEnclave(Enclave):
 
     def ecall_execute(self, tx_bytes: bytes):
         tx = Transaction.decode(tx_bytes)
-        return self._engine._execute_inside(tx, commit=True)
-
-    def ecall_execute_spec(self, tx_bytes: bytes):
-        """Speculative execution for the parallel block executor: state
-        effects stay buffered in-enclave until commit_spec/discard_spec."""
-        tx = Transaction.decode(tx_bytes)
-        return self._engine._execute_inside(tx, commit=False)
-
-    def ecall_commit_spec(self, token: int) -> None:
-        self._engine._apply_scope(self._engine._take_scope(token))
-
-    def ecall_discard_spec(self, token: int) -> None:
-        self._engine._take_scope(token)
+        return self._engine._execute_inside(tx)
 
     def ecall_install_preverified(self, blob: bytes) -> int:
         """Adopt metadata computed by pre-verification worker enclaves
-        (Figure 7 step P4, fanned out): each entry carries the verdict,
-        the recovered ``k_tx`` and the transaction profile the
-        dependency-aware scheduler groups by."""
+        (Figure 7 step P4, fanned out): each entry carries the verdict
+        and the recovered ``k_tx``."""
         return self._engine._install_preverified_inside(blob)
 
     def ecall_export_worker_keys(self) -> bytes:
@@ -969,35 +887,13 @@ class ConfidentialEngine(_BaseEngine):
         worker threads sharing enclave memory — see docs/parallelism.md)."""
         return self.cs.ecall("export_worker_keys")
 
-    def tx_profile(self, tx_hash: bytes):
-        """Cached scheduler profile (sender/contract/barrier flags), or
-        None when the transaction was never preverified."""
-        return self.preprocessor.profile(tx_hash)
-
     def execute(self, tx: Transaction) -> ExecutionOutcome:
         """Execute one confidential transaction inside the CS enclave."""
         if not tx.is_confidential:
             raise ProtocolError("ConfidentialEngine only executes TYPE=1")
         return self.cs.ecall("execute", tx.encode(), user_check=True)
 
-    def execute_speculative(self, tx: Transaction) -> SpeculativeExecution:
-        """Execute with effects buffered in-enclave for a later commit."""
-        if not tx.is_confidential:
-            raise ProtocolError("ConfidentialEngine only executes TYPE=1")
-        return self.cs.ecall("execute_spec", tx.encode(), user_check=True)
-
-    def commit_speculative(self, token: int | None) -> None:
-        if token is None:
-            return
-        self.cs.ecall("commit_spec", token)
-
-    def discard_speculative(self, token: int | None) -> None:
-        if token is None:
-            return
-        self.cs.ecall("discard_spec", token)
-
-    def _execute_inside(self, tx: Transaction,
-                        commit: bool = True) -> "ExecutionOutcome | SpeculativeExecution":
+    def _execute_inside(self, tx: Transaction) -> ExecutionOutcome:
         with get_tracer().span("engine.execute_tx", kind="confidential") as span:
             started = time.perf_counter()
             sk = self.cs.sk_tx()
@@ -1010,10 +906,9 @@ class ConfidentialEngine(_BaseEngine):
                 receipt = Receipt(tx.tx_hash, False,
                                   error=f"undecryptable: {exc}",
                                   kind=KIND_UNDECRYPTABLE)
-                outcome = ExecutionOutcome(receipt, None,
-                                           time.perf_counter() - started,
-                                           frozenset(), frozenset())
-                return outcome if commit else SpeculativeExecution(outcome, None)
+                return ExecutionOutcome(receipt, None,
+                                        time.perf_counter() - started,
+                                        frozenset(), frozenset())
             raw = processed.raw
             verified = processed.verified
             scope = _TxScope()
@@ -1023,20 +918,13 @@ class ConfidentialEngine(_BaseEngine):
                                   sender=raw.sender, contract=raw.contract,
                                   kind=KIND_BAD_SIGNATURE)
                 sealed = t_protocol.seal_receipt(processed.k_tx, receipt.encode())
-                outcome = ExecutionOutcome(receipt, sealed,
-                                           time.perf_counter() - started,
-                                           frozenset(), frozenset())
-                return outcome if commit else SpeculativeExecution(outcome, None)
-            if not commit and (raw.is_deploy or raw.is_upgrade):
-                # Safety valve mirroring the scheduler's barrier rule.
-                return SpeculativeExecution(
-                    self._execute_inside(tx, commit=True), None
-                )
+                return ExecutionOutcome(receipt, sealed,
+                                        time.perf_counter() - started,
+                                        frozenset(), frozenset())
             try:
                 output = self._apply_raw(raw, scope)
                 scope.success = True
-                if commit:
-                    self._apply_scope(scope)
+                self._apply_scope(scope)
                 receipt = Receipt(
                     tx.tx_hash, True, output=output, logs=tuple(scope.logs),
                     instructions=scope.instructions, gas_used=scope.gas_used,
@@ -1048,8 +936,7 @@ class ConfidentialEngine(_BaseEngine):
                 span.set("outcome", "ok")
             except ReproError as exc:
                 span.set("outcome", "reverted")
-                if commit:
-                    self._apply_scope(scope)
+                self._apply_scope(scope)
                 kind = (KIND_ANALYSIS if isinstance(exc, AnalysisError)
                         else KIND_REVERT)
                 receipt = Receipt(tx.tx_hash, False, error=str(exc),
@@ -1058,13 +945,10 @@ class ConfidentialEngine(_BaseEngine):
                                   analysis_mode=getattr(
                                       exc, "analysis_mode", ""))
             sealed = t_protocol.seal_receipt(processed.k_tx, receipt.encode())
-            outcome = ExecutionOutcome(
+            return ExecutionOutcome(
                 receipt, sealed, time.perf_counter() - started,
                 frozenset(scope.read_set), frozenset(scope.write_set),
             )
-            if commit:
-                return outcome
-            return SpeculativeExecution(outcome, self._stash_scope(scope))
 
     # -- convenience ------------------------------------------------------------------
 

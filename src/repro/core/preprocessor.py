@@ -10,12 +10,6 @@ At execution time the pre-processor first consults the cache (steps
 C2–C3 in Figure 7): on a hit only the cheap symmetric decryption
 remains; on a miss the transaction takes the full path.
 
-The cache also remembers the transaction's *profile* (sender, target
-contract, deploy/upgrade flags) recovered during decryption.  The
-dependency-aware block scheduler groups non-conflicting transactions by
-profile without re-entering the enclave; a transaction with no cached
-profile is scheduled conservatively (as a barrier).
-
 The pre-processor is shared between the execution path and the §5.2
 worker pool, so cache mutation is lock-protected.
 """
@@ -36,31 +30,11 @@ from repro.storage import rlp
 
 
 @dataclass(frozen=True)
-class TxProfile:
-    """Scheduler-visible facts about a transaction (no payload data)."""
-
-    sender: bytes
-    contract: bytes
-    is_deploy: bool
-    is_upgrade: bool
-
-    @property
-    def is_barrier(self) -> bool:
-        """Deploys/upgrades mutate the code registry: never parallelized."""
-        return self.is_deploy or self.is_upgrade
-
-    @classmethod
-    def of(cls, raw: RawTransaction) -> "TxProfile":
-        return cls(raw.sender, raw.contract, raw.is_deploy, raw.is_upgrade)
-
-
-@dataclass(frozen=True)
 class TxMetadata:
     """What pre-verification caches per transaction hash."""
 
     k_tx: bytes
     f_verified: bool
-    profile: TxProfile | None = None
 
 
 @dataclass(frozen=True)
@@ -77,31 +51,16 @@ class PreverifiedRecord:
     tx_type: int
     verified: bool
     k_tx: bytes = b""
-    sender: bytes = b""
-    contract: bytes = b""
-    is_deploy: bool = False
-    is_upgrade: bool = False
     decrypt_seconds: float = 0.0
     verify_seconds: float = 0.0
 
-    @property
-    def profile(self) -> TxProfile | None:
-        if not self.sender:
-            return None
-        return TxProfile(self.sender, self.contract,
-                         self.is_deploy, self.is_upgrade)
-
     def encode(self) -> bytes:
         """Wire form for the batched install ecall (timings in ns)."""
-        flags = (1 if self.is_deploy else 0) | (2 if self.is_upgrade else 0)
         return rlp.encode([
             self.tx_hash,
             rlp.encode_int(self.tx_type),
             b"\x01" if self.verified else b"",
             self.k_tx,
-            self.sender,
-            self.contract,
-            rlp.encode_int(flags),
             rlp.encode_int(int(self.decrypt_seconds * 1e9)),
             rlp.encode_int(int(self.verify_seconds * 1e9)),
         ])
@@ -109,20 +68,15 @@ class PreverifiedRecord:
     @classmethod
     def decode(cls, data: bytes) -> "PreverifiedRecord":
         items = rlp.decode(data)
-        if not isinstance(items, list) or len(items) != 9:
+        if not isinstance(items, list) or len(items) != 6:
             raise ProtocolError("malformed pre-verification record")
-        flags = rlp.decode_int(items[6])
         return cls(
             tx_hash=items[0],
             tx_type=rlp.decode_int(items[1]),
             verified=bool(items[2]),
             k_tx=items[3],
-            sender=items[4],
-            contract=items[5],
-            is_deploy=bool(flags & 1),
-            is_upgrade=bool(flags & 2),
-            decrypt_seconds=rlp.decode_int(items[7]) / 1e9,
-            verify_seconds=rlp.decode_int(items[8]) / 1e9,
+            decrypt_seconds=rlp.decode_int(items[4]) / 1e9,
+            verify_seconds=rlp.decode_int(items[5]) / 1e9,
         )
 
 
@@ -171,9 +125,7 @@ class PreProcessor:
                                payload_bytes=len(tx.payload)) as span:
             k_tx, raw = self._full_open(sk_tx, tx.payload, self.off_path_stats)
             verified = self._timed_verify(raw, self.off_path_stats)
-            self._remember(
-                tx.tx_hash, TxMetadata(k_tx, verified, TxProfile.of(raw))
-            )
+            self._remember(tx.tx_hash, TxMetadata(k_tx, verified))
             with self._lock:
                 self.preverified += 1
             span.set("outcome", "ok" if verified else "invalid signature")
@@ -192,10 +144,7 @@ class PreProcessor:
             self.off_path_stats.record(TX_VERIFY, record.verify_seconds)
         if not record.k_tx:
             return  # undecryptable: nothing worth caching
-        self._remember(
-            record.tx_hash,
-            TxMetadata(record.k_tx, record.verified, record.profile),
-        )
+        self._remember(record.tx_hash, TxMetadata(record.k_tx, record.verified))
         with self._lock:
             self.preverified += 1
 
@@ -223,9 +172,7 @@ class PreProcessor:
             span.set("outcome", "cache miss")
             k_tx, raw = self._full_open(sk_tx, tx.payload, self._stats)
             verified = self._timed_verify(raw, self._stats)
-            self._remember(
-                tx.tx_hash, TxMetadata(k_tx, verified, TxProfile.of(raw))
-            )
+            self._remember(tx.tx_hash, TxMetadata(k_tx, verified))
             return ProcessedTx(raw, k_tx, verified, cache_hit=False)
 
     def _remember(self, tx_hash: bytes, meta: TxMetadata) -> None:
@@ -257,12 +204,6 @@ class PreProcessor:
         with self._lock:
             meta = self._cache.get(tx_hash)
         return meta.k_tx if meta else None
-
-    def profile(self, tx_hash: bytes) -> TxProfile | None:
-        """The cached scheduler profile, or None when never preverified."""
-        with self._lock:
-            meta = self._cache.get(tx_hash)
-        return meta.profile if meta else None
 
     def evict(self, tx_hash: bytes) -> None:
         with self._lock:

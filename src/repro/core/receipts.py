@@ -94,9 +94,7 @@ class Receipt:
     @classmethod
     def decode(cls, data: bytes) -> "Receipt":
         items = rlp.decode(data)
-        # 11-item receipts predate the structured ``kind`` field, and
-        # 12-item receipts predate ``analysis_mode``.
-        if not isinstance(items, list) or len(items) not in (11, 12, 13):
+        if not isinstance(items, list) or len(items) != 13:
             raise ChainError("malformed receipt")
         return cls(
             tx_hash=items[0],
@@ -110,8 +108,8 @@ class Receipt:
             storage_writes=rlp.decode_int(items[8]),
             sender=items[9],
             contract=items[10],
-            kind=items[11].decode() if len(items) >= 12 else KIND_OK,
-            analysis_mode=items[12].decode() if len(items) == 13 else "",
+            kind=items[11].decode(),
+            analysis_mode=items[12].decode(),
         )
 
 

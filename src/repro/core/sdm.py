@@ -39,9 +39,9 @@ class SecureDataModule:
         self._enclave = enclave
         self._cipher = cipher
         self._cache: OrderedDict[bytes, bytes | None] = OrderedDict()
-        # Speculative executions run on pool threads and share this
-        # cache; reentrant because load/store issue ocalls that may
-        # re-enter through the same thread.
+        # Every thread sharing the engine shares this cache; reentrant
+        # because load/store issue ocalls that may re-enter through the
+        # same thread.
         self._lock = threading.RLock()
         self.cache_hits = 0
         self.cache_misses = 0

@@ -49,10 +49,6 @@ PREVERIFY_POOL_UNDECRYPTABLE = "confide_preverify_pool_undecryptable_total"
 PREVERIFY_POOL_QUEUE_PEAK = "confide_preverify_pool_queue_depth_peak"
 PREVERIFY_POOL_UTILIZATION = "confide_preverify_pool_utilization"
 PREVERIFY_POOL_BUSY_SECONDS = "confide_preverify_pool_busy_seconds_total"
-EXEC_CONFLICT_ABORTS = "confide_exec_conflict_aborts_total"
-EXEC_REEXECUTIONS = "confide_exec_reexecutions_total"
-EXEC_WAVES = "confide_exec_waves_total"
-EXEC_BARRIER_WAVES = "confide_exec_barrier_waves_total"
 MONITOR_RING_DROPPED = "confide_monitor_ring_dropped_total"
 TRACE_RING_DROPPED = "confide_trace_ring_dropped_total"
 TRACE_SPANS_BUFFERED = "confide_trace_spans_buffered"
@@ -275,24 +271,6 @@ def collect_preverify_pool(registry: MetricsRegistry, pool) -> None:
     registry.counter(
         PREVERIFY_POOL_BUSY_SECONDS, "summed worker busy seconds"
     ).set_total(stats.busy_seconds)
-
-
-def collect_executor(registry: MetricsRegistry, executor) -> None:
-    """Absorb the parallel block executor's dispatch counters."""
-    registry.counter(
-        EXEC_CONFLICT_ABORTS,
-        "speculative executions discarded at OCC validation",
-    ).set_total(executor.total_conflict_aborts)
-    registry.counter(
-        EXEC_REEXECUTIONS,
-        "transactions re-executed against the committed prefix",
-    ).set_total(executor.total_reexecutions)
-    registry.counter(
-        EXEC_WAVES, "execution waves dispatched"
-    ).set_total(executor.total_waves)
-    registry.counter(
-        EXEC_BARRIER_WAVES, "waves forced serial (deploy/upgrade/unknown)"
-    ).set_total(executor.total_barrier_waves)
 
 
 def collect_engine(registry: MetricsRegistry, engine,
@@ -578,7 +556,6 @@ def collect_node(registry: MetricsRegistry, node) -> None:
     collect_mempool(registry, node.unverified, "unverified")
     collect_mempool(registry, node.verified, "verified")
     collect_preverify_pool(registry, node.preverify_pool)
-    collect_executor(registry, node.executor)
     collect_storage(registry, node.kv)
 
 

@@ -2,7 +2,7 @@
 
 The subsystem splits the consortium into N independent PBFT groups
 (:mod:`repro.shard.group`) that share one K-Protocol key domain, routes
-transactions to shards by the scheduler's conflict domains
+transactions to shards by their senders' conflict domains
 (:mod:`repro.shard.router`), and commits cross-shard transactions
 through a TEE-attested receipt relay with a 2PC quorum fallback and a
 deterministic timeout/abort path (:mod:`repro.shard.relay`,

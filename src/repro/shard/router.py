@@ -1,9 +1,9 @@
 """Deterministic conflict-domain → shard routing.
 
-The consortium is partitioned by the scheduler's conflict domains: the
-same ``b"a:" + sender`` nonce-row domains :func:`repro.chain.scheduler.
-domain_of` already computes for wave planning decide which shard owns a
-transaction.  A pure hash of the domain bytes picks the shard, so
+The consortium is partitioned by conflict domain: a transaction's
+domain is its sender's nonce row, ``b"a:" + sender``
+(:func:`domain_of`), and a pure hash of the domain bytes picks the
+shard, so
 
 - every router instance — any process, any seed, any restart — maps a
   domain to the same shard, and
@@ -12,8 +12,7 @@ transaction.  A pure hash of the domain bytes picks the shard, so
 
 Deploys and upgrades are consortium-wide: contract code must exist on
 every shard for cross-shard legs to execute, so the router fans them
-out to all shards (the sharded analogue of the scheduler treating them
-as barriers).
+out to all shards.
 
 Confidential envelopes hide the sender, so routing them needs the §5.2
 off-path preprocessor: :class:`RoutingPreprocessor` decrypts with the
@@ -27,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.preverify_pool import _preverify_one
-from repro.chain.scheduler import domain_of
 from repro.chain.transaction import Transaction
-from repro.core.preprocessor import TxProfile
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import KeyPair
 from repro.errors import ShardError
@@ -38,6 +35,25 @@ _ROUTE_SALT = b"shard-route:"
 
 # Router verdict for transactions every shard must see (deploy/upgrade).
 ALL_SHARDS = -1
+
+
+@dataclass(frozen=True)
+class TxProfile:
+    """Routing-visible facts about a transaction (no payload data)."""
+
+    sender: bytes
+    is_deploy: bool
+    is_upgrade: bool
+
+    @property
+    def is_barrier(self) -> bool:
+        """Deploys/upgrades mutate the code registry on every shard."""
+        return self.is_deploy or self.is_upgrade
+
+
+def domain_of(profile: TxProfile) -> frozenset[bytes]:
+    """A transaction's conflict domain: its sender's nonce row."""
+    return frozenset((b"a:" + profile.sender,))
 
 
 def shard_of_domain(domain: bytes, num_shards: int) -> int:
@@ -54,13 +70,13 @@ class ShardRouter:
     num_shards: int
 
     def shard_for_sender(self, sender: bytes) -> int:
-        profile = TxProfile(sender=bytes(sender), contract=b"",
+        profile = TxProfile(sender=bytes(sender),
                             is_deploy=False, is_upgrade=False)
         return self.route_profile(profile)
 
     def route_profile(self, profile: TxProfile) -> int:
         """ALL_SHARDS for code-registry mutations, else the owner of the
-        sender's nonce-row domain (the scheduler's ``domain_of``)."""
+        sender's nonce-row domain (:func:`domain_of`)."""
         if profile.is_barrier:
             return ALL_SHARDS
         (domain,) = sorted(domain_of(profile))
@@ -83,11 +99,11 @@ class RoutingPreprocessor:
         or whose signature does not verify — an unroutable transaction
         must be rejected at the edge, not guessed onto a shard.
         """
-        (_, _, verified, _, sender, _, is_deploy, is_upgrade,
+        (_, _, verified, _, sender, is_deploy, is_upgrade,
          _, _) = _preverify_one(self._sk, tx.tx_type, tx.payload)
         if not verified:
             raise ShardError("transaction failed routing pre-verification")
-        profile = TxProfile(sender=sender, contract=b"",
+        profile = TxProfile(sender=sender,
                             is_deploy=is_deploy, is_upgrade=is_upgrade)
         return self.router.route_profile(profile)
 
@@ -96,5 +112,7 @@ __all__ = [
     "ALL_SHARDS",
     "RoutingPreprocessor",
     "ShardRouter",
+    "TxProfile",
+    "domain_of",
     "shard_of_domain",
 ]

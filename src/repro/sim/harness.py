@@ -100,9 +100,9 @@ class SimConfig:
     # crash/torn faults then attack; temp paths never enter the
     # simulated state, so runs stay a pure function of the seed.
     storage: str = "memory"
-    # DEFAULT_CONFIG pins exec_workers=0 / preverify_workers=0: the sim
-    # replays the same seed expecting identical traces, so nodes execute
-    # serially here even though parallel mode is deterministic-equivalent.
+    # DEFAULT_CONFIG pins preverify_workers=0: the sim replays the same
+    # seed expecting identical traces, so pre-verification runs inline.
+    # Block execution is serial everywhere.
     engine_config: EngineConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
 

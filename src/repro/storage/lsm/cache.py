@@ -6,8 +6,8 @@ decode.  The budget is expressed in (approximate plaintext) bytes, the
 same way RocksDB's block cache is sized.
 
 The cache is shared by every :class:`SSTableReader` of a store and is
-hit concurrently — speculative-execution threads, the serve gateway's
-request pool, and the LSM background flush/compaction worker — so all
+hit concurrently — the serve gateway's request pool and the LSM
+background flush/compaction worker — so all
 LRU mutation happens under one lock.  Loads run outside the lock (an
 unseal is milliseconds; serializing it would make the cache a reader
 bottleneck), which means two racing readers may both load the same

@@ -79,10 +79,10 @@ class EpcAllocator:
         self._resident_bytes: dict[int, bytes] = {}
         self._evicted_bytes: dict[int, bytes] = {}
         self._swap_key = token_bytes(16)
-        # One allocator serves every enclave on the platform, and the
-        # parallel executor allocates from pool threads: the LRU list,
-        # the freelist and the page counters move together under a lock
-        # (reentrant — touch() runs inside store/read).
+        # One allocator serves every enclave on the platform, from any
+        # thread that enters one: the LRU list, the freelist and the
+        # page counters move together under a lock (reentrant — touch()
+        # runs inside store/read).
         self._lock = threading.RLock()
 
     @property

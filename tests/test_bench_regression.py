@@ -29,17 +29,13 @@ def _storage_result(block_p50=10.0, reopen=50.0, concurrent_fsyncs=0.4):
     }
 
 
-def _parallel_result(cpu_count=1, preverify_speedup=1.4,
-                     exec_speedup=1.2, deterministic=True):
+def _parallel_result(cpu_count=1, preverify_speedup=1.4, deterministic=True):
     return {
         "cpu_count": cpu_count,
-        "execution": {
-            "speedup": exec_speedup,
-            "deterministic_equivalent": deterministic,
-        },
         "preverify": {
             "speedup": preverify_speedup,
             "queue_depth_peak": 2,
+            "deterministic_equivalent": deterministic,
         },
     }
 
@@ -86,8 +82,7 @@ class TestStorageGate:
 class TestParallelGate:
     def test_single_cpu_records_but_does_not_gate_speedup(self):
         failures, lines = check_parallel(
-            _parallel_result(cpu_count=1, preverify_speedup=0.8,
-                             exec_speedup=0.9),
+            _parallel_result(cpu_count=1, preverify_speedup=0.8),
             _parallel_result())
         assert failures == []
         assert any("cpu_count=1" in line for line in lines)

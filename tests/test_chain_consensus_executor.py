@@ -1,13 +1,16 @@
-"""PBFT orderer and parallel lane-scheduling tests."""
+"""PBFT orderer, modeled lane scheduling and block-execution receipts."""
 
 import pytest
 
 from repro.chain.consensus import PBFTOrderer
 from repro.chain.executor import lane_schedule
 from repro.chain.network import NetworkModel, zones_for
+from repro.chain.node import build_consortium
 from repro.core.engine import ExecutionOutcome
-from repro.core.receipts import Receipt
+from repro.core.receipts import KIND_REVERT, Receipt
 from repro.errors import ChainError
+from repro.lang import compile_source
+from repro.workloads.clients import Client
 
 
 def outcome(duration, reads=frozenset(), writes=frozenset()):
@@ -176,3 +179,39 @@ class TestLaneSchedule:
         makespan, conflicts = lane_schedule([], 4)
         assert makespan == 0.0
         assert conflicts == 0
+
+
+# Reverts with a message that *looks like* a static-analysis rejection;
+# only the structured receipt kind may distinguish the two.
+_TRAP_SOURCE = """
+fn trap() {
+    abort("analysis: user-chosen revert message", 34);
+}
+"""
+
+
+class TestReceiptKindRegression:
+    def test_user_revert_is_not_an_analysis_rejection(self):
+        # Regression: the executor used to classify receipts with
+        # receipt.error.startswith("analysis:") — a contract that aborts
+        # with that very prefix must still count as a plain revert.
+        (node,), _ = build_consortium(1)
+        try:
+            operator = Client.from_seed(b"trap-op")
+            deploy, contract = operator.confidential_deploy(
+                node.pk_tx, compile_source(_TRAP_SOURCE, "wasm"), "")
+            tx = operator.confidential_call(node.pk_tx, contract, "trap", b"")
+            applied = []
+            for submitted in (deploy, tx):
+                node.receive_transaction(submitted)
+                node.preverify_pending()
+                applied.append(node.apply_transactions(
+                    node.draft_block(max_bytes=1 << 22)))
+            assert applied[0].report.outcomes[0].receipt.success
+            receipt = applied[1].report.outcomes[0].receipt
+            assert not receipt.success
+            assert receipt.error.startswith("analysis:")  # the bait
+            assert receipt.kind == KIND_REVERT
+            assert applied[1].report.analysis_rejections == 0
+        finally:
+            node.close()

@@ -9,7 +9,7 @@ from repro.core import AccessRequest, AuthorizationChainCode, Receipt
 from repro.core.receipts import ACL_METHOD
 from repro.crypto.ecc import decode_point
 from repro.crypto.keys import KeyPair
-from repro.errors import ProtocolError
+from repro.errors import ChainError, ProtocolError
 from repro.storage import rlp
 from repro.workloads.clients import Client
 
@@ -120,6 +120,13 @@ class TestReceiptEncoding:
         back = Receipt.decode(receipt.encode())
         assert not back.success
         assert back.error == "kaboom"
+
+    @pytest.mark.parametrize("length", [11, 12, 14])
+    def test_only_the_encoded_length_decodes(self, length):
+        items = rlp.decode(Receipt(b"\x01" * 32, True).encode())
+        items = (items + [b""])[:length]
+        with pytest.raises(ChainError, match="malformed receipt"):
+            Receipt.decode(rlp.encode(items))
 
 
 class TestAuthorizationChainCode:

@@ -63,8 +63,8 @@ class TestPoolEquivalence:
         with PreverifyPool(workers=3, mode="thread", chunk_size=2) as pool:
             pooled = pool.run(txs, sk)
         assert [r.tx_hash for r in pooled] == [tx.tx_hash for tx in txs]
-        assert [(r.verified, r.sender, r.contract) for r in pooled] == [
-            (r.verified, r.sender, r.contract) for r in serial
+        assert [(r.verified, r.k_tx) for r in pooled] == [
+            (r.verified, r.k_tx) for r in serial
         ]
 
     def test_verdicts_are_correct(self, rig):
@@ -100,12 +100,12 @@ class TestPoolEquivalence:
             records = pool.run([tx], sk)
         installed = rig.engine.install_preverified(records)
         assert installed == 1
-        profile = rig.engine.tx_profile(tx.tx_hash)
-        assert profile is not None
-        assert profile.contract == rig.contract
         # The cached k_tx lets execution skip the envelope decryption.
+        preprocessor = rig.engine.preprocessor
+        hits = preprocessor.cache_hits
         outcome = rig.engine.execute(tx)
         assert outcome.receipt.success, outcome.receipt.error
+        assert preprocessor.cache_hits == hits + 1
 
 
 class TestModeSelection:

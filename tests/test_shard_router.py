@@ -15,13 +15,13 @@ import sys
 
 import pytest
 
-from repro.chain.scheduler import domain_of
 from repro.chain.transaction import TX_CONFIDENTIAL
-from repro.core.preprocessor import TxProfile
 from repro.errors import ShardError
 from repro.shard.router import (
     ALL_SHARDS,
     ShardRouter,
+    TxProfile,
+    domain_of,
     shard_of_domain,
 )
 from repro.workloads.clients import Client
@@ -152,15 +152,15 @@ class TestRoutingPreprocessor:
             consortium.preprocessor.route(tx)
 
     def test_route_profile_matches_scheduler_domains(self, consortium):
-        """The router consumes exactly the scheduler's conflict domains
-        — the property that makes per-shard serial order sufficient."""
-        profile = TxProfile(sender=b"\xaa" * 20, contract=b"",
+        """The router consumes exactly the senders' nonce-row domains —
+        the property that makes per-shard serial order sufficient."""
+        profile = TxProfile(sender=b"\xaa" * 20,
                             is_deploy=False, is_upgrade=False)
         (domain,) = sorted(domain_of(profile))
         assert consortium.router.route_profile(profile) == \
             shard_of_domain(domain, 2)
 
     def test_barrier_profile_goes_everywhere(self, consortium):
-        profile = TxProfile(sender=b"\xaa" * 20, contract=b"",
+        profile = TxProfile(sender=b"\xaa" * 20,
                             is_deploy=True, is_upgrade=False)
         assert consortium.router.route_profile(profile) == ALL_SHARDS

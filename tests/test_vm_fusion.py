@@ -1,13 +1,17 @@
 """Superinstruction fusion (OPT4) tests: semantics preserved, dispatch
-count reduced, jump targets remapped."""
+count reduced, jump targets remapped; plus the decoded-module cache."""
+
+import threading
 
 from conftest import MockHost
+from repro.lang import compile_source
 from repro.vm.host import HOST_TABLE
 from repro.vm.wasm import opcodes as op
 from repro.vm.wasm.code_cache import CodeCache, prepare_module
 from repro.vm.wasm.interpreter import WasmInstance
 from repro.vm.wasm.module import Function, Module, encode_module, instr, validate_module
 from repro.vm.wasm.optimizer import dispatch_footprint, fuse_function, fuse_module
+from repro.workloads.synthetic import synthetic_workloads
 
 
 def loop_module():
@@ -186,3 +190,34 @@ class TestCodeCache:
         blob = encode_module(loop_module())
         module = prepare_module(blob)
         assert module.exports == {"sum": 0}
+
+    def test_code_cache_hammer(self):
+        workloads = synthetic_workloads()
+        blobs = [
+            compile_source(workloads[name].source, "wasm").code
+            for name in ("crypto-hash", "string-concat", "json-parsing")
+        ]
+        cache = CodeCache(capacity=8)
+        errors = []
+
+        def worker():
+            try:
+                for i in range(30):
+                    blob = blobs[i % len(blobs)]
+                    module = cache.prepare(blob)
+                    assert module is not None
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert len(cache) == len(blobs)
+        total = 8 * 30
+        assert cache.stats.hits + cache.stats.misses == total
+        # Each distinct blob missed at least once; racing double-prepares
+        # are allowed, lost lookups are not.
+        assert len(blobs) <= cache.stats.misses < total
