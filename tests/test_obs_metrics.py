@@ -129,6 +129,21 @@ class TestOperationStatsThreadSafety:
             expected * 1.0, rel=1e-6
         )
 
+    def test_operation_stats_hammer(self):
+        stats = OperationStats()
+
+        def worker():
+            for _ in range(500):
+                stats.record("op", 0.001)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert stats.count("op") == 8 * 500
+        assert stats.duration_ms("op") == pytest.approx(8 * 500 * 1.0)
+
     def test_snapshot_is_consistent_copy(self):
         stats = OperationStats()
         stats.record(CONTRACT_CALL, 0.5)
