@@ -254,7 +254,7 @@ class ProductionMetrics:
 def sec64_metrics(num_txs: int = 8, ssd_latency_ms: float = 5.0) -> ProductionMetrics:
     """Block execution / empty block / block write durations.
 
-    The cloud-SSD write is a measured fsync'd append plus a modeled
+    The cloud-SSD write is a measured fsync'd LSM commit plus a modeled
     device latency (the paper's environment writes to network-attached
     SSD; a laptop fsync alone underestimates it).
     """
@@ -292,10 +292,10 @@ def sec64_metrics(num_txs: int = 8, ssd_latency_ms: float = 5.0) -> ProductionMe
     node.apply_transactions([])
     empty_ms = (time.perf_counter() - started) * 1000
     # Block write latency on a durable store + modeled SSD latency
-    from repro.storage.kv import AppendLogKV
+    from repro.storage.lsm import LsmKV
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = AppendLogKV(os.path.join(tmp, "blocks.db"), sync=True)
+        store = LsmKV(tmp, sync=True)
         payload = os.urandom(4096)
         started = time.perf_counter()
         rounds = 5

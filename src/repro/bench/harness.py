@@ -266,7 +266,7 @@ def run_parallel_bench(
 
 
 def run_storage_bench(
-    backends: tuple[str, ...] = ("memory", "appendlog", "lsm"),
+    backends: tuple[str, ...] = ("memory", "lsm"),
     num_blocks: int = 8,
     txs_per_block: int = 4,
     workload_name: str = "string-concat",

@@ -5,7 +5,7 @@ here together with the checked-in ``BENCH_storage.json`` /
 ``BENCH_parallel.json`` baselines (docs/storage.md, docs/parallelism.md).
 The comparison fails the build when:
 
-- an LSM (or appendlog) ``block_commit_ms`` p50 or ``reopen_ms`` regresses
+- an LSM ``block_commit_ms`` p50 or ``reopen_ms`` regresses
   past ``tolerance`` × baseline — wall-clock gates, so the tolerance is
   generous (default 1.6×) to absorb runner variation;
 - WAL group commit stops coalescing: with concurrent committers on a

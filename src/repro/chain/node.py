@@ -39,7 +39,7 @@ from repro.crypto.ecc import Point, decode_point
 from repro.errors import ChainError
 from repro.obs.trace import get_tracer
 from repro.storage import rlp
-from repro.storage.kv import AppendLogKV, KVStore, MemoryKV
+from repro.storage.kv import KVStore, MemoryKV
 from repro.storage.lsm import LsmKV, PlatformFreshness, StorageSealer
 from repro.storage.merkle import StateCommitment
 from repro.tee.attestation import AttestationService
@@ -64,33 +64,23 @@ def _height_key(prefix: bytes, height: int) -> bytes:
 def make_store(config: EngineConfig, directory: str, platform=None) -> KVStore:
     """Build the KV store ``config.storage_backend`` names.
 
-    Persistent backends live under ``directory``.  A sealed LSM store
-    needs the node's platform: the seal key and the freshness counter
-    are both anchored there (docs/storage.md).
+    The LSM store lives under ``directory`` and needs the node's
+    platform: the seal key and the freshness counter are both anchored
+    there (docs/storage.md).
     """
     backend = config.storage_backend
     if backend == "memory":
         return MemoryKV()
+    if backend != "lsm":
+        raise ChainError(f"unknown storage backend '{backend}'")
+    if platform is None:
+        raise ChainError("a sealed LSM store needs the node's platform")
     os.makedirs(directory, exist_ok=True)
-    if backend == "appendlog":
-        return AppendLogKV(
-            os.path.join(directory, "chain.log"), sync=config.storage_sync
-        )
-    if backend == "lsm":
-        sealer = freshness = None
-        if config.storage_sealed:
-            if platform is None:
-                raise ChainError(
-                    "a sealed LSM store needs the node's platform"
-                )
-            sealer = StorageSealer.from_platform(platform)
-            freshness = PlatformFreshness(platform)
-        return LsmKV(
-            directory, sealer=sealer, freshness=freshness,
-            sync=config.storage_sync,
-            memtable_bytes=config.storage_memtable_bytes,
-        )
-    raise ChainError(f"unknown storage backend '{backend}'")
+    return LsmKV(
+        directory, sealer=StorageSealer.from_platform(platform),
+        freshness=PlatformFreshness(platform), sync=config.storage_sync,
+        memtable_bytes=config.storage_memtable_bytes,
+    )
 
 
 def consensus_state(kv: KVStore) -> dict[bytes, bytes]:
@@ -142,8 +132,7 @@ class Node:
         self.node_id = node_id
         self.zone = zone
         if kv is None and data_dir is not None:
-            if (config.storage_backend == "lsm" and config.storage_sealed
-                    and platform is None):
+            if config.storage_backend == "lsm" and platform is None:
                 # The store seals to the platform, so the platform must
                 # exist before the store — and the engine must then run
                 # on that same platform.
@@ -398,9 +387,6 @@ class Node:
         noter = getattr(self.kv, "note_state_root", None)
         if noter is not None:
             noter(state_root)
-        if (self.config.snapshot_every
-                and header.height % self.config.snapshot_every == 0):
-            self.write_snapshot()
         return AppliedBlock(block, report, exec_seconds, write_seconds)
 
     def verify_block(self, block: Block) -> None:
@@ -474,10 +460,10 @@ class Node:
 
     def write_snapshot(self) -> int:
         """Persist a checkpoint of the replicated state at the current
-        height (the state-sync source; also written automatically every
-        ``config.snapshot_every`` blocks).  Values inside are the sealed
-        envelopes already in the store, so the snapshot leaks nothing the
-        store itself does not.  Returns the snapshot height.
+        height (the state-sync source; callers write one explicitly).
+        Values inside are the sealed envelopes already in the store, so
+        the snapshot leaks nothing the store itself does not.  Returns the
+        snapshot height.
         """
         items = sorted(consensus_state(self.kv).items())
         blob = rlp.encode([
@@ -508,10 +494,10 @@ class Node:
         re-executing its whole history, then replay only the tail.
 
         Blocks up to the snapshot height are adopted without execution —
-        but never without verification: linkage and tx commitments are
-        checked per block, and the installed state must recompute to the
-        snapshot's (and head header's) state root before anything past it
-        is applied.  Blocks after the snapshot replay through the normal
+        but never without verification: linkage, tx root and receipts
+        root are checked per block (:meth:`_adopt_block`), and the
+        installed state must recompute to the snapshot's (and head
+        header's) state root before anything past it is applied.  Blocks after the snapshot replay through the normal
         verified :meth:`apply_block` path.  Returns blocks adopted+applied.
         """
         if self.chain:
@@ -528,32 +514,20 @@ class Node:
                 raise ChainError(
                     "state-sync snapshot does not recompute to its state root"
                 )
-            prev_hash = GENESIS_HASH
             for height in range(1, snapshot.height + 1):
                 block = peer.chain[height - 1]
-                header = block.header
-                if header.height != height or header.prev_hash != prev_hash:
-                    raise ChainError("state-sync peer chain linkage broken")
                 if not block.verify_tx_root():
                     raise ChainError(
                         f"state-sync block {height} transaction root mismatch"
                     )
                 receipt_blobs = peer.receipt_blobs_at(height)
-                if receipts_merkle_root(receipt_blobs) != header.receipts_root:
-                    raise ChainError(
-                        f"state-sync block {height} receipts root mismatch"
-                    )
+                self._adopt_block(block, receipt_blobs)
                 self.kv.write_batch({
-                    b"blk:" + header.block_hash: header.encode(),
+                    b"blk:" + block.block_hash: block.header.encode(),
                     _height_key(_BLOCK_DATA_PREFIX, height): block.encode(),
                     _height_key(_RECEIPTS_DATA_PREFIX, height):
                         rlp.encode(receipt_blobs),
                 })
-                prev_hash = block.block_hash
-                self.chain.append(block)
-                self._receipt_blobs_by_height[height] = receipt_blobs
-                for tx, blob in zip(block.transactions, receipt_blobs):
-                    self.receipts[tx.tx_hash] = blob
             if self.chain and (
                 self.chain[-1].header.state_root != snapshot.state_root
                 or self.chain[-1].block_hash != snapshot.head_hash
@@ -576,40 +550,25 @@ class Node:
 
         Blocks are *not* re-executed — the KV store already holds the
         post-state of everything persisted (the state commit and the
-        block write land in the same batch).  Linkage and tx roots are
-        re-verified, and the recovered head's state root must match the
-        root recomputed from storage; a mismatch means the database lost
-        or gained state relative to the chain (durability violation).
+        block write land in the same batch).  Each block is adopted like
+        a state-synced one: linkage, tx root (on decode) and receipts
+        root are re-verified, so a missing or altered receipts record is
+        refused.  The recovered head's state root must match the root
+        recomputed from storage; a mismatch means the database lost or
+        gained state relative to the chain (durability violation).
         Returns the number of blocks restored.
         """
         if self.chain:
             raise ChainError("restore_chain_from_storage needs a fresh node")
-        restored = 0
-        prev_hash = GENESIS_HASH
         while True:
-            blob = self.kv.get(_height_key(_BLOCK_DATA_PREFIX, restored + 1))
+            height = self.height + 1
+            blob = self.kv.get(_height_key(_BLOCK_DATA_PREFIX, height))
             if blob is None:
                 break
-            block = Block.decode(blob)
-            if block.header.height != restored + 1:
-                raise ChainError(
-                    f"persisted block at height key {restored + 1} claims "
-                    f"height {block.header.height}"
-                )
-            if block.header.prev_hash != prev_hash:
-                raise ChainError("persisted chain linkage broken")
-            self.chain.append(block)
-            prev_hash = block.block_hash
-            receipts_blob = self.kv.get(
-                _height_key(_RECEIPTS_DATA_PREFIX, block.header.height)
-            )
-            if receipts_blob is not None:
-                blobs = rlp.decode(receipts_blob)
-                blobs = blobs if isinstance(blobs, list) else [blobs]
-                self._receipt_blobs_by_height[block.header.height] = blobs
-                for tx, blob_i in zip(block.transactions, blobs):
-                    self.receipts[tx.tx_hash] = blob_i
-            restored += 1
+            receipts = self.kv.get(_height_key(_RECEIPTS_DATA_PREFIX, height))
+            if receipts is None:
+                raise ChainError(f"persisted block {height} has no receipts")
+            self._adopt_block(Block.decode(blob), rlp.decode(receipts))
         commitment = scan_state_commitment(self.kv)
         if self.chain and self.chain[-1].header.state_root != commitment.root:
             raise ChainError(
@@ -617,7 +576,27 @@ class Node:
                 "from storage (durability violation)"
             )
         self._commitment = commitment
-        return restored
+        return self.height
+
+    def _adopt_block(self, block: Block, receipt_blobs: list[bytes]) -> None:
+        """Verify and record a block without executing it — the one path
+        restart and state sync share.  Height, parent link and receipts
+        root are checked here; the tx root is the caller's (Block.decode
+        checks it for a persisted block)."""
+        header = block.header
+        if header.height != self.height + 1:
+            raise ChainError(
+                f"adopted block claims height {header.height}, "
+                f"expected {self.height + 1}"
+            )
+        if header.prev_hash != self.head_hash:
+            raise ChainError(f"block {header.height} chain linkage broken")
+        if receipts_merkle_root(receipt_blobs) != header.receipts_root:
+            raise ChainError(f"block {header.height} receipts root mismatch")
+        self.chain.append(block)
+        self._receipt_blobs_by_height[header.height] = receipt_blobs
+        for tx, blob in zip(block.transactions, receipt_blobs):
+            self.receipts.setdefault(tx.tx_hash, blob)
 
     def header_at(self, height: int) -> BlockHeader:
         if not 1 <= height <= self.height:

@@ -778,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--storage", metavar="BACKENDS",
                    help="run the storage-backend bench instead of the "
                         "paper tables: comma-separated list drawn from "
-                        "memory, appendlog, lsm")
+                        "memory, lsm")
     p.add_argument("--storage-out", metavar="FILE",
                    help="write the storage bench result JSON here "
                         "(e.g. BENCH_storage.json)")
@@ -822,11 +822,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "(or 'all')")
     p.add_argument("--nodes", type=int, default=4,
                    help="consortium size (>= 4; default 4)")
-    p.add_argument("--storage", choices=("memory", "appendlog", "lsm"),
+    p.add_argument("--storage", choices=("memory", "lsm"),
                    default="memory",
-                   help="node storage backend; persistent backends write "
-                        "to a tempdir so crash faults exercise real "
-                        "on-disk recovery (default memory)")
+                   help="node storage backend; lsm writes to a tempdir "
+                        "so crash faults exercise real on-disk recovery "
+                        "(default memory)")
     p.add_argument("--report", metavar="OUT",
                    help="write the event log + fault schedule to this file")
     p.add_argument("--verify-determinism", action="store_true",
@@ -905,10 +905,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8645,
                    help="listen port (0 picks a free one; default 8645)")
-    p.add_argument("--storage", choices=("memory", "appendlog", "lsm"),
+    p.add_argument("--storage", choices=("memory", "lsm"),
                    default="memory")
-    p.add_argument("--data-dir", help="storage directory for persistent "
-                   "backends")
+    p.add_argument("--data-dir", help="storage directory for the lsm "
+                   "backend")
     p.add_argument("--block-interval", type=float, default=0.030,
                    metavar="S", help="block production cadence "
                    "(default 0.030, the paper's 30 ms)")

@@ -23,7 +23,6 @@ from repro.vm.wasm.interpreter import DEFAULT_MAX_STEPS
 class EngineConfig:
     """Behavioural switches for a contract execution engine."""
 
-    default_vm: str = "wasm"  # VM used when a deploy does not specify one
     use_code_cache: bool = True
     use_memory_pool: bool = True
     use_preverification: bool = True
@@ -48,19 +47,15 @@ class EngineConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     gas_limit: int = DEFAULT_GAS_LIMIT
     max_call_depth: int = 64
-    security_version: int = 1
     # Persistent storage (docs/storage.md).  "memory" keeps everything
-    # in-process; "appendlog" and "lsm" persist under the node's data
-    # directory; the LSM engine additionally seals every file at rest
-    # when storage_sealed is on.
-    storage_backend: str = "memory"  # "memory" | "appendlog" | "lsm"
+    # in-process; "lsm" persists under the node's data directory and
+    # seals every file at rest to the node's platform.
+    storage_backend: str = "memory"  # "memory" | "lsm"
     storage_sync: bool = False  # fsync every commit (bench realism)
-    storage_sealed: bool = True  # seal LSM files with a platform key
     # LSM memtable freeze threshold; small values force frequent
     # background flushes (the sim uses this to exercise crash-during-
     # background-flush recovery).
     storage_memtable_bytes: int = 256 * 1024
-    snapshot_every: int = 0  # write a state snapshot every N blocks (0 = off)
 
     def without_optimizations(self) -> "EngineConfig":
         """Baseline configuration with every OPT switch off."""

@@ -95,10 +95,10 @@ class SimConfig:
     max_block_bytes: int = 4096
     sync_cooldown_steps: int = 4
     kv_scan_every: int = 10
-    # Storage backend for every node ("memory" | "lsm" | "appendlog").
-    # Persistent backends run on real temp-directory disks, which the
-    # crash/torn faults then attack; temp paths never enter the
-    # simulated state, so runs stay a pure function of the seed.
+    # Storage backend for every node ("memory" | "lsm").  The lsm
+    # backend runs on real temp-directory disks, which the crash/torn
+    # faults then attack; temp paths never enter the simulated state,
+    # so runs stay a pure function of the seed.
     storage: str = "memory"
     # DEFAULT_CONFIG pins preverify_workers=0: the sim replays the same
     # seed expecting identical traces, so pre-verification runs inline.

@@ -1,12 +1,6 @@
 """Storage substrate: pluggable KV stores, RLP, and merkle commitments."""
 
-from repro.storage.kv import (
-    AppendLogKV,
-    BlockWrites,
-    KVStore,
-    MemoryKV,
-    NamespacedKV,
-)
+from repro.storage.kv import BlockWrites, KVStore, MemoryKV
 from repro.storage.lsm import LsmKV, StorageSealer
 from repro.storage.merkle import (
     EMPTY_ROOT,
@@ -20,7 +14,6 @@ from repro.storage.merkle import (
 from repro.storage.rlp import decode, decode_int, encode, encode_int
 
 __all__ = [
-    "AppendLogKV",
     "BlockWrites",
     "EMPTY_ROOT",
     "KVStore",
@@ -29,7 +22,6 @@ __all__ = [
     "StorageSealer",
     "MerkleProof",
     "MerkleTree",
-    "NamespacedKV",
     "ProofStep",
     "StateCommitment",
     "decode",

@@ -26,12 +26,12 @@ from repro.core.config import EngineConfig
 from repro.core.engine import ConfidentialEngine
 from repro.errors import ChainError, InvariantViolation, StorageError
 from repro.obs.trace import get_tracer
-from repro.storage import AppendLogKV, KVStore, LsmKV, MemoryKV
+from repro.storage import KVStore, LsmKV, MemoryKV
 from repro.sim.invariants import check_state_commitment
 from repro.storage.merkle import state_root
 from repro.workloads import Client
 
-BACKENDS = ["memory", "appendlog", "lsm"]
+BACKENDS = ["memory", "lsm"]
 
 
 class _World:
@@ -105,8 +105,6 @@ class TestBlockWriteSet:
     def kv(self, request, tmp_path):
         if request.param == "memory":
             store = MemoryKV()
-        elif request.param == "appendlog":
-            store = AppendLogKV(str(tmp_path / "chain.log"))
         else:
             store = LsmKV(str(tmp_path / "db"))
         yield store
@@ -335,7 +333,7 @@ class TestReceiptsAfterCommit:
     def test_no_receipt_for_a_block_that_failed_to_commit(
             self, tmp_path, monkeypatch, counter_artifact, point):
         world = _World(tmp_path, "lsm", counter_artifact,
-                       storage_sync=True, storage_sealed=True)
+                       storage_sync=True)
         node = world.leader
         world.commit(world.calls())
         committed = set(node.receipts)

@@ -592,8 +592,7 @@ class TestShutdownOrdering:
         # while block production was mid-flight, tearing the WAL tail.
         # Now the gateway drains first; a post-crash reopen must see a
         # clean chain with every accepted transaction committed.
-        engine_config = EngineConfig(storage_backend="lsm",
-                                     storage_sealed=False)
+        engine_config = EngineConfig(storage_backend="lsm")
         harness = GatewayHarness(
             coldchain_artifact, engine_config=engine_config,
             data_dir=str(tmp_path),
@@ -644,7 +643,8 @@ class TestShutdownOrdering:
 
         # Reopen the store: recovery must restore the full chain (state
         # root re-verified inside) — no torn WAL tail, nothing lost.
-        reopened = Node(0, config=engine_config, data_dir=str(tmp_path))
+        reopened = Node(0, config=engine_config, data_dir=str(tmp_path),
+                        platform=node.confidential.platform)
         try:
             assert reopened.restore_chain_from_storage() == node.height
             for tx_hash_hex in accepted:

@@ -1,12 +1,9 @@
 """KV store tests, including a model-based property test."""
 
-import os
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.kv import AppendLogKV, MemoryKV, NamespacedKV
+from repro.storage.kv import MemoryKV
 
 
 class TestMemoryKV:
@@ -49,133 +46,6 @@ class TestMemoryKV:
         assert kv.get(b"a") == b"mut"
 
 
-class TestNamespacedKV:
-    def test_isolation(self):
-        base = MemoryKV()
-        ns1 = NamespacedKV(base, b"one")
-        ns2 = NamespacedKV(base, b"two")
-        ns1.put(b"k", b"1")
-        ns2.put(b"k", b"2")
-        assert ns1.get(b"k") == b"1"
-        assert ns2.get(b"k") == b"2"
-        assert base.get(b"k") is None
-
-    def test_items_strip_prefix(self):
-        base = MemoryKV()
-        ns = NamespacedKV(base, b"ns")
-        ns.put(b"alpha", b"1")
-        assert dict(ns.items()) == {b"alpha": b"1"}
-
-    def test_delete_scoped(self):
-        base = MemoryKV()
-        ns1 = NamespacedKV(base, b"one")
-        ns2 = NamespacedKV(base, b"two")
-        ns1.put(b"k", b"1")
-        ns2.put(b"k", b"2")
-        ns1.delete(b"k")
-        assert ns1.get(b"k") is None
-        assert ns2.get(b"k") == b"2"
-
-
-class TestAppendLogKV:
-    def test_persistence(self, tmp_path):
-        path = os.path.join(tmp_path, "log.db")
-        store = AppendLogKV(path)
-        store.put(b"a", b"1")
-        store.put(b"b", b"2")
-        store.delete(b"a")
-        store.close()
-        reopened = AppendLogKV(path)
-        assert reopened.get(b"a") is None
-        assert reopened.get(b"b") == b"2"
-        reopened.close()
-
-    def test_batch_commit(self, tmp_path):
-        path = os.path.join(tmp_path, "log.db")
-        with AppendLogKV(path) as store:
-            store.write_batch({b"x": b"1", b"y": b"2"})
-        with AppendLogKV(path) as reopened:
-            assert len(reopened) == 2
-
-    def test_sync_mode(self, tmp_path):
-        path = os.path.join(tmp_path, "log.db")
-        with AppendLogKV(path, sync=True) as store:
-            store.put(b"k", b"v")
-            assert store.get(b"k") == b"v"
-
-    def test_overwrite_survives_reopen(self, tmp_path):
-        path = os.path.join(tmp_path, "log.db")
-        with AppendLogKV(path) as store:
-            store.put(b"k", b"old")
-            store.put(b"k", b"new")
-        with AppendLogKV(path) as reopened:
-            assert reopened.get(b"k") == b"new"
-
-    def test_items(self, tmp_path):
-        path = os.path.join(tmp_path, "log.db")
-        with AppendLogKV(path) as store:
-            store.put(b"a", b"1")
-            assert dict(store.items()) == {b"a": b"1"}
-
-    def test_torn_tail_truncated_not_refused(self, tmp_path):
-        """Regression: a record cut short by a crash used to make the
-        store refuse to open; now the intact prefix is recovered and the
-        torn tail truncated in place."""
-        path = os.path.join(tmp_path, "log.db")
-        with AppendLogKV(path) as store:
-            store.put(b"keep", b"1")
-            store.put(b"lost", b"2")
-        with open(path, "r+b") as f:
-            f.truncate(os.path.getsize(path) - 3)
-        torn_size = os.path.getsize(path)
-        reopened = AppendLogKV(path)
-        assert reopened.get(b"keep") == b"1"
-        assert reopened.get(b"lost") is None
-        assert reopened.truncated_bytes == torn_size - os.path.getsize(path)
-        assert reopened.truncated_bytes > 0
-        # The store stays writable after recovery.
-        reopened.put(b"new", b"3")
-        reopened.close()
-        with AppendLogKV(path) as again:
-            assert again.get(b"new") == b"3"
-            assert again.truncated_bytes == 0
-
-    def test_crc_bit_rot_drops_tail_record(self, tmp_path):
-        """Regression: records carry a CRC32; flipping one payload bit
-        in the last record drops it (and everything after) on replay."""
-        path = os.path.join(tmp_path, "log.db")
-        with AppendLogKV(path) as store:
-            store.put(b"keep", b"1")
-            store.put(b"rotted", b"2")
-        with open(path, "r+b") as f:
-            f.seek(-1, os.SEEK_END)
-            last = f.read(1)
-            f.seek(-1, os.SEEK_END)
-            f.write(bytes([last[0] ^ 0x01]))
-        reopened = AppendLogKV(path)
-        assert reopened.get(b"keep") == b"1"
-        assert reopened.get(b"rotted") is None
-        assert reopened.truncated_bytes > 0
-        reopened.close()
-
-    def test_write_batch_index_untouched_on_flush_failure(self, tmp_path):
-        """Regression: write_batch used to update the in-memory index
-        before the log flush, so a write error left readers seeing data
-        that was never durable."""
-        path = os.path.join(tmp_path, "log.db")
-        store = AppendLogKV(path)
-        store.put(b"old", b"1")
-
-        def boom():
-            raise OSError("disk full")
-
-        store._flush = boom
-        with pytest.raises(OSError):
-            store.write_batch({b"new": b"2"}, {b"old"})
-        assert store.get(b"new") is None
-        assert store.get(b"old") == b"1"
-
-
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.binary(min_size=1, max_size=6),
@@ -201,19 +71,3 @@ class TestModelBased:
                 kv.delete(key)
                 model.pop(key, None)
         assert dict(kv.items()) == model
-
-    @given(ops=_ops)
-    @settings(max_examples=20, deadline=None)
-    def test_append_log_matches_dict_after_reopen(self, ops, tmp_path_factory):
-        path = os.path.join(tmp_path_factory.mktemp("kv"), "log.db")
-        model: dict[bytes, bytes] = {}
-        with AppendLogKV(path) as kv:
-            for op, key, value in ops:
-                if op == "put":
-                    kv.put(key, value)
-                    model[key] = value
-                else:
-                    kv.delete(key)
-                    model.pop(key, None)
-        with AppendLogKV(path) as reopened:
-            assert dict(reopened.items()) == model

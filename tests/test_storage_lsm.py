@@ -592,14 +592,13 @@ class TestLsmModelBased:
         reopened.close()
 
 
-def _one_node_world(tmp_path, backend, num_blocks=3, snapshot_every=0):
+def _one_node_world(tmp_path, backend, num_blocks=3):
     from repro.chain.node import build_consortium
     from repro.core.config import EngineConfig
     from repro.lang import compile_source
     from repro.workloads import Client
 
-    config = EngineConfig(storage_backend=backend,
-                          snapshot_every=snapshot_every)
+    config = EngineConfig(storage_backend=backend)
     data_dir = os.path.join(str(tmp_path), "node-0")
     nodes, _ = build_consortium(1, config=config, data_dirs=[data_dir])
     node = nodes[0]
@@ -636,7 +635,7 @@ def _one_node_world(tmp_path, backend, num_blocks=3, snapshot_every=0):
 
 
 class TestNodeOnPersistentStorage:
-    @pytest.mark.parametrize("backend", ["appendlog", "lsm"])
+    @pytest.mark.parametrize("backend", ["lsm"])
     def test_restart_from_disk_equivalence(self, tmp_path, backend):
         """Acceptance: a node reopened from its on-disk store recovers
         the exact chain — height, head hash, and state root."""
@@ -656,6 +655,67 @@ class TestNodeOnPersistentStorage:
         assert restarted.height == height
         assert restarted.head_hash == head
         assert restarted.state_root() == root
+        restarted.close()
+
+    @staticmethod
+    def _restart_with_head_receipts(tmp_path, tamper):
+        """A sealed LSM node whose head block's receipts record was
+        altered through the store (``tamper(kv, key, blobs)``) before a
+        clean close, reopened on its own platform."""
+        from repro.chain.node import (
+            _RECEIPTS_DATA_PREFIX,
+            Node,
+            _height_key,
+            make_store,
+        )
+
+        node, config, data_dir = _one_node_world(tmp_path, "lsm")
+        key = _height_key(_RECEIPTS_DATA_PREFIX, node.height)
+        tamper(node.kv, key, node.receipt_blobs_at(node.height))
+        platform = node.confidential.platform
+        node.close()
+        return Node(0, kv=make_store(config, data_dir, platform),
+                    config=config, platform=platform)
+
+    def test_restore_refuses_missing_head_receipts(self, tmp_path):
+        restarted = self._restart_with_head_receipts(
+            tmp_path, lambda kv, key, blobs: kv.delete(key))
+        with pytest.raises(ChainError, match="receipts"):
+            restarted.restore_chain_from_storage()
+        restarted.close()
+
+    def test_restore_refuses_forged_head_receipts(self, tmp_path):
+        from repro.storage import rlp
+
+        def forge(kv, key, blobs):
+            assert blobs  # the head block carries transactions
+            kv.put(key, rlp.encode([b"forged-receipt"] * len(blobs)))
+
+        restarted = self._restart_with_head_receipts(tmp_path, forge)
+        with pytest.raises(ChainError, match="receipts root"):
+            restarted.restore_chain_from_storage()
+        restarted.close()
+
+    def test_restore_keeps_the_first_receipt_of_a_resubmitted_tx(
+            self, tmp_path):
+        """A committed transaction included again re-executes into a
+        replay rejection; the original receipt stays authoritative
+        after a restart, as it is on the live node."""
+        from repro.chain.node import Node, make_store
+
+        node, config, data_dir = _one_node_world(tmp_path, "lsm")
+        tx = node.chain[-1].transactions[0]
+        original = node.receipts[tx.tx_hash]
+        replay = node.apply_transactions([tx])
+        assert not replay.report.outcomes[0].receipt.success
+        assert node.receipts[tx.tx_hash] == original
+        platform = node.confidential.platform
+        node.close()
+
+        restarted = Node(0, kv=make_store(config, data_dir, platform),
+                         config=config, platform=platform)
+        assert restarted.restore_chain_from_storage() == node.height
+        assert restarted.receipts[tx.tx_hash] == original
         restarted.close()
 
     def test_lsm_manifest_binds_state_root(self, tmp_path):
