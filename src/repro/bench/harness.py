@@ -460,178 +460,3 @@ def run_group_commit_bench(
         "concurrent": run(num_threads),
     }
 
-
-def run_shard_bench(
-    shard_counts: tuple[int, ...] = (1, 2, 4),
-    num_txs: int = 96,
-    nodes_per_shard: int = 2,
-    num_bundles: int = 4,
-    out_path: str | None = None,
-) -> dict:
-    """Horizontal scale-out figure: aggregate committed TPS vs shards.
-
-    For each shard count the same total transaction load is routed by
-    conflict domain across the shards, then every shard group commits
-    its backlog to empty.  Two numbers come out of the timed phase:
-
-    - ``modeled_aggregate_tps`` — each shard group's drain is timed on
-      its own, and the aggregate models N groups running on N machines:
-      ``total_committed / max(per_shard_wall)``.  This is the same
-      modeled-makespan convention as BENCH_parallel's ``makespan_s``:
-      deterministic, honest about what it models, and independent of
-      how many cores the runner happens to have.
-    - ``threaded_tps`` — the same groups drained concurrently by a
-      thread pool, measured on the wall clock.  Pure-Python crypto
-      holds the GIL, so this only beats serial where ``cpu_count > 1``
-      — which is recorded, and the regression gate (like
-      BENCH_parallel's) only applies the multi-core expectation where
-      the cores exist.
-
-    Cross-shard commit cost is measured separately: ``num_bundles``
-    escrow bundles driven through the attested receipt relay, with the
-    round count and relay evidence mix recorded.
-    """
-    from repro.shard.coordinator import ShardCoordinator
-    from repro.shard.group import build_sharded_consortium
-    from repro.shard.relay import (
-        ESCROW_CONTRACT_SOURCE,
-        build_cross_shard_bundle,
-    )
-
-    result: dict = {
-        "cpu_count": os.cpu_count() or 1,
-        "num_txs": num_txs,
-        "nodes_per_shard": nodes_per_shard,
-        "num_bundles": num_bundles,
-        "shards": {},
-    }
-    artifact = compile_source(ESCROW_CONTRACT_SOURCE, "wasm")
-
-    for num_shards in shard_counts:
-        consortium = build_sharded_consortium(num_shards, nodes_per_shard)
-        try:
-            pk_tx = decode_point(consortium.pk_tx)
-
-            # Balanced client set: equal sender-domain ownership per
-            # shard, so the routed load models a well-spread keyspace.
-            per_shard_clients: dict[int, list[Client]] = {
-                sid: [] for sid in range(num_shards)
-            }
-            seed_index = 0
-            while any(len(v) < 4 for v in per_shard_clients.values()):
-                client = Client.from_seed(
-                    b"shard-bench-%d-%d" % (num_shards, seed_index)
-                )
-                seed_index += 1
-                home = consortium.router.shard_for_sender(client.address)
-                if len(per_shard_clients[home]) < 4:
-                    per_shard_clients[home].append(client)
-            clients = [c for sid in sorted(per_shard_clients)
-                       for c in per_shard_clients[sid]]
-
-            deploy_tx, contract = clients[0].confidential_deploy(
-                pk_tx, artifact
-            )
-            consortium.submit(deploy_tx)
-            consortium.run_until_empty()
-
-            def inject(batch_tag: int) -> int:
-                injected = 0
-                for i in range(num_txs):
-                    client = clients[i % len(clients)]
-                    args = b"shard-bench-%d-%d:%06d" % (
-                        num_shards, batch_tag, i)
-                    tx = client.confidential_call(
-                        pk_tx, contract, "put", args
-                    )
-                    injected += len(consortium.submit(tx))
-                return injected
-
-            # -- timed phase 1: per-shard serial drains ----------------
-            inject(0)
-            per_shard_wall: list[float] = []
-            per_shard_committed: list[int] = []
-            for group in consortium.groups:
-                before = group.height
-                started = time.perf_counter()
-                group.run_until_empty(max_bytes=1 << 16)
-                per_shard_wall.append(time.perf_counter() - started)
-                committed = sum(
-                    len(group.nodes[0].chain[h].transactions)
-                    for h in range(before, group.height)
-                )
-                per_shard_committed.append(committed)
-            total_committed = sum(per_shard_committed)
-            modeled_wall = max(per_shard_wall)
-
-            # -- timed phase 2: threaded concurrent drains -------------
-            import concurrent.futures
-
-            inject(1)
-            started = time.perf_counter()
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=num_shards
-            ) as pool:
-                futures = [
-                    pool.submit(group.run_until_empty, 1000, 1 << 16)
-                    for group in consortium.groups
-                ]
-                for future in futures:
-                    future.result()
-            threaded_wall = time.perf_counter() - started
-
-            entry: dict = {
-                "committed": total_committed,
-                "per_shard_committed": per_shard_committed,
-                "per_shard_wall_s": per_shard_wall,
-                "modeled_wall_s": modeled_wall,
-                "modeled_aggregate_tps": (
-                    total_committed / modeled_wall if modeled_wall else 0.0
-                ),
-                "threaded_wall_s": threaded_wall,
-                "threaded_tps": (
-                    total_committed / threaded_wall if threaded_wall else 0.0
-                ),
-            }
-
-            # -- cross-shard commit cost -------------------------------
-            if num_shards > 1 and num_bundles:
-                coordinator = ShardCoordinator(consortium)
-                for i in range(num_bundles):
-                    client = clients[i % len(clients)]
-                    home = consortium.router.shard_for_sender(client.address)
-                    remote = (home + 1) % num_shards
-                    bundle = build_cross_shard_bundle(
-                        client, pk_tx, contract, home, remote,
-                        b"bench-xs-%06d" % i,
-                    )
-                    coordinator.submit(bundle)
-                started = time.perf_counter()
-                rounds = coordinator.run_to_quiescence()
-                entry["cross_shard"] = {
-                    "bundles": num_bundles,
-                    "committed": coordinator.committed_total,
-                    "aborted": coordinator.aborted_total,
-                    "rounds_to_quiescence": rounds,
-                    "wall_s": time.perf_counter() - started,
-                    "relay_attested": coordinator.relay.attested_served,
-                    "relay_quorum": coordinator.relay.quorum_served,
-                }
-            result["shards"][str(num_shards)] = entry
-        finally:
-            consortium.close()
-
-    counts = sorted(int(k) for k in result["shards"])
-    if len(counts) >= 2:
-        base = result["shards"][str(counts[0])]["modeled_aggregate_tps"]
-        top = result["shards"][str(counts[-1])]["modeled_aggregate_tps"]
-        result["scaling"] = {
-            "baseline_shards": counts[0],
-            "top_shards": counts[-1],
-            "modeled_speedup": top / base if base else 0.0,
-        }
-
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-    return result

@@ -114,83 +114,6 @@ def check_parallel(fresh: dict, baseline: dict):
     return failures, lines
 
 
-# The acceptance floor for horizontal scale-out: 4 shards must model at
-# least this multiple of the 1-shard aggregate committed TPS.
-MIN_SHARD_MODELED_SPEEDUP = 1.5
-
-
-def check_shard(fresh: dict, baseline: dict):
-    """Return ``(failures, report_lines)`` for a shard bench pair.
-
-    Gated like BENCH_parallel: the modeled-makespan scaling figure is
-    deterministic and always enforced; the threaded wall-clock figure
-    is recorded everywhere but only gated where ``cpu_count > 1``.
-    """
-    failures: list[str] = []
-    lines: list[str] = []
-    cpu_count = fresh.get("cpu_count") or os.cpu_count() or 1
-    lines.append("shard: fresh cpu_count=%s baseline cpu_count=%s"
-                 % (cpu_count, baseline.get("cpu_count", "?")))
-    for count, entry in sorted(fresh.get("shards", {}).items(),
-                               key=lambda kv: int(kv[0])):
-        lines.append(
-            "  %s shard(s): committed %d, modeled %.1f tps, threaded %.1f tps"
-            % (count, entry.get("committed", 0),
-               entry.get("modeled_aggregate_tps", 0.0),
-               entry.get("threaded_tps", 0.0)))
-        cross = entry.get("cross_shard")
-        if cross is not None:
-            lines.append(
-                "    cross-shard: %d bundles committed=%d aborted=%d "
-                "(attested=%d quorum=%d)"
-                % (cross.get("bundles", 0), cross.get("committed", 0),
-                   cross.get("aborted", 0), cross.get("relay_attested", 0),
-                   cross.get("relay_quorum", 0)))
-            if cross.get("committed", 0) != cross.get("bundles", 0):
-                failures.append(
-                    "shard: %s/%s cross-shard bundles committed on a "
-                    "fault-free bench run"
-                    % (cross.get("committed", 0), cross.get("bundles", 0)))
-    scaling = fresh.get("scaling")
-    if scaling is None:
-        failures.append("shard: fresh run has no scaling section "
-                        "(needs at least two shard counts)")
-    else:
-        speedup = scaling.get("modeled_speedup", 0.0)
-        lines.append("  modeled speedup %dx->%dx shards: %.2fx (floor %.2fx)"
-                     % (scaling.get("baseline_shards", 0),
-                        scaling.get("top_shards", 0),
-                        speedup, MIN_SHARD_MODELED_SPEEDUP))
-        if speedup < MIN_SHARD_MODELED_SPEEDUP:
-            failures.append(
-                "shard: modeled aggregate TPS at %s shards is %.2fx the "
-                "%s-shard baseline (< %.2fx floor)"
-                % (scaling.get("top_shards", "?"), speedup,
-                   scaling.get("baseline_shards", "?"),
-                   MIN_SHARD_MODELED_SPEEDUP))
-        base_scaling = baseline.get("scaling", {})
-        if base_scaling:
-            base_speedup = base_scaling.get("modeled_speedup", 0.0)
-            if speedup < base_speedup * 0.6:
-                failures.append(
-                    "shard: modeled speedup regressed %.2fx -> %.2fx "
-                    "(< 0.6x baseline)" % (base_speedup, speedup))
-    # Threaded wall-clock only means anything with real cores under it.
-    if cpu_count > 1 and scaling is not None:
-        top = str(scaling.get("top_shards", ""))
-        base = str(scaling.get("baseline_shards", ""))
-        shards = fresh.get("shards", {})
-        if top in shards and base in shards:
-            top_tps = shards[top].get("threaded_tps", 0.0)
-            base_tps = shards[base].get("threaded_tps", 0.0)
-            if base_tps and top_tps <= base_tps:
-                failures.append(
-                    "shard: threaded aggregate TPS does not scale on a "
-                    "%d-cpu runner (%.1f -> %.1f)"
-                    % (cpu_count, base_tps, top_tps))
-    return failures, lines
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.regression",
@@ -203,17 +126,12 @@ def main(argv=None) -> int:
                         help="fresh parallel bench JSON")
     parser.add_argument("--parallel-baseline", metavar="BASE",
                         default="BENCH_parallel.json")
-    parser.add_argument("--shard", metavar="FRESH",
-                        help="fresh shard bench JSON")
-    parser.add_argument("--shard-baseline", metavar="BASE",
-                        default="BENCH_shard.json")
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="wall-clock regression factor "
                              "(default %(default)s)")
     args = parser.parse_args(argv)
-    if not args.storage and not args.parallel and not args.shard:
-        parser.error(
-            "nothing to compare: pass --storage, --parallel, and/or --shard")
+    if not args.storage and not args.parallel:
+        parser.error("nothing to compare: pass --storage and/or --parallel")
 
     failures: list[str] = []
     if args.storage:
@@ -225,11 +143,6 @@ def main(argv=None) -> int:
     if args.parallel:
         fails, lines = check_parallel(_load(args.parallel),
                                       _load(args.parallel_baseline))
-        failures.extend(fails)
-        print("\n".join(lines))
-    if args.shard:
-        fails, lines = check_shard(_load(args.shard),
-                                   _load(args.shard_baseline))
         failures.extend(fails)
         print("\n".join(lines))
     if failures:

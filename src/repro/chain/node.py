@@ -163,12 +163,6 @@ class Node:
         self.chain: list[Block] = []
         self.receipts: dict[bytes, bytes] = {}  # tx hash -> receipt blob
         self._receipt_blobs_by_height: dict[int, list[bytes]] = {}
-        # tx hash -> (height, success): the in-process plaintext outcome
-        # index cross-shard attestation reads (core/xshard).  Only
-        # populated by local execution — a node restored from sealed
-        # storage cannot reconstruct it, which is exactly when the
-        # quorum-cert fallback path takes over.
-        self.tx_outcomes: dict[bytes, tuple[int, bool]] = {}
         # The maintained commitment to the replicated state (derived
         # data, memory only).  It follows the store, never leads it:
         # None whenever it cannot be known to match what is committed,
@@ -373,17 +367,11 @@ class Node:
         # Receipts are published only now that the block is committed
         # (and, with storage_sync, durable): a receipt a client can read
         # must never belong to a block a crash can still erase.
-        for tx, outcome, blob in zip(transactions, report.outcomes,
-                                     receipt_blobs):
-            # First write wins: a transaction resubmitted after it
-            # already committed (a crash-recovering cross-shard
-            # coordinator, a confused client) re-executes into a
-            # replay rejection — the original outcome must stay
-            # authoritative for receipt queries and attestation.
+        for tx, blob in zip(transactions, receipt_blobs):
+            # First write wins: a client resubmitting a transaction that
+            # already committed re-executes it into a replay rejection;
+            # the original receipt must stay the one queries return.
             self.receipts.setdefault(tx.tx_hash, blob)
-            self.tx_outcomes.setdefault(
-                tx.tx_hash, (header.height, outcome.receipt.success)
-            )
         noter = getattr(self.kv, "note_state_root", None)
         if noter is not None:
             noter(state_root)

@@ -44,10 +44,7 @@ _MODES = ("serial", "thread", "process")
 
 
 # One tx result crossing back from a worker, as a picklable tuple:
-# (tx_hash, tx_type, verified, k_tx, sender, is_deploy, is_upgrade,
-#  decrypt_seconds, verify_seconds).  The sender and flags are what the
-# shard router's RoutingPreprocessor routes on; the install path drops
-# them.
+# (tx_hash, tx_type, verified, k_tx, decrypt_seconds, verify_seconds).
 _WireResult = tuple
 
 
@@ -65,22 +62,18 @@ def _preverify_one(sk: KeyPair | None, tx_type: int,
             raw = t_protocol.open_body(k_tx, body)
         except Exception:
             decrypt_elapsed = time.perf_counter() - started
-            return (tx.tx_hash, tx_type, False, b"", b"", False, False,
-                    decrypt_elapsed, 0.0)
+            return (tx.tx_hash, tx_type, False, b"", decrypt_elapsed, 0.0)
         decrypt_elapsed = time.perf_counter() - started
     else:
         try:
             raw = RawTransaction.decode(payload)
         except Exception:
-            return (tx.tx_hash, tx_type, False, b"", b"", False, False,
-                    0.0, 0.0)
+            return (tx.tx_hash, tx_type, False, b"", 0.0, 0.0)
     started = time.perf_counter()
     verified = raw.verify_signature()
     verify_elapsed = time.perf_counter() - started
-    return (
-        tx.tx_hash, tx_type, verified, k_tx, raw.sender,
-        raw.is_deploy, raw.is_upgrade, decrypt_elapsed, verify_elapsed,
-    )
+    return (tx.tx_hash, tx_type, verified, k_tx, decrypt_elapsed,
+            verify_elapsed)
 
 
 def _preverify_chunk(
@@ -108,7 +101,7 @@ def _preverify_chunk(
 
 
 def _record_from_wire(wire: _WireResult) -> PreverifiedRecord:
-    (tx_hash, tx_type, verified, k_tx, _, _, _, decrypt_s, verify_s) = wire
+    (tx_hash, tx_type, verified, k_tx, decrypt_s, verify_s) = wire
     return PreverifiedRecord(
         tx_hash=tx_hash, tx_type=tx_type, verified=verified, k_tx=k_tx,
         decrypt_seconds=decrypt_s, verify_seconds=verify_s,

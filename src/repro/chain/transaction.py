@@ -120,10 +120,6 @@ class RawTransaction:
     def is_deploy(self) -> bool:
         return self.method == DEPLOY_METHOD
 
-    @property
-    def is_upgrade(self) -> bool:
-        return self.method == UPGRADE_METHOD
-
 
 @dataclass(frozen=True)
 class Transaction:

@@ -27,12 +27,6 @@ Commands:
   [--storage lsm]`` — run the deterministic fault-injection simulator;
   exits non-zero (printing the seed and fault schedule) if any
   safety/durability/confidentiality invariant is violated.
-- ``shardsim --seed S --shards N --faults partition,coordinator_crash``
-  — run the deterministic multi-shard simulator (docs/sharding.md);
-  exits non-zero on any atomicity/confidentiality/convergence violation.
-- ``bench --shards 1,2,4 [--shard-out FILE]`` — the horizontal
-  scale-out bench: aggregate committed TPS vs shard count plus the
-  cross-shard commit cost.
 - ``db stats|verify|compact <dir>`` — inspect or maintain an LSM store
   directory (docs/storage.md).  Sealed stores need ``--seal-key`` (hex).
 """
@@ -304,41 +298,6 @@ def cmd_bench(args) -> int:
             print(f"wrote {args.storage_out}")
         return 0
 
-    if args.shards:
-        from repro.bench.harness import run_shard_bench
-
-        counts = tuple(
-            int(part) for part in args.shards.split(",") if part.strip()
-        )
-        result = run_shard_bench(
-            shard_counts=counts,
-            num_txs=24 if args.quick else 96,
-            num_bundles=2 if args.quick else 4,
-            out_path=args.shard_out,
-        )
-        print(f"shard bench ({result['cpu_count']} CPU(s), "
-              f"{result['num_txs']} txs per shard count)")
-        for count, entry in sorted(result["shards"].items(),
-                                   key=lambda kv: int(kv[0])):
-            print(f"  {count} shard(s): committed {entry['committed']:4d}  "
-                  f"modeled {entry['modeled_aggregate_tps']:8.1f} tps  "
-                  f"threaded {entry['threaded_tps']:8.1f} tps")
-            cross = entry.get("cross_shard")
-            if cross:
-                print(f"    cross-shard: {cross['committed']}/"
-                      f"{cross['bundles']} bundles committed in "
-                      f"{cross['rounds_to_quiescence']} rounds "
-                      f"(attested={cross['relay_attested']} "
-                      f"quorum={cross['relay_quorum']})")
-        scaling = result.get("scaling")
-        if scaling:
-            print(f"  modeled speedup {scaling['baseline_shards']}->"
-                  f"{scaling['top_shards']} shards: "
-                  f"{scaling['modeled_speedup']:.2f}x")
-        if args.shard_out:
-            print(f"wrote {args.shard_out}")
-        return 0
-
     if args.workers:
         from repro.bench.harness import run_parallel_bench
 
@@ -451,46 +410,6 @@ def cmd_sim(args) -> int:
         print(result.failure_report(), file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_shardsim(args) -> int:
-    from repro.sim.scenarios import SHARD_SCENARIOS
-    from repro.sim.shardsim import (
-        ShardSimConfig,
-        parse_shard_faults,
-        run_shard_sim,
-    )
-
-    if args.scenario:
-        builder = SHARD_SCENARIOS[args.scenario]
-        config = builder(args.seed, steps=args.steps, shards=args.shards)
-    else:
-        try:
-            faults = parse_shard_faults(args.faults)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        config = ShardSimConfig(
-            seed=args.seed,
-            steps=args.steps,
-            shards=args.shards,
-            nodes_per_shard=args.nodes_per_shard,
-            faults=faults,
-        )
-    result = run_shard_sim(config)
-    if args.verify_determinism:
-        second = run_shard_sim(config)
-        if (result.digest != second.digest
-                or result.summary() != second.summary()):
-            print("DETERMINISM FAILURE: two shard-sim runs with seed "
-                  f"{config.seed} diverged", file=sys.stderr)
-            print(result.summary(), file=sys.stderr)
-            print(second.summary(), file=sys.stderr)
-            return 1
-        print(f"determinism verified: two runs of seed {config.seed} "
-              f"produced identical digests ({result.digest[:32]})")
-    print(result.summary())
-    return 0 if result.converged and not result.violations else 1
 
 
 def cmd_fuzz(args) -> int:
@@ -782,13 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--storage-out", metavar="FILE",
                    help="write the storage bench result JSON here "
                         "(e.g. BENCH_storage.json)")
-    p.add_argument("--shards", metavar="COUNTS",
-                   help="run the horizontal scale-out bench instead of "
-                        "the paper tables: comma-separated shard counts, "
-                        "e.g. 1,2,4")
-    p.add_argument("--shard-out", metavar="FILE",
-                   help="write the shard bench result JSON here "
-                        "(e.g. BENCH_shard.json)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
@@ -832,28 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-determinism", action="store_true",
                    help="run twice and require byte-identical event logs")
     p.set_defaults(func=cmd_sim)
-
-    p = sub.add_parser(
-        "shardsim",
-        help="run the deterministic multi-shard fault simulator",
-    )
-    p.add_argument("--seed", type=int, default=0,
-                   help="the run is a pure function of this seed")
-    p.add_argument("--steps", type=int, default=60,
-                   help="injection steps (default 60)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="shard groups (default 2)")
-    p.add_argument("--nodes-per-shard", type=int, default=4,
-                   help="PBFT group size per shard (>= 4; default 4)")
-    p.add_argument("--faults", default="",
-                   help="comma-separated shard fault kinds: partition, "
-                        "coordinator_crash")
-    p.add_argument("--scenario", choices=("shard-clean", "shard-partition",
-                                          "shard-acceptance"),
-                   help="use a named preset instead of --faults")
-    p.add_argument("--verify-determinism", action="store_true",
-                   help="run twice and require identical digests")
-    p.set_defaults(func=cmd_shardsim)
 
     p = sub.add_parser(
         "fuzz",

@@ -75,11 +75,6 @@ class ContractError(ReproError):
     """A smart contract aborted with an application-level error."""
 
 
-class ShardError(ReproError):
-    """Cross-shard routing or commit protocol failure (bad route, forged
-    attested receipt, insufficient quorum, coordinator state error)."""
-
-
 class InvariantViolation(ReproError):
     """A fault-injection simulator invariant (safety, durability, or
     confidentiality) was violated.  The message carries enough context

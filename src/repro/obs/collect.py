@@ -101,16 +101,6 @@ SERVE_LOAD_BACKPRESSURE = "confide_serve_load_backpressure_total"
 SERVE_LOAD_ERRORS = "confide_serve_load_errors_total"
 SERVE_LOAD_LATENCY_SECONDS = "confide_serve_load_latency_seconds"
 SERVE_LOAD_TPS = "confide_serve_load_committed_tps"
-SHARD_BUNDLES_SUBMITTED = "confide_shard_bundles_submitted_total"
-SHARD_BUNDLES_COMMITTED = "confide_shard_bundles_committed_total"
-SHARD_BUNDLES_ABORTED = "confide_shard_bundles_aborted_total"
-SHARD_BUNDLES_PENDING = "confide_shard_bundles_pending"
-SHARD_TIMEOUTS = "confide_shard_timeouts_total"
-SHARD_RECOVERIES = "confide_shard_recoveries_total"
-SHARD_RELAY_ATTESTED = "confide_shard_relay_attested_total"
-SHARD_RELAY_QUORUM = "confide_shard_relay_quorum_total"
-SHARD_RELAY_REJECTED = "confide_shard_relay_rejected_total"
-SHARD_HEIGHT = "confide_shard_height"
 
 
 def collect_operation_stats(registry: MetricsRegistry, stats,
@@ -505,48 +495,6 @@ def collect_loadgen(registry: MetricsRegistry, report) -> None:
     registry.gauge(
         SERVE_LOAD_TPS, "committed transactions per virtual second"
     ).set(report.committed_tps)
-
-
-def collect_coordinator(registry: MetricsRegistry, coordinator) -> None:
-    """Absorb a :class:`~repro.shard.coordinator.ShardCoordinator` and
-    its receipt relay.
-
-    Per-shard heights ride on a ``shard`` label (a small integer string,
-    vocabulary not content); bundle ids and evidence bytes never do.
-    """
-    registry.counter(
-        SHARD_BUNDLES_SUBMITTED, "cross-shard bundles accepted"
-    ).set_total(coordinator.submitted_total)
-    registry.counter(
-        SHARD_BUNDLES_COMMITTED, "cross-shard bundles committed"
-    ).set_total(coordinator.committed_total)
-    registry.counter(
-        SHARD_BUNDLES_ABORTED, "cross-shard bundles aborted"
-    ).set_total(coordinator.aborted_total)
-    registry.gauge(
-        SHARD_BUNDLES_PENDING, "cross-shard bundles still in flight"
-    ).set(coordinator.pending())
-    registry.counter(
-        SHARD_TIMEOUTS, "coordinator deadline expiries"
-    ).set_total(coordinator.timeouts_total)
-    registry.counter(
-        SHARD_RECOVERIES, "bundles re-driven after a journal recovery"
-    ).set_total(coordinator.recovered_total)
-    relay = coordinator.relay
-    registry.counter(
-        SHARD_RELAY_ATTESTED, "evidence served as single-enclave receipts"
-    ).set_total(relay.attested_served)
-    registry.counter(
-        SHARD_RELAY_QUORUM, "evidence served as 2PC quorum certificates"
-    ).set_total(relay.quorum_served)
-    registry.counter(
-        SHARD_RELAY_REJECTED, "evidence dropped for failing verification"
-    ).set_total(relay.rejected)
-    height = registry.gauge(
-        SHARD_HEIGHT, "chain height per shard group", ("shard",)
-    )
-    for group in coordinator.consortium.groups:
-        height.set(group.height, shard=str(group.shard_id))
 
 
 def collect_node(registry: MetricsRegistry, node) -> None:

@@ -52,8 +52,6 @@ ALLOWED_STR_FIELDS = frozenset(
         "pool",
         # latency quantile labels on serving metrics: "p50" / "p95" / "p99"
         "quantile",
-        # shard-group label on sharding metrics: "0" / "1" / ...
-        "shard",
         "target",
         "unit",
         "vm",

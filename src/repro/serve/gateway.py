@@ -65,24 +65,16 @@ class GatewayConfig:
     max_block_txs: int | None = None
     cut_empty_blocks: bool = False  # serving skips empty blocks
     drain_rounds: int = 10_000  # flush bound during shutdown
-    # Shard placement (docs/sharding.md).  ``shard_id is None`` means an
-    # unsharded deployment and keeps the status responses legacy-shaped;
-    # setting it adds the shard fields to node_status/chain_status.
-    shard_id: int | None = None
-    shard_count: int = 1
 
 
 class Gateway:
     """Synchronous request core over one node (thread-safe)."""
 
     def __init__(self, node: Node, config: GatewayConfig | None = None,
-                 clock=time.monotonic, coordinator=None):
+                 clock=time.monotonic):
         self.node = node
         self.config = config or GatewayConfig()
         self.clock = clock
-        # Optional ShardCoordinator whose in-flight cross-shard bundle
-        # count the status responses report (sharded deployments only).
-        self.coordinator = coordinator
         self.limiter = RateLimiter(
             self.config.rate_per_s, self.config.burst, clock=clock
         )
@@ -395,7 +387,6 @@ class Gateway:
             status["pk_tx"] = node.confidential.pk_tx.hex()
         except ReproError:
             status["pk_tx"] = None  # K-Protocol not provisioned yet
-        self._add_shard_fields(status)
         return status
 
     def _rpc_chain_status(self, params: dict, client: str) -> dict:
@@ -413,19 +404,7 @@ class Gateway:
                 "state_root": head.state_root.hex(),
                 "receipts_root": head.receipts_root.hex(),
             }
-        self._add_shard_fields(status)
         return status
-
-    def _add_shard_fields(self, status: dict) -> None:
-        """Additive shard placement fields; unsharded gateways keep the
-        legacy response shape (pinned by tests/test_serve_gateway.py)."""
-        if self.config.shard_id is None:
-            return
-        status["shard_id"] = self.config.shard_id
-        status["shard_count"] = self.config.shard_count
-        status["cross_shard_pending"] = (
-            self.coordinator.pending() if self.coordinator is not None else 0
-        )
 
 
 # -- asyncio HTTP front end ------------------------------------------------

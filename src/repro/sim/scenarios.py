@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.sim.faults import FAULT_KINDS
 from repro.sim.harness import SimConfig
-from repro.sim.shardsim import SHARD_FAULT_KINDS, ShardSimConfig
 
 
 def clean_scenario(seed: int, steps: int = 120) -> SimConfig:
@@ -71,39 +70,3 @@ SCENARIOS = {
     "everything": everything_scenario,
 }
 
-
-# -- multi-shard scenarios (run with ``run_shard_sim`` / `repro shardsim`) --
-
-
-def shard_clean_scenario(seed: int, steps: int = 60,
-                         shards: int = 2) -> ShardSimConfig:
-    """Fault-free multi-shard baseline: routing + cross-shard commits."""
-    return ShardSimConfig(seed=seed, steps=steps, shards=shards)
-
-
-def shard_partition_scenario(seed: int, steps: int = 60,
-                             shards: int = 2) -> ShardSimConfig:
-    """A shard partitions mid-cross-shard-commit, then heals; the
-    coordinator's timeout/abort must keep the other shards moving."""
-    return ShardSimConfig(
-        seed=seed, steps=steps, shards=shards,
-        faults=frozenset({"partition"}),
-    )
-
-
-def shard_acceptance_scenario(seed: int, steps: int = 60,
-                              shards: int = 2) -> ShardSimConfig:
-    """The issue's acceptance configuration: a shard partition mid
-    cross-shard commit *and* a coordinator crash-restart from the
-    write-ahead journal, in one run."""
-    return ShardSimConfig(
-        seed=seed, steps=steps, shards=shards,
-        faults=frozenset(SHARD_FAULT_KINDS),
-    )
-
-
-SHARD_SCENARIOS = {
-    "shard-clean": shard_clean_scenario,
-    "shard-partition": shard_partition_scenario,
-    "shard-acceptance": shard_acceptance_scenario,
-}

@@ -343,7 +343,6 @@ class TestReceiptsAfterCommit:
             node.apply_transactions(doomed)
         for tx in doomed:
             assert tx.tx_hash not in node.receipts
-            assert tx.tx_hash not in node.tx_outcomes
         assert set(node.receipts) == committed
 
         # The process dies; whatever the restored node recovers, every
@@ -364,6 +363,23 @@ class TestReceiptsAfterCommit:
         if point == "block_write":  # nothing of B reached the WAL
             assert set(restored.receipts) == committed
         restored.close()
+
+    def test_resubmitted_committed_tx_keeps_its_first_receipt(
+            self, tmp_path, counter_artifact):
+        """First write wins on the live apply path: a client resubmitting
+        an envelope that already committed gets it re-executed into a
+        replay rejection, and the original receipt stays the one served."""
+        world = _World(tmp_path, "memory", counter_artifact)
+        node = world.leader
+        (tx,) = world.calls(1)
+        world.commit([tx])
+        first = node.receipts[tx.tx_hash]
+
+        applied = node.apply_transactions(world.draft([tx]))
+        assert [t.tx_hash for t in applied.block.transactions] == [tx.tx_hash]
+        (replay,) = applied.report.outcomes
+        assert not replay.receipt.success
+        assert node.receipts[tx.tx_hash] == first
 
 
 class TestSeeding:

@@ -491,22 +491,14 @@ class TestResponseConfidentiality:
 
 
 # ---------------------------------------------------------------------------
-# Shard-aware status fields (additive; docs/sharding.md)
+# Status response shape
 # ---------------------------------------------------------------------------
 
 
-class FakeCoordinator:
-    def __init__(self, in_flight: int):
-        self._in_flight = in_flight
-
-    def pending(self) -> int:
-        return self._in_flight
-
-
-class TestShardStatusFields:
-    def test_unsharded_status_keeps_legacy_shape(self, harness):
-        """The exact pre-sharding response shapes, pinned: an unsharded
-        gateway must not grow shard fields (or any others) silently."""
+class TestStatusShape:
+    def test_status_response_shape_is_pinned(self, harness):
+        """The exact status response shapes, pinned: the gateway must not
+        grow fields (or lose any) silently."""
         node_status = call(harness.gateway, "node_status")["result"]
         assert set(node_status) == {
             "node_id", "height", "head_hash", "state", "unverified_depth",
@@ -517,33 +509,6 @@ class TestShardStatusFields:
         assert set(chain_status) == {
             "height", "head_hash", "txs_committed", "head",
         }
-
-    def test_sharded_gateway_reports_placement(self, coldchain_artifact):
-        h = GatewayHarness(
-            coldchain_artifact,
-            config=GatewayConfig(shard_id=2, shard_count=4),
-        )
-        try:
-            h.gateway.coordinator = FakeCoordinator(in_flight=3)
-            for method in ("node_status", "chain_status"):
-                status = call(h.gateway, method)["result"]
-                assert status["shard_id"] == 2
-                assert status["shard_count"] == 4
-                assert status["cross_shard_pending"] == 3
-        finally:
-            h.gateway.close()
-
-    def test_sharded_gateway_without_coordinator_reports_zero(
-            self, coldchain_artifact):
-        h = GatewayHarness(
-            coldchain_artifact,
-            config=GatewayConfig(shard_id=0, shard_count=2),
-        )
-        try:
-            status = call(h.gateway, "chain_status")["result"]
-            assert status["cross_shard_pending"] == 0
-        finally:
-            h.gateway.close()
 
 
 # ---------------------------------------------------------------------------
