@@ -87,7 +87,7 @@ def verify(public_key: ecc.Point, message: bytes, signature: Signature) -> bool:
     w = ecc.mod_inverse(s)
     u1 = (z * w) % ecc.N
     u2 = (r * w) % ecc.N
-    point = ecc.add(ecc.scalar_mult(u1), ecc.scalar_mult(u2, public_key))
+    point = ecc.double_scalar_mult(u1, u2, public_key)
     if point.is_infinity:
         return False
     assert point.x is not None
