@@ -196,75 +196,6 @@ def run_throughput(
     )
 
 
-def run_parallel_bench(
-    workers: int = 4,
-    num_txs: int = 32,
-    workload_name: str = "crypto-hash",
-    out_path: str | None = None,
-) -> dict:
-    """Serial-vs-pooled comparison of §5.2 pre-verification.
-
-    The same confidential transaction batch goes through a serial pool
-    and a ``workers``-wide pool; the two must produce identical records
-    (verdict and recovered ``k_tx``, in submission order), so the bench
-    doubles as a determinism check.  Block execution has no parallel
-    path to compare (docs/parallelism.md).
-
-    Honest numbers: wall-clock speedups are bounded by ``cpu_count``,
-    which is recorded in the result.  On a single-core machine the pool
-    pays coordination overhead for no parallelism; the ≥2x expectation
-    only applies with ≥2 cores (docs/parallelism.md).
-    """
-    from repro.chain.preverify_pool import PreverifyPool
-    from repro.workloads.synthetic import synthetic_workloads
-
-    workload = synthetic_workloads()[workload_name]
-    result: dict = {
-        "cpu_count": os.cpu_count() or 1,
-        "workers": workers,
-        "workload": workload_name,
-    }
-
-    rig = build_confidential_rig(workload)
-    txs = [rig.make_tx(i) for i in range(num_txs)]
-    sk = rig.engine.export_worker_keys()
-
-    serial_pool = PreverifyPool(workers=0)
-    started = time.perf_counter()
-    serial_records = serial_pool.run(txs, sk)
-    serial_s = time.perf_counter() - started
-
-    pool = PreverifyPool(workers=workers)
-    try:
-        pool.run(txs[:2], sk)  # absorb executor startup cost
-        started = time.perf_counter()
-        pool_records = pool.run(txs, sk)
-        pool_s = time.perf_counter() - started
-    finally:
-        pool.close()
-
-    def verdicts(records):
-        return [(r.tx_hash, r.verified, r.k_tx) for r in records]
-
-    if verdicts(serial_records) != verdicts(pool_records):
-        raise ReproError("pool and serial pre-verification verdicts diverge")
-    result["preverify"] = {
-        "num_txs": num_txs,
-        "serial_s": serial_s,
-        "pool_s": pool_s,
-        "speedup": serial_s / pool_s if pool_s else 0.0,
-        "mode": pool.mode,
-        "utilization": pool.stats.utilization(),
-        "queue_depth_peak": pool.stats.queue_depth_peak,
-        "deterministic_equivalent": True,  # the check above would have raised
-    }
-
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-    return result
-
-
 def run_storage_bench(
     backends: tuple[str, ...] = ("memory", "lsm"),
     num_blocks: int = 8,

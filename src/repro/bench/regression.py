@@ -1,8 +1,7 @@
 """Bench regression gates: compare fresh bench JSON against a baseline.
 
-CI runs the storage and parallel benches fresh, then feeds the results
-here together with the checked-in ``BENCH_storage.json`` /
-``BENCH_parallel.json`` baselines (docs/storage.md, docs/parallelism.md).
+CI runs the storage bench fresh, then feeds the result here together
+with the checked-in ``BENCH_storage.json`` baseline (docs/storage.md).
 The comparison fails the build when:
 
 - an LSM ``block_commit_ms`` p50 or ``reopen_ms`` regresses
@@ -10,10 +9,7 @@ The comparison fails the build when:
   generous (default 1.6×) to absorb runner variation;
 - WAL group commit stops coalescing: with concurrent committers on a
   ``sync`` store the bench must observe strictly fewer than one fsync per
-  commit (serial is exactly one by construction);
-- the pre-verification pool loses determinism
-  (``deterministic_equivalent``), or — only where the cores exist
-  (``cpu_count > 1``) — it no longer beats serial.
+  commit (serial is exactly one by construction).
 
 Every report records the runner's ``cpu_count`` next to the baseline's so
 a cross-machine comparison is visible in the CI log.
@@ -23,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 DEFAULT_TOLERANCE = 1.6
@@ -90,61 +85,22 @@ def check_storage(fresh: dict, baseline: dict,
     return failures, lines
 
 
-def check_parallel(fresh: dict, baseline: dict):
-    """Return ``(failures, report_lines)`` for a pre-verification pool
-    bench pair."""
-    failures: list[str] = []
-    lines: list[str] = []
-    cpu_count = fresh.get("cpu_count") or os.cpu_count() or 1
-    lines.append("parallel: fresh cpu_count=%s baseline cpu_count=%s"
-                 % (cpu_count, baseline.get("cpu_count", "?")))
-    preverify = fresh.get("preverify", {})
-    lines.append("  preverify speedup %.2f  queue depth peak %s"
-                 % (preverify.get("speedup", 0.0),
-                    preverify.get("queue_depth_peak", "?")))
-    if preverify.get("deterministic_equivalent") is not True:
-        failures.append("parallel: pooled pre-verification lost "
-                        "deterministic equivalence with the serial path")
-    # Speedup expectations only hold where the cores exist; a 1-cpu
-    # runner records its numbers but is not gated on them.
-    if cpu_count > 1 and preverify.get("speedup", 0.0) <= 1.0:
-        failures.append(
-            "parallel: preverify speedup %.2f <= 1.0 on a %d-cpu "
-            "runner" % (preverify.get("speedup", 0.0), cpu_count))
-    return failures, lines
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.regression",
         description="compare fresh bench JSON against checked-in baselines")
-    parser.add_argument("--storage", metavar="FRESH",
+    parser.add_argument("--storage", metavar="FRESH", required=True,
                         help="fresh storage bench JSON")
     parser.add_argument("--storage-baseline", metavar="BASE",
                         default="BENCH_storage.json")
-    parser.add_argument("--parallel", metavar="FRESH",
-                        help="fresh parallel bench JSON")
-    parser.add_argument("--parallel-baseline", metavar="BASE",
-                        default="BENCH_parallel.json")
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="wall-clock regression factor "
                              "(default %(default)s)")
     args = parser.parse_args(argv)
-    if not args.storage and not args.parallel:
-        parser.error("nothing to compare: pass --storage and/or --parallel")
-
-    failures: list[str] = []
-    if args.storage:
-        fails, lines = check_storage(_load(args.storage),
-                                     _load(args.storage_baseline),
-                                     tolerance=args.tolerance)
-        failures.extend(fails)
-        print("\n".join(lines))
-    if args.parallel:
-        fails, lines = check_parallel(_load(args.parallel),
-                                      _load(args.parallel_baseline))
-        failures.extend(fails)
-        print("\n".join(lines))
+    failures, lines = check_storage(_load(args.storage),
+                                    _load(args.storage_baseline),
+                                    tolerance=args.tolerance)
+    print("\n".join(lines))
     if failures:
         print("\nbench regression gate FAILED:", file=sys.stderr)
         for failure in failures:

@@ -200,10 +200,9 @@ class ClosedLoopDriver:
             if delivered:
                 # Pre-verification happens in the pipeline gap before
                 # ordering (off the critical path, exactly the point of
-                # §5.2; fans out when the node has a worker pool).  Only
-                # transactions that actually pass reach the verified pool
-                # — a failed verdict must not smuggle a bad transaction
-                # into a block.
+                # §5.2).  Only transactions that actually pass reach the
+                # verified pool — a failed verdict must not smuggle a bad
+                # transaction into a block.
                 self.node.preverify_pending()
 
             batch = self.node.draft_block(max_bytes=self.max_block_bytes)

@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from repro.chain.transaction import Transaction
 from repro.core.receipts import ANALYSIS_SOURCE_BYTECODE, KIND_ANALYSIS
 from repro.errors import ChainError
-from repro.obs.collect import block_metrics_snapshot
 from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # imported lazily to avoid a chain <-> core import cycle
@@ -39,10 +38,6 @@ class BlockExecutionReport:
     # were the only line of defense)?
     analysis_rejections_source: int = 0
     analysis_rejections_bytecode_only: int = 0
-    # Post-block observability snapshot: cumulative engine metrics as of
-    # this block's commit ("name{label=value}" -> value), from the same
-    # ledgers Table 1 reads.
-    metrics: dict[str, float] = field(default_factory=dict)
 
     @property
     def speedup(self) -> float:
@@ -103,7 +98,6 @@ class BlockExecutor:
             report.makespan_s, report.conflict_edges = lane_schedule(
                 report.outcomes, self.lanes
             )
-            report.metrics = block_metrics_snapshot(self.confidential, self.public)
             span.set("conflict_edges", report.conflict_edges)
         return report
 

@@ -8,9 +8,9 @@ The pool sits on the ingest hot path, so it never raises for expected
 conditions: a full pool or an oversized transaction is a *drop*,
 reported through the return value and surfaced as counters
 (``confide_txpool_rejected_total`` / ``confide_txpool_oversized_total``
-in the metrics registry).  All operations are thread-safe — the §5.2
-pre-verification worker pool feeds the verified pool from callback
-context while the proposer drafts from it.
+in the metrics registry).  All operations are thread-safe — the
+serving gateway's request threads feed the unverified pool while the
+block producer pre-verifies and drafts from the pools.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ from repro.chain.block import (
 )
 from repro.chain.executor import BlockExecutionReport, BlockExecutor
 from repro.chain.mempool import TxPool
-from repro.chain.preverify_pool import PreverifyPool
-from repro.chain.transaction import TX_CONFIDENTIAL, Transaction
+from repro.chain.transaction import Transaction
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.engine import ConfidentialEngine, PublicEngine
 from repro.core.k_protocol import (
@@ -149,12 +148,6 @@ class Node:
         self.confidential = ConfidentialEngine(self.kv, config, platform=platform)
         self.public = PublicEngine(self.kv, config)
         self.executor = BlockExecutor(self.confidential, self.public, lanes)
-        # §5.2 off-path pre-verification pool; workers=0 runs inline.
-        self.preverify_pool = PreverifyPool(
-            workers=config.preverify_workers,
-            mode=config.preverify_pool_mode,
-        )
-        self._worker_sk: bytes | None = None
         # The serving gateway sizes this down so ``TxPool.add -> False``
         # becomes client-visible backpressure before memory does.
         self.unverified = TxPool(capacity=mempool_capacity)
@@ -184,12 +177,12 @@ class Node:
     def preverify_pending(self) -> int:
         """Run the pre-verification phase over the unverified pool.
 
-        With ``preverify_workers > 0`` the decrypt + verify work fans out
-        across the node's worker pool and the results are installed into
-        the engines in one batch per engine; otherwise confidential
-        transactions are pushed into the CS enclave in batches (one
-        transition per batch, Figure 7 step P1) and public transactions
-        verify outside the enclave, all on the calling thread.
+        Confidential transactions are pushed into the CS enclave in
+        batches of up to 64 (one transition per batch, Figure 7 step P1),
+        where the recovered ``(tx_hash, k_tx, f_verified)`` is cached;
+        public transactions verify outside the enclave.  Everything runs
+        on the calling thread, and admitted transactions enter the
+        verified pool in submission order.
         """
         with get_tracer().span("chain.preverify") as span:
             moved = 0
@@ -202,9 +195,6 @@ class Node:
                 if free <= 0:
                     break
                 batch = self.unverified.pop_batch(max_count=min(64, free))
-                if self.preverify_pool.mode != "serial":
-                    moved += self._preverify_batch_pooled(batch)
-                    continue
                 confidential = [tx for tx in batch if tx.is_confidential]
                 verdicts: dict[bytes, bool] = {}
                 if confidential:
@@ -223,29 +213,9 @@ class Node:
             span.set("admitted", moved)
         return moved
 
-    def _preverify_batch_pooled(self, batch: list[Transaction]) -> int:
-        """Fan a batch across the worker pool and install the results."""
-        if any(tx.is_confidential for tx in batch) and self._worker_sk is None:
-            self._worker_sk = self.confidential.export_worker_keys()
-        records = self.preverify_pool.run(batch, self._worker_sk or b"")
-        confidential_records = [
-            record for record in records if record.tx_type == TX_CONFIDENTIAL
-        ]
-        self.confidential.install_preverified(confidential_records)
-        moved = 0
-        for tx, record in zip(batch, records):
-            if not tx.is_confidential:
-                self.public.install_preverified(
-                    tx.tx_hash, record.verified, record.verify_seconds
-                )
-            if record.verified:
-                self.verified.add(tx)
-                moved += 1
-        return moved
-
     def close(self, close_kv: bool = True) -> None:
-        """Shut down the node's pre-verification pool and (by default)
-        cleanly close the underlying KV store, releasing its file handles.
+        """Stop the node and (by default) cleanly close the underlying KV
+        store, releasing its file handles.
 
         Idempotent, and flips :attr:`closed` first so block production
         racing a shutdown fails loudly (a block applied into a closing
@@ -254,7 +224,6 @@ class Node:
         if self._closed:
             return
         self._closed = True
-        self.preverify_pool.close()
         if close_kv:
             closer = getattr(self.kv, "close", None)
             if closer is not None:

@@ -298,26 +298,6 @@ def cmd_bench(args) -> int:
             print(f"wrote {args.storage_out}")
         return 0
 
-    if args.workers:
-        from repro.bench.harness import run_parallel_bench
-
-        result = run_parallel_bench(
-            workers=args.workers,
-            num_txs=8 if args.quick else 32,
-            out_path=args.parallel_out,
-        )
-        pre = result["preverify"]
-        print(f"pre-verification pool bench ({result['cpu_count']} CPU(s), "
-              f"{args.workers} workers)")
-        print(f"  preverify : serial {pre['serial_s'] * 1000:8.1f} ms  "
-              f"pool {pre['pool_s'] * 1000:8.1f} ms  "
-              f"speedup {pre['speedup']:.2f}x  mode={pre['mode']}")
-        print("  determinism: pool records bit-identical to serial "
-              "(verdicts and k_tx)")
-        if args.parallel_out:
-            print(f"wrote {args.parallel_out}")
-        return 0
-
     num_txs = 4 if args.quick else 8
     print(reporting.format_fig10(fig10_series(num_txs=num_txs, json_kv=30)))
     print()
@@ -688,12 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="print the paper's tables/figures")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--workers", type=int, default=0, metavar="N",
-                   help="run the serial-vs-pooled pre-verification bench "
-                        "with N workers instead of the paper tables")
-    p.add_argument("--parallel-out", metavar="FILE",
-                   help="write the pre-verification bench result JSON here "
-                        "(e.g. BENCH_parallel.json)")
     p.add_argument("--storage", metavar="BACKENDS",
                    help="run the storage-backend bench instead of the "
                         "paper tables: comma-separated list drawn from "

@@ -39,11 +39,6 @@ class EngineConfig:
     use_bytecode_flow: bool = True
     bytecode_confidential_prefixes: tuple = ()
     code_cache_capacity: int = 64
-    # §5.2 off-path pre-verification pool (docs/parallelism.md).  Zero
-    # runs it inline — the default, and what the deterministic simulator
-    # pins.
-    preverify_workers: int = 0
-    preverify_pool_mode: str = "auto"  # "auto" | "process" | "thread" | "serial"
     max_steps: int = DEFAULT_MAX_STEPS
     gas_limit: int = DEFAULT_GAS_LIMIT
     max_call_depth: int = 64

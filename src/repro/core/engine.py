@@ -37,7 +37,7 @@ from repro.core import t_protocol
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.d_protocol import StateAad, StateCipher
 from repro.core.kmm import KMEnclave
-from repro.core.preprocessor import PreProcessor, PreverifiedRecord
+from repro.core.preprocessor import PreProcessor
 from repro.core.receipts import (
     ANALYSIS_BYTECODE_ONLY,
     ANALYSIS_SOURCE_BYTECODE,
@@ -489,17 +489,16 @@ class PublicEngine(_BaseEngine):
         """Pre-verification for public transactions (§5.2: "the public
         transactions can be verified easily" — in parallel, pre-consensus)."""
         verify_started = time.perf_counter()
-        verified = tx.raw().verify_signature()
+        try:
+            raw = tx.raw()
+        except ReproError:
+            # A malformed transaction is simply invalid; like an
+            # undecryptable envelope it must not take down the batch.
+            return False
+        verified = raw.verify_signature()
         self.stats.record(TX_VERIFY, time.perf_counter() - verify_started)
         self._verified[tx.tx_hash] = verified
         return verified
-
-    def install_preverified(self, tx_hash: bytes, verified: bool,
-                            elapsed: float = 0.0) -> None:
-        """Adopt a verdict computed off-path by a pre-verification worker."""
-        if elapsed:
-            self.stats.record(TX_VERIFY, elapsed)
-        self._verified[tx_hash] = verified
 
     def _backend_get(self, record, key, full_key):
         return self._raw_kv_get(full_key)
@@ -627,22 +626,6 @@ class CSEnclave(Enclave):
     def ecall_execute(self, tx_bytes: bytes):
         tx = Transaction.decode(tx_bytes)
         return self._engine._execute_inside(tx)
-
-    def ecall_install_preverified(self, blob: bytes) -> int:
-        """Adopt metadata computed by pre-verification worker enclaves
-        (Figure 7 step P4, fanned out): each entry carries the verdict
-        and the recovered ``k_tx``."""
-        return self._engine._install_preverified_inside(blob)
-
-    def ecall_export_worker_keys(self) -> bytes:
-        """Provision a pre-verification worker with the envelope key.
-
-        Models SGX worker threads (TCS entries) sharing enclave memory:
-        the process-pool workers stand in for in-enclave threads, so the
-        key handed out here never leaves the trust boundary in the
-        modeled system — see docs/parallelism.md.
-        """
-        return self.sk_tx().private.to_bytes(32, "big")
 
     def ecall_query(self, address: bytes, method: bytes, argument: bytes) -> bytes:
         return self._engine._query_inside(address, method.decode(), argument)
@@ -863,29 +846,6 @@ class ConfidentialEngine(_BaseEngine):
             # must not take down the rest of the batch (Figure 7:
             # invalid transactions are discarded in advance).
             return False
-
-    def install_preverified(self, records: list[PreverifiedRecord]) -> int:
-        """Adopt worker-pool results with one enclave transition; returns
-        the number of records installed into the metadata cache."""
-        if not records:
-            return 0
-        blob = rlp.encode([record.encode() for record in records])
-        return self.cs.ecall("install_preverified", blob)
-
-    def _install_preverified_inside(self, blob: bytes) -> int:
-        items = rlp.decode(blob)
-        installed = 0
-        for item in items:
-            record = PreverifiedRecord.decode(item)
-            self.preprocessor.install(record)
-            if record.k_tx:
-                installed += 1
-        return installed
-
-    def export_worker_keys(self) -> bytes:
-        """Envelope private key for pre-verification workers (models TCS
-        worker threads sharing enclave memory — see docs/parallelism.md)."""
-        return self.cs.ecall("export_worker_keys")
 
     def execute(self, tx: Transaction) -> ExecutionOutcome:
         """Execute one confidential transaction inside the CS enclave."""

@@ -10,8 +10,11 @@ At execution time the pre-processor first consults the cache (steps
 C2–C3 in Figure 7): on a hit only the cheap symmetric decryption
 remains; on a miss the transaction takes the full path.
 
-The pre-processor is shared between the execution path and the §5.2
-worker pool, so cache mutation is lock-protected.
+Pre-verification has one path: a batch crosses into the CS enclave in
+one ecall (step P1) and each transaction is opened and verified there
+(steps P2–P4).  Nothing outside the enclave can put a verdict or a
+``k_tx`` into the cache.  The gateway reaches the engine from more than
+one thread, so cache mutation is lock-protected.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from repro.core.stats import TX_DECRYPT, TX_VERIFY, OperationStats
 from repro.crypto.keys import KeyPair
 from repro.errors import ProtocolError
 from repro.obs.trace import get_tracer
-from repro.storage import rlp
 
 
 @dataclass(frozen=True)
@@ -35,49 +37,6 @@ class TxMetadata:
 
     k_tx: bytes
     f_verified: bool
-
-
-@dataclass(frozen=True)
-class PreverifiedRecord:
-    """One worker-computed pre-verification result, ready to install.
-
-    Produced by :mod:`repro.chain.preverify_pool` workers; carried back
-    to the owning engine and installed with a single enclave transition
-    per batch.  ``k_tx`` is empty for public or undecryptable
-    transactions.
-    """
-
-    tx_hash: bytes
-    tx_type: int
-    verified: bool
-    k_tx: bytes = b""
-    decrypt_seconds: float = 0.0
-    verify_seconds: float = 0.0
-
-    def encode(self) -> bytes:
-        """Wire form for the batched install ecall (timings in ns)."""
-        return rlp.encode([
-            self.tx_hash,
-            rlp.encode_int(self.tx_type),
-            b"\x01" if self.verified else b"",
-            self.k_tx,
-            rlp.encode_int(int(self.decrypt_seconds * 1e9)),
-            rlp.encode_int(int(self.verify_seconds * 1e9)),
-        ])
-
-    @classmethod
-    def decode(cls, data: bytes) -> "PreverifiedRecord":
-        items = rlp.decode(data)
-        if not isinstance(items, list) or len(items) != 6:
-            raise ProtocolError("malformed pre-verification record")
-        return cls(
-            tx_hash=items[0],
-            tx_type=rlp.decode_int(items[1]),
-            verified=bool(items[2]),
-            k_tx=items[3],
-            decrypt_seconds=rlp.decode_int(items[4]) / 1e9,
-            verify_seconds=rlp.decode_int(items[5]) / 1e9,
-        )
 
 
 @dataclass
@@ -130,23 +89,6 @@ class PreProcessor:
                 self.preverified += 1
             span.set("outcome", "ok" if verified else "invalid signature")
         return verified
-
-    def install(self, record: PreverifiedRecord) -> None:
-        """Adopt a worker-computed result (Figure 7 step P4, fanned out).
-
-        The worker already paid the decrypt/verify cost off-path; its
-        timings land in the off-path ledger so worker-pool runs profile
-        identically to in-enclave pre-verification.
-        """
-        if record.decrypt_seconds:
-            self.off_path_stats.record(TX_DECRYPT, record.decrypt_seconds)
-        if record.verify_seconds:
-            self.off_path_stats.record(TX_VERIFY, record.verify_seconds)
-        if not record.k_tx:
-            return  # undecryptable: nothing worth caching
-        self._remember(record.tx_hash, TxMetadata(record.k_tx, record.verified))
-        with self._lock:
-            self.preverified += 1
 
     def process(self, sk_tx: KeyPair, tx: Transaction) -> ProcessedTx:
         """Admit a transaction for execution (steps C2–C4)."""

@@ -9,7 +9,7 @@ expects them — so this module is the backward-compatible shim layer the
 observability subsystem absorbs them through.
 
 Collection is cheap (a few dict reads per source), so callers run it at
-natural checkpoints: after a block, after a bench run, or on a scrape.
+natural checkpoints: after a bench run, or on a scrape.
 """
 
 from __future__ import annotations
@@ -42,13 +42,6 @@ PREVERIFIED = "confide_preverified_total"
 MEMPOOL_DEPTH = "confide_mempool_depth"
 TXPOOL_REJECTED = "confide_txpool_rejected_total"
 TXPOOL_OVERSIZED = "confide_txpool_oversized_total"
-PREVERIFY_POOL_SUBMITTED = "confide_preverify_pool_submitted_total"
-PREVERIFY_POOL_OK = "confide_preverify_pool_ok_total"
-PREVERIFY_POOL_BAD = "confide_preverify_pool_bad_total"
-PREVERIFY_POOL_UNDECRYPTABLE = "confide_preverify_pool_undecryptable_total"
-PREVERIFY_POOL_QUEUE_PEAK = "confide_preverify_pool_queue_depth_peak"
-PREVERIFY_POOL_UTILIZATION = "confide_preverify_pool_utilization"
-PREVERIFY_POOL_BUSY_SECONDS = "confide_preverify_pool_busy_seconds_total"
 MONITOR_RING_DROPPED = "confide_monitor_ring_dropped_total"
 TRACE_RING_DROPPED = "confide_trace_ring_dropped_total"
 TRACE_SPANS_BUFFERED = "confide_trace_spans_buffered"
@@ -235,32 +228,6 @@ def collect_mempool(registry: MetricsRegistry, pool, name: str) -> None:
     registry.gauge(
         MEMPOOL_DEPTH_PEAK, "highest depth a pool has reached", ("pool",),
     ).set(pool.depth_peak, pool=name)
-
-
-def collect_preverify_pool(registry: MetricsRegistry, pool) -> None:
-    """Absorb a §5.2 worker pool's :class:`PoolStats`."""
-    stats = pool.stats
-    registry.counter(
-        PREVERIFY_POOL_SUBMITTED, "transactions fanned out to the pool"
-    ).set_total(stats.submitted)
-    registry.counter(
-        PREVERIFY_POOL_OK, "pool verdicts: signature valid"
-    ).set_total(stats.verified_ok)
-    registry.counter(
-        PREVERIFY_POOL_BAD, "pool verdicts: signature invalid"
-    ).set_total(stats.verified_bad)
-    registry.counter(
-        PREVERIFY_POOL_UNDECRYPTABLE, "pool verdicts: envelope unopenable"
-    ).set_total(stats.undecryptable)
-    registry.gauge(
-        PREVERIFY_POOL_QUEUE_PEAK, "peak chunks queued in one submission"
-    ).set(stats.queue_depth_peak)
-    registry.gauge(
-        PREVERIFY_POOL_UTILIZATION, "fraction of worker capacity kept busy"
-    ).set(stats.utilization())
-    registry.counter(
-        PREVERIFY_POOL_BUSY_SECONDS, "summed worker busy seconds"
-    ).set_total(stats.busy_seconds)
 
 
 def collect_engine(registry: MetricsRegistry, engine,
@@ -503,17 +470,5 @@ def collect_node(registry: MetricsRegistry, node) -> None:
     collect_engine(registry, node.public, label="public")
     collect_mempool(registry, node.unverified, "unverified")
     collect_mempool(registry, node.verified, "verified")
-    collect_preverify_pool(registry, node.preverify_pool)
     collect_storage(registry, node.kv)
 
-
-def block_metrics_snapshot(confidential, public) -> dict[str, float]:
-    """Flat metrics snapshot for a :class:`BlockExecutionReport`.
-
-    Collected from the same ledgers Table 1 reads, so the bench tables
-    and the registry cannot drift apart.
-    """
-    registry = MetricsRegistry()
-    collect_engine(registry, confidential, label="confidential")
-    collect_engine(registry, public, label="public")
-    return registry.sample_dict()

@@ -100,9 +100,8 @@ class SimConfig:
     # faults then attack; temp paths never enter the simulated state,
     # so runs stay a pure function of the seed.
     storage: str = "memory"
-    # DEFAULT_CONFIG pins preverify_workers=0: the sim replays the same
-    # seed expecting identical traces, so pre-verification runs inline.
-    # Block execution is serial everywhere.
+    # Pre-verification and block execution each have one path, and both
+    # run on the simulation's thread, so a seed replays identically.
     engine_config: EngineConfig = field(default_factory=lambda: DEFAULT_CONFIG)
 
 

@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.regression import (
-    check_parallel,
-    check_storage,
-    main,
-)
+from repro.bench.regression import check_storage, main
 
 
 def _storage_result(block_p50=10.0, reopen=50.0, concurrent_fsyncs=0.4):
@@ -25,17 +21,6 @@ def _storage_result(block_p50=10.0, reopen=50.0, concurrent_fsyncs=0.4):
             "num_threads": 4,
             "serial": {"fsyncs_per_commit": 1.0},
             "concurrent": {"fsyncs_per_commit": concurrent_fsyncs},
-        },
-    }
-
-
-def _parallel_result(cpu_count=1, preverify_speedup=1.4, deterministic=True):
-    return {
-        "cpu_count": cpu_count,
-        "preverify": {
-            "speedup": preverify_speedup,
-            "queue_depth_peak": 2,
-            "deterministic_equivalent": deterministic,
         },
     }
 
@@ -77,27 +62,6 @@ class TestStorageGate:
         fresh["backends"] = {}
         failures, _ = check_storage(fresh, _storage_result())
         assert any("missing" in f for f in failures)
-
-
-class TestParallelGate:
-    def test_single_cpu_records_but_does_not_gate_speedup(self):
-        failures, lines = check_parallel(
-            _parallel_result(cpu_count=1, preverify_speedup=0.8),
-            _parallel_result())
-        assert failures == []
-        assert any("cpu_count=1" in line for line in lines)
-
-    def test_multi_cpu_gates_speedup(self):
-        failures, _ = check_parallel(
-            _parallel_result(cpu_count=4, preverify_speedup=0.8),
-            _parallel_result())
-        assert any("preverify speedup" in f for f in failures)
-
-    def test_lost_determinism_fails_everywhere(self):
-        failures, _ = check_parallel(
-            _parallel_result(cpu_count=1, deterministic=False),
-            _parallel_result())
-        assert any("deterministic" in f for f in failures)
 
 
 class TestMain:

@@ -6,6 +6,12 @@ from repro.chain.consensus import PBFTOrderer
 from repro.chain.executor import lane_schedule
 from repro.chain.network import NetworkModel, zones_for
 from repro.chain.node import build_consortium
+from repro.chain.transaction import (
+    TX_CONFIDENTIAL,
+    TX_PUBLIC,
+    RawTransaction,
+    Transaction,
+)
 from repro.core.engine import ExecutionOutcome
 from repro.core.receipts import KIND_REVERT, Receipt
 from repro.errors import ChainError
@@ -213,5 +219,41 @@ class TestReceiptKindRegression:
             assert receipt.error.startswith("analysis:")  # the bait
             assert receipt.kind == KIND_REVERT
             assert applied[1].report.analysis_rejections == 0
+        finally:
+            node.close()
+
+
+class TestPreverifyPending:
+    def test_mixed_batch_admits_only_valid_in_block_order(self):
+        """§5.2 pre-verification on the node's one path: good, forged,
+        undecryptable and malformed transactions in one batch.  Only the
+        valid ones reach the verified pool, in the order they arrived,
+        and nothing is left behind in the unverified pool."""
+        (node,), _ = build_consortium(1)
+        try:
+            client = Client.from_seed(b"mixed-batch")
+            good = [client.confidential_call(node.pk_tx, b"\x05" * 20, "m",
+                                             bytes([i]))
+                    for i in range(6)]
+            forger = Client.from_seed(b"forger")
+            forged = forger.seal(node.pk_tx, RawTransaction(
+                sender=b"\xbb" * 20,  # does not match the signing key
+                contract=b"\x05" * 20, method="m", args=b"", nonce=1,
+            ).signed_by(forger.keypair))
+            undecryptable = Transaction(TX_CONFIDENTIAL, b"not an envelope")
+            public_ok = Transaction.public(
+                Client.from_seed(b"public-user").call_raw(
+                    b"\x02" * 20, "m", b""))
+            public_bad = Transaction(TX_PUBLIC, b"garbage raw encoding")
+            batch = (good[:3] + [forged, undecryptable, public_ok, public_bad]
+                     + good[3:])
+            for tx in batch:
+                assert node.receive_transaction(tx)
+
+            assert node.preverify_pending() == 7
+            assert len(node.unverified) == 0
+            admitted = [tx.tx_hash for tx in node.verified.pop_batch()]
+            assert admitted == [tx.tx_hash
+                                for tx in good[:3] + [public_ok] + good[3:]]
         finally:
             node.close()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.bench.figures import table1_rows
 from repro.bench.reporting import format_table1_crosscheck
-from repro.obs.collect import OP_SECONDS
+from repro.obs.collect import OP_SECONDS, collect_node
 from repro.obs.export import (
     chrome_trace,
     drain_to_file,
@@ -133,16 +133,18 @@ class TestChromeTrace:
             assert document["traceEvents"]
 
 
-class TestBlockReportMetrics:
-    def test_applied_block_carries_metrics_snapshot(self):
+class TestNodeRegistry:
+    def test_collect_node_carries_engine_metrics(self):
         from repro.chain.node import Node
         from repro.core import bootstrap_founder
 
         node = Node(0)
         bootstrap_founder(node.confidential.km)
         node.confidential.provision_from_km()
-        applied = node.apply_transactions([])
-        metrics = applied.report.metrics
+        node.apply_transactions([])
+        registry = MetricsRegistry()
+        collect_node(registry, node)
+        metrics = registry.sample_dict()
         assert metrics["confide_epc_budget_pages"] > 0
         assert any(key.startswith("confide_tee_") for key in metrics)
 

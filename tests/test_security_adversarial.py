@@ -19,10 +19,11 @@ from conftest import (
 )
 from repro.chain.consensus import PBFTOrderer
 from repro.chain.network import SINGLE_ZONE
-from repro.core import ConfidentialEngine, bootstrap_founder
+from repro.chain.transaction import TX_CONFIDENTIAL, RawTransaction
+from repro.core import ConfidentialEngine, bootstrap_founder, t_protocol
 from repro.crypto.ecc import decode_point
-from repro.errors import ChainError
-from repro.storage import MemoryKV
+from repro.errors import ChainError, EnclaveError
+from repro.storage import MemoryKV, rlp
 from repro.storage.merkle import state_root
 from repro.workloads.clients import Client
 
@@ -167,9 +168,49 @@ class TestReorderingAdversary:
 class TestEnclaveIsolation:
     def test_keys_unreachable_from_host(self, client):
         engine = fresh_engine()
-        from repro.errors import EnclaveError
         with pytest.raises(EnclaveError):
             _ = engine.cs.trusted
+
+    def test_host_cannot_install_a_verdict(self, client):
+        """§3.3: "a malicious host may trigger enclave's computation with
+        incorrect ... data".  An *unsigned* call naming ``client`` as
+        sender, sealed under the public pk_tx with a k_tx the host chose,
+        must fail its signature check however the host tries to prime
+        the pre-verification cache."""
+        engine = fresh_engine()
+        address = deploy_confidential(engine, client, COUNTER_SOURCE)
+        host_root_key = b"host-chosen-root-key"
+        raw = RawTransaction(sender=client.address, contract=address,
+                             method="increment", args=b"",
+                             nonce=client.nonce + 1)
+        tx = t_protocol.seal_transaction(decode_point(engine.pk_tx), raw,
+                                         host_root_key)
+        k_tx = t_protocol.derive_tx_key(host_root_key, raw.tx_hash)
+        # A verdict record: (tx hash, type, verified, k_tx, decrypt ns,
+        # verify ns).
+        record = rlp.encode([tx.tx_hash, rlp.encode_int(TX_CONFIDENTIAL),
+                             b"\x01", k_tx, rlp.encode_int(0),
+                             rlp.encode_int(0)])
+        with pytest.raises(EnclaveError):
+            engine.cs.ecall("install_preverified", rlp.encode([record]))
+        outcome = engine.execute(tx)
+        assert not outcome.receipt.success
+        assert outcome.receipt.error == "invalid signature"
+
+    def test_declared_ecalls_are_pinned(self):
+        """The ecalls are the enclaves' whole host-facing surface.  A new
+        one — one that accepts a verdict or returns a key, say — has to
+        be added to these sets on purpose."""
+        engine = fresh_engine()
+        assert set(engine.cs._interface.ecalls) == {
+            "execute", "export_role_key", "install_keys", "preverify",
+            "preverify_batch", "query",
+        }
+        assert set(engine.km._interface.ecalls) == {
+            "begin_exchange", "export_keys", "finish_exchange",
+            "generate_keys", "provision_cs", "public_key", "seal_keys",
+            "unseal_keys",
+        }
 
     def test_query_cannot_mutate(self, client):
         engine = fresh_engine()
