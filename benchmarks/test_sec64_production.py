@@ -28,62 +28,3 @@ def test_sec64(benchmark):
     assert 5 < metrics.block_exec_ms < 500, metrics
     assert 2 < metrics.block_write_ms < 60, metrics
 
-
-def test_sec64_production_trace(benchmark):
-    """Closed-loop trace of the production operating mode: batched ABS
-    submissions with a 30 ms block cadence and continuous empty blocks
-    during quiet periods."""
-    from repro.bench.reporting import format_table
-    from repro.chain.consensus import PBFTOrderer
-    from repro.chain.driver import ClosedLoopDriver
-    from repro.chain.network import SINGLE_ZONE
-    from repro.chain.node import Node
-    from repro.core import bootstrap_founder
-    from repro.lang import compile_source
-    from repro.workloads import Client, abs_workload
-
-    def run():
-        node = Node(0)
-        bootstrap_founder(node.confidential.km)
-        node.confidential.provision_from_km()
-        pk = node.pk_tx
-        client = Client.from_seed(b"trace-user")
-        workload = abs_workload("flatbuffers")
-        artifact = compile_source(workload.source, "wasm")
-        deploy_tx, address = client.confidential_deploy(
-            pk, artifact, workload.schema_source
-        )
-        node.receive_transaction(deploy_tx)
-        node.preverify_pending()
-        node.apply_transactions(node.draft_block(max_bytes=1 << 20))
-
-        def tx_source(i):
-            return client.confidential_call(
-                pk, address, workload.method, workload.make_input(i)
-            )
-
-        driver = ClosedLoopDriver(
-            node, PBFTOrderer([0] * 4, SINGLE_ZONE), tx_source,
-            arrival_rate_per_s=120.0, block_interval_s=0.030,
-            max_block_bytes=8192,
-        )
-        # Busy half then an idle tail (empty blocks keep being cut).
-        busy = driver.run(0.4)
-        return busy
-
-    report = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = format_table(
-        ["metric", "value", "paper"],
-        [
-            ["throughput", f"{report.tps:7.1f} tx/s", "-"],
-            ["mean busy-block execution", f"{report.mean_exec_ms:6.2f} ms", "~30 ms"],
-            ["empty-block fraction", f"{report.empty_block_fraction:5.2f}",
-             "periodic"],
-            ["p50 commit latency", f"{report.latency_percentile(0.5) * 1000:6.1f} ms", "-"],
-            ["p95 commit latency", f"{report.latency_percentile(0.95) * 1000:6.1f} ms", "-"],
-        ],
-        title="§6.4 extension — closed-loop production trace (ABS, 30 ms blocks)",
-    )
-    write_report("sec64_trace.txt", table)
-    assert report.committed > 0
-    assert report.tps > 0

@@ -113,8 +113,8 @@ def format_sec64(metrics) -> str:
     )
 
 
-def format_serving(summary: dict, transport: str) -> str:
-    latency = summary["latency_s"]
+def format_serving(summary: dict) -> str:
+    latency = summary["modeled_latency_s"]
     total = sum(summary["requests_by_workload"].values()) or 1
     rows = [
         [
@@ -126,7 +126,7 @@ def format_serving(summary: dict, transport: str) -> str:
     mix = format_table(
         ["workload", "requests", "share"], rows,
         title=(
-            f"Serving load — {summary['clients']} {transport} clients, "
+            f"Serving load — {summary['clients']} virtual-time clients, "
             f"{summary['blocks']} blocks"
         ),
     )
@@ -138,14 +138,13 @@ def format_serving(summary: dict, transport: str) -> str:
         ["errors", str(sum(summary["errors_by_kind"].values()))],
         ["committed", str(summary["committed"])],
         [
-            "commit latency",
+            "modeled commit latency",
             (
                 f"p50={latency['p50'] * 1000:.1f}ms "
                 f"p95={latency['p95'] * 1000:.1f}ms "
                 f"p99={latency['p99'] * 1000:.1f}ms"
             ),
         ],
-        ["throughput", f"{summary['committed_tps']:.1f} tx/s committed"],
         [
             "canary scans",
             f"{summary['canary_scans']} ({summary['canary_hits']} hits)",

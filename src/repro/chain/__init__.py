@@ -31,10 +31,7 @@ from repro.chain.transaction import (
 
 _LAZY = {
     "AppliedBlock": ("repro.chain.node", "AppliedBlock"),
-    "BlockTrace": ("repro.chain.driver", "BlockTrace"),
-    "ClosedLoopDriver": ("repro.chain.driver", "ClosedLoopDriver"),
     "Consortium": ("repro.chain.node", "Consortium"),
-    "DriverReport": ("repro.chain.driver", "DriverReport"),
     "BlockExecutionReport": ("repro.chain.executor", "BlockExecutionReport"),
     "BlockExecutor": ("repro.chain.executor", "BlockExecutor"),
     "DEFAULT_BLOCK_BYTES": ("repro.chain.node", "DEFAULT_BLOCK_BYTES"),

@@ -81,38 +81,18 @@ class PBFTOrderer:
     def _quorum_time(times: list[float], quorum: int) -> float:
         return sorted(times)[quorum - 1]
 
-    def round_latency(
-        self, block_bytes: int, faulty: frozenset[int] | set[int] = frozenset()
-    ) -> RoundReport:
-        """Latency of ordering one block of the given size.
-
-        `faulty` nodes are crashed: they receive but never send.  As long
-        as at most f nodes are faulty (and the leader is alive), the
-        round still completes — the BFT liveness guarantee; beyond f the
-        round cannot gather quorums and this raises.
-        """
-        faulty = frozenset(faulty)
-        if self.leader in faulty:
-            raise ChainError("leader is faulty; a view change is required")
-        if len(faulty) > self.f:
-            raise ChainError(
-                f"{len(faulty)} faulty nodes exceed the f={self.f} tolerance"
-            )
+    def round_latency(self, block_bytes: int) -> RoundReport:
+        """Latency of ordering one block of the given size."""
         with get_tracer().span("consensus.round", block_bytes=block_bytes,
-                               nodes=self.n, faulty=len(faulty)) as span:
-            report = self._round_latency(block_bytes, faulty)
+                               nodes=self.n) as span:
+            report = self._round_latency(block_bytes)
             span.set("ordered_s", report.committed_s)
         return report
 
-    def _round_latency(
-        self, block_bytes: int, faulty: frozenset[int]
-    ) -> RoundReport:
-        alive = [i for i in range(self.n) if i not in faulty]
-        never = float("inf")
+    def _round_latency(self, block_bytes: int) -> RoundReport:
         preprepare = self._broadcast_arrivals(self.leader, 0.0, block_bytes)
         prepare_arrivals = [
             self._broadcast_arrivals(i, preprepare[i], _PHASE_MSG_BYTES)
-            if i not in faulty else [never] * self.n
             for i in range(self.n)
         ]
         prepared = [
@@ -123,7 +103,6 @@ class PBFTOrderer:
         ]
         commit_arrivals = [
             self._broadcast_arrivals(i, prepared[i], _PHASE_MSG_BYTES)
-            if i not in faulty else [never] * self.n
             for i in range(self.n)
         ]
         committed = [
@@ -132,35 +111,11 @@ class PBFTOrderer:
             )
             for i in range(self.n)
         ]
-        report = RoundReport(
-            preprepare_s=self._quorum_time(
-                [preprepare[i] for i in alive], min(self.quorum, len(alive))
-            ),
-            prepared_s=self._quorum_time(
-                [prepared[i] for i in alive], min(self.quorum, len(alive))
-            ),
-            committed_s=self._quorum_time(
-                [committed[i] for i in alive], min(self.quorum, len(alive))
-            ),
+        return RoundReport(
+            preprepare_s=self._quorum_time(preprepare, self.quorum),
+            prepared_s=self._quorum_time(prepared, self.quorum),
+            committed_s=self._quorum_time(committed, self.quorum),
         )
-        if report.committed_s == float("inf"):
-            raise ChainError("round cannot complete with these faults")
-        return report
-
-    def view_change_latency(self) -> float:
-        """Latency of electing a new leader after a crash: every live
-        replica broadcasts VIEW-CHANGE, the new leader gathers 2f+1 and
-        broadcasts NEW-VIEW."""
-        view_changes = [
-            self._broadcast_arrivals(i, 0.0, _PHASE_MSG_BYTES)
-            for i in range(self.n)
-        ]
-        new_leader = (self.leader + 1) % self.n
-        gathered = self._quorum_time(
-            [view_changes[j][new_leader] for j in range(self.n)], self.quorum
-        )
-        new_view = self._broadcast_arrivals(new_leader, gathered, _PHASE_MSG_BYTES)
-        return self._quorum_time(new_view, self.quorum)
 
     def pipelined_block_interval(self, block_bytes: int) -> float:
         """Per-block busy time of the ordering pipeline's bottleneck.

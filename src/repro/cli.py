@@ -556,7 +556,6 @@ def cmd_loadtest(args) -> int:
 
     from repro.serve.loadgen import (
         LoadConfig,
-        run_http_load,
         run_virtual_load,
         write_bench,
     )
@@ -575,20 +574,17 @@ def cmd_loadtest(args) -> int:
         burst=args.burst,
         **({"weights": _parse_weights(args.weights)} if args.weights else {}),
     )
-    if args.url:
-        report = run_http_load(args.url, config)
-    else:
-        report = run_virtual_load(config)
-        if args.verify_determinism:
-            second = run_virtual_load(config)
-            first_text = _json.dumps(report.summary(), sort_keys=True)
-            second_text = _json.dumps(second.summary(), sort_keys=True)
-            if first_text != second_text:
-                print("DETERMINISM FAILURE: two load runs with seed "
-                      f"{config.seed} diverged", file=sys.stderr)
-                return 1
-            print(f"determinism verified: two load runs of seed "
-                  f"{config.seed} produced byte-identical summaries")
+    report = run_virtual_load(config)
+    if args.verify_determinism:
+        second = run_virtual_load(config)
+        first_text = _json.dumps(report.summary(), sort_keys=True)
+        second_text = _json.dumps(second.summary(), sort_keys=True)
+        if first_text != second_text:
+            print("DETERMINISM FAILURE: two load runs with seed "
+                  f"{config.seed} diverged", file=sys.stderr)
+            return 1
+        print(f"determinism verified: two load runs of seed "
+              f"{config.seed} produced byte-identical summaries")
     if args.out:
         write_bench(args.out, config, report)
         print(f"wrote {args.out}")
@@ -598,7 +594,7 @@ def cmd_loadtest(args) -> int:
     else:
         from repro.bench.reporting import format_serving
 
-        print(format_serving(report.summary(), report.transport))
+        print(format_serving(report.summary()))
     if args.metrics:
         from repro.obs.collect import collect_loadgen
         from repro.obs.export import prometheus_text
@@ -789,17 +785,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "loadtest",
-        help="sustained mixed-workload load against the gateway",
+        help="seeded virtual-time mixed-workload load through the gateway",
     )
-    p.add_argument("--url", metavar="http://HOST:PORT",
-                   help="drive a live gateway over HTTP instead of the "
-                        "deterministic in-process virtual-time transport")
     p.add_argument("--clients", type=int, default=1000,
                    help="concurrent simulated clients (default 1000)")
     p.add_argument("--requests", type=int, default=3,
                    help="business transactions per client (default 3)")
     p.add_argument("--seed", type=int, default=0,
-                   help="the in-process run is a pure function of this")
+                   help="the run is a pure function of this")
     p.add_argument("--mode", choices=("open", "closed"), default="open",
                    help="arrival model: open loop (rate-driven) or "
                         "closed loop (think-time)")
@@ -825,8 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", action="store_true",
                    help="print confide_serve_load_* Prometheus metrics")
     p.add_argument("--verify-determinism", action="store_true",
-                   help="run twice and require byte-identical summaries "
-                        "(in-process transport only)")
+                   help="run twice and require byte-identical summaries")
     p.add_argument("--max-error-rate", type=float, default=None,
                    metavar="FRAC",
                    help="exit 1 if (non-backpressure) error responses "

@@ -93,7 +93,6 @@ SERVE_LOAD_COMMITTED = "confide_serve_load_committed_total"
 SERVE_LOAD_BACKPRESSURE = "confide_serve_load_backpressure_total"
 SERVE_LOAD_ERRORS = "confide_serve_load_errors_total"
 SERVE_LOAD_LATENCY_SECONDS = "confide_serve_load_latency_seconds"
-SERVE_LOAD_TPS = "confide_serve_load_committed_tps"
 
 
 def collect_operation_stats(registry: MetricsRegistry, stats,
@@ -457,11 +456,8 @@ def collect_loadgen(registry: MetricsRegistry, report) -> None:
         SERVE_LOAD_LATENCY_SECONDS,
         "commit latency quantiles over virtual time", ("quantile",),
     )
-    for quantile, value in sorted(report.latency_quantiles_s.items()):
+    for quantile, value in sorted(report.modeled_latency_quantiles_s.items()):
         latency.set(value, quantile=quantile)
-    registry.gauge(
-        SERVE_LOAD_TPS, "committed transactions per virtual second"
-    ).set(report.committed_tps)
 
 
 def collect_node(registry: MetricsRegistry, node) -> None:

@@ -3,8 +3,9 @@
 This package is the node's client-facing door (docs/serving.md):
 :class:`Gateway` is the synchronous admission core,
 :class:`AsyncGatewayServer` puts it behind asyncio HTTP/1.1, and
-:mod:`repro.serve.loadgen` drives either through sustained mixed
-SCF-AR/ABS/coldchain traffic.
+:mod:`repro.serve.loadgen` drives the gateway in process, on a
+seeded virtual clock, through sustained mixed SCF-AR/ABS/coldchain
+traffic.
 """
 
 from repro.serve.gateway import AsyncGatewayServer, Gateway, GatewayConfig

@@ -1,21 +1,14 @@
 """Sustained-load generator for the serving gateway.
 
-Two transports over the same traffic model (:class:`TrafficMix`):
-
-- **In-process virtual time** (the default, and the one BENCH_serving
-  numbers come from): thousands of simulated clients drive the *real*
-  gateway code path — JSON parsing, rate limiting, admission, block
-  production, receipt lookup — but time is a seeded discrete-event
-  clock.  Arrivals come from a ``random.Random``; blocks are cut at
-  fixed virtual intervals; a committed transaction's latency is
-  ``block-cut time + the PBFT ordering model's round latency − arrival
-  time``.  Nothing in the summary depends on the wall clock, so a fixed
-  seed reproduces BENCH_serving.json's summary byte-for-byte — the
-  determinism gate CI holds the serving path to.
-- **HTTP** (``repro loadtest --url``): real sockets against a live
-  ``repro serve`` process, one thread per client, latencies measured
-  submit→receipt on the wall clock.  Same invariants, no byte-identical
-  promise.
+Thousands of simulated clients drive the *real* gateway code path —
+JSON parsing, rate limiting, admission, block production, receipt
+lookup — over the traffic model of :class:`TrafficMix`, but time is a
+seeded discrete-event clock.  Arrivals come from a ``random.Random``;
+blocks are cut at fixed virtual intervals; a committed transaction's
+modeled latency is ``block-cut time + the PBFT ordering model's round
+latency − arrival time``.  Nothing in the summary depends on the wall
+clock, so a fixed seed reproduces BENCH_serving.json's summary
+byte-for-byte — the determinism gate CI holds the serving path to.
 
 Every response body is byte-scanned for the traffic mix's canary
 plaintext; any hit raises :class:`InvariantViolation` — a gateway
@@ -31,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.chain.consensus import PBFTOrderer
-from repro.chain.driver import percentile
 from repro.chain.network import NetworkModel
 from repro.chain.node import Node
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
@@ -43,6 +35,18 @@ from repro.sim.invariants import ConfidentialityChecker
 from repro.workloads.mix import DEFAULT_WEIGHTS, TrafficMix
 
 _SETUP_ROUNDS = 64
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank percentile over an unsorted sample (0 when empty).
+
+    Defines the p50/p95/p99 columns of BENCH_serving.json.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    index = min(int(q * len(ordered)), len(ordered) - 1)
+    return ordered[index]
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,26 @@ class LoadConfig:
     weights: dict[str, float] = field(
         default_factory=lambda: dict(DEFAULT_WEIGHTS)
     )
+
+    def __post_init__(self) -> None:
+        # A non-positive interval or rate would spin the block clock
+        # forever or divide by zero deep inside the run; refuse it here.
+        checks = (
+            (self.clients >= 1, "clients must be >= 1"),
+            (self.requests_per_client >= 1, "requests must be >= 1"),
+            (self.arrival_rate_rps > 0, "arrival rate must be > 0"),
+            (self.think_time_s > 0, "think time must be > 0"),
+            (self.block_interval_s > 0, "block interval must be > 0"),
+            (self.max_block_bytes > 0, "max block bytes must be > 0"),
+            (self.mempool_capacity >= 1, "mempool capacity must be >= 1"),
+            (self.rate_per_s >= 0, "rate must be >= 0"),
+            (self.burst > 0, "burst must be > 0"),
+            (self.mode in ("open", "closed"),
+             f"unknown load mode '{self.mode}'"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ReproError(f"invalid load config: {message}")
 
     def to_dict(self) -> dict:
         return {
@@ -86,7 +110,6 @@ class LoadReport:
     """Outcome of a load run; ``summary()`` is the deterministic part."""
 
     clients: int = 0
-    transport: str = "inproc"
     requests_by_workload: dict[str, int] = field(default_factory=dict)
     submitted: int = 0
     accepted: int = 0
@@ -95,33 +118,28 @@ class LoadReport:
     duplicates: int = 0
     rate_limited: int = 0
     errors_by_kind: dict[str, int] = field(default_factory=dict)
-    latencies_s: list[float] = field(default_factory=list)
+    modeled_latencies_s: list[float] = field(default_factory=list)
     blocks: int = 0
-    duration_s: float = 0.0  # virtual (inproc) or wall (http)
+    modeled_duration_s: float = 0.0
     canary_scans: int = 0
     wall_seconds: float = 0.0
 
     @property
-    def latency_quantiles_s(self) -> dict[str, float]:
+    def modeled_latency_quantiles_s(self) -> dict[str, float]:
         return {
-            "p50": percentile(self.latencies_s, 0.50),
-            "p95": percentile(self.latencies_s, 0.95),
-            "p99": percentile(self.latencies_s, 0.99),
+            "p50": percentile(self.modeled_latencies_s, 0.50),
+            "p95": percentile(self.modeled_latencies_s, 0.95),
+            "p99": percentile(self.modeled_latencies_s, 0.99),
         }
-
-    @property
-    def committed_tps(self) -> float:
-        return self.committed / self.duration_s if self.duration_s else 0.0
 
     def summary(self) -> dict:
         """Deterministic summary: fixed seed → byte-identical dict."""
         quantiles = {
             name: round(value, 6)
-            for name, value in self.latency_quantiles_s.items()
+            for name, value in self.modeled_latency_quantiles_s.items()
         }
         return {
             "clients": self.clients,
-            "transport": self.transport,
             "requests_by_workload": dict(
                 sorted(self.requests_by_workload.items())
             ),
@@ -132,10 +150,9 @@ class LoadReport:
             "duplicates": self.duplicates,
             "rate_limited": self.rate_limited,
             "errors_by_kind": dict(sorted(self.errors_by_kind.items())),
-            "latency_s": quantiles,
+            "modeled_latency_s": quantiles,
             "blocks": self.blocks,
-            "duration_s": round(self.duration_s, 6),
-            "committed_tps": round(self.committed_tps, 3),
+            "modeled_duration_s": round(self.modeled_duration_s, 6),
             "canary_scans": self.canary_scans,
             "canary_hits": 0,  # a hit raises before any report exists
         }
@@ -300,7 +317,7 @@ class VirtualTimeLoad:
             for seq in range(total):
                 now += rng.expovariate(self.config.arrival_rate_rps)
                 events.append((now, seq, rng.randrange(self.config.clients)))
-        elif self.config.mode == "closed":
+        else:  # "closed"; LoadConfig refuses any other mode
             seq = 0
             for client in range(self.config.clients):
                 now = rng.uniform(0, self.config.think_time_s)
@@ -310,8 +327,6 @@ class VirtualTimeLoad:
                     now += rng.expovariate(1.0 / self.config.think_time_s)
             heapq.heapify(events)
             events = [heapq.heappop(events) for _ in range(len(events))]
-        else:
-            raise ReproError(f"unknown load mode '{self.config.mode}'")
         return events
 
     def _run_traffic(self) -> None:
@@ -351,7 +366,7 @@ class VirtualTimeLoad:
                     f"accepted tx {tx_hash.hex()[:16]} never committed"
                 )
             self.report.committed += 1
-            self.report.latencies_s.append(
+            self.report.modeled_latencies_s.append(
                 commit_at - self._submit_time[tx_hash]
             )
         for tx_hash in self._rejected:
@@ -380,7 +395,7 @@ class VirtualTimeLoad:
             # replicated store must be sealed: scan the KV store too.
             self.checker.scan_kv(self.node.node_id, self.node.kv)
             end = max([self._now] + list(self._commit_time.values()))
-            self.report.duration_s = end - self._traffic_start
+            self.report.modeled_duration_s = end - self._traffic_start
             self.report.wall_seconds = time.perf_counter() - wall_started
             return self.report
         finally:
@@ -393,176 +408,6 @@ def run_virtual_load(
 ) -> LoadReport:
     """One seeded in-process load run (the BENCH_serving path)."""
     return VirtualTimeLoad(config, engine_config).run()
-
-
-# -- HTTP transport --------------------------------------------------------
-
-
-class _HttpClient:
-    """One keep-alive connection speaking JSON-RPC POSTs."""
-
-    def __init__(self, host: str, port: int, client_id: str):
-        import http.client
-
-        self.connection = http.client.HTTPConnection(host, port, timeout=30)
-        self.client_id = client_id
-
-    def request(self, method: str, params: dict) -> tuple[dict, bytes]:
-        body = json.dumps({
-            "jsonrpc": "2.0", "id": 1, "method": method, "params": params,
-        }).encode()
-        self.connection.request(
-            "POST", "/rpc", body=body,
-            headers={"Content-Length": str(len(body)),
-                     "X-Client-Id": self.client_id},
-        )
-        raw = self.connection.getresponse().read()
-        return json.loads(raw), raw
-
-    def close(self) -> None:
-        self.connection.close()
-
-
-def run_http_load(url: str, config: LoadConfig) -> LoadReport:
-    """Drive a live gateway over HTTP with one thread per client.
-
-    Latencies are wall-clock submit→receipt; the summary is *not*
-    byte-deterministic (that promise belongs to the virtual-time
-    transport), but every invariant — receipts conserved, rejected txs
-    receiptless, zero canary bytes in responses — is enforced the same.
-    """
-    import threading
-    from urllib.parse import urlsplit
-
-    parts = urlsplit(url)
-    host, port = parts.hostname, parts.port
-    if host is None or port is None:
-        raise ReproError(f"loadtest needs host:port in the url, got {url!r}")
-
-    wall_started = time.perf_counter()
-    report = LoadReport(clients=config.clients, transport="http")
-    setup_client = _HttpClient(host, port, "setup")
-    status, raw = setup_client.request("node_status", {})
-    pk_hex = status.get("result", {}).get("pk_tx")
-    if not pk_hex:
-        raise ReproError("gateway has no provisioned pk_tx")
-    from repro.crypto.ecc import decode_point
-
-    mix = TrafficMix(
-        decode_point(bytes.fromhex(pk_hex)),
-        seed=config.seed, weights=dict(config.weights),
-    )
-    checker = ConfidentialityChecker(mix.canary_needles)
-    lock = threading.Lock()
-
-    def scan(blob: bytes, context: str) -> None:
-        with lock:
-            checker.scan_wire(blob, context)
-            report.canary_scans += 1
-
-    def await_receipt(client: _HttpClient, tx_hash_hex: str,
-                      timeout_s: float = 60.0) -> bool:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            response, raw_bytes = client.request(
-                "get_receipt", {"tx_hash": tx_hash_hex}
-            )
-            scan(raw_bytes, "http get_receipt response")
-            result = response.get("result", {})
-            if result.get("found"):
-                return True
-            time.sleep(0.05)
-        return False
-
-    # Setup sequentially through the gateway, waiting out each commit.
-    for request in mix.deploy_transactions() + mix.setup_transactions():
-        report.count_request(request.workload)
-        report.submitted += 1
-        response, raw_bytes = setup_client.request(
-            "submit_tx", {"tx": request.tx.encode().hex()}
-        )
-        scan(raw_bytes, "http setup response")
-        if "error" in response:
-            raise ReproError(f"setup refused: {response['error']}")
-        report.accepted += 1
-        if not await_receipt(setup_client, request.tx.tx_hash.hex()):
-            raise ReproError("setup transaction did not commit in time")
-    setup_client.close()
-
-    # Pre-build every business transaction so worker threads never
-    # contend on the mix's RNG or pay signing costs mid-measurement.
-    plans: list[list] = [[] for _ in range(config.clients)]
-    for i in range(config.clients * config.requests_per_client):
-        plans[i % config.clients].append(mix.next_request())
-
-    rejected: list[str] = []
-    accepted: list[str] = []
-
-    def worker(index: int) -> None:
-        client = _HttpClient(host, port, f"client-{index}")
-        try:
-            for request in plans[index]:
-                with lock:
-                    report.count_request(request.workload)
-                    report.submitted += 1
-                started = time.monotonic()
-                tx_hash_hex = request.tx.tx_hash.hex()
-                response, raw_bytes = client.request(
-                    "submit_tx", {"tx": request.tx.encode().hex()}
-                )
-                scan(raw_bytes, "http submit response")
-                error = response.get("error")
-                if error is not None:
-                    with lock:
-                        code = error["code"]
-                        if code == jsonrpc.BACKPRESSURE:
-                            report.backpressure += 1
-                            rejected.append(tx_hash_hex)
-                        elif code == jsonrpc.RATE_LIMITED:
-                            report.rate_limited += 1
-                            rejected.append(tx_hash_hex)
-                        else:
-                            report.count_error(_error_kind(code))
-                    continue
-                with lock:
-                    if response["result"].get("duplicate"):
-                        report.duplicates += 1
-                        continue
-                    report.accepted += 1
-                    accepted.append(tx_hash_hex)
-                if await_receipt(client, tx_hash_hex):
-                    elapsed = time.monotonic() - started
-                    with lock:
-                        report.committed += 1
-                        report.latencies_s.append(elapsed)
-        finally:
-            client.close()
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(config.clients)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    # Conservation sweep: rejected submissions must stay receiptless.
-    audit = _HttpClient(host, port, "auditor")
-    for tx_hash_hex in rejected:
-        report.count_request("query")
-        response, raw_bytes = audit.request(
-            "get_receipt", {"tx_hash": tx_hash_hex}
-        )
-        scan(raw_bytes, "http audit response")
-        if response.get("result", {}).get("found"):
-            raise InvariantViolation(
-                f"rejected tx {tx_hash_hex[:16]} acquired a receipt"
-            )
-    audit.close()
-    report.wall_seconds = time.perf_counter() - wall_started
-    report.duration_s = report.wall_seconds
-    return report
 
 
 def write_bench(path: str, config: LoadConfig, report: LoadReport) -> dict:

@@ -15,13 +15,13 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chain.driver import percentile
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.obs.collect import collect_loadgen
 from repro.obs.export import prometheus_text
 from repro.serve.loadgen import (
     LoadConfig,
-    VirtualTimeLoad,
+    percentile,
     run_virtual_load,
     write_bench,
 )
@@ -74,7 +74,7 @@ class TestConservation:
         # accepted tx lacked a receipt or any rejected tx gained one;
         # here we pin the bookkeeping identities on top.
         assert soak_report.committed == soak_report.accepted
-        assert soak_report.committed == len(soak_report.latencies_s)
+        assert soak_report.committed == len(soak_report.modeled_latencies_s)
 
     def test_every_submission_is_accounted(self, soak_report):
         outcomes = (
@@ -100,10 +100,10 @@ class TestConservation:
         assert soak_report.summary()["canary_hits"] == 0
 
     def test_latency_quantiles_ordered(self, soak_report):
-        quantiles = soak_report.latency_quantiles_s
+        quantiles = soak_report.modeled_latency_quantiles_s
         assert 0 < quantiles["p50"] <= quantiles["p95"] <= quantiles["p99"]
         assert soak_report.blocks > 0
-        assert soak_report.committed_tps > 0
+        assert soak_report.modeled_duration_s > 0
 
 
 class TestModes:
@@ -129,13 +129,25 @@ class TestModes:
                 + report.backpressure + report.duplicates
                 == report.submitted)
 
-    def test_unknown_mode_rejected(self):
-        from repro.errors import ReproError
 
-        with pytest.raises(ReproError):
-            VirtualTimeLoad(
-                LoadConfig(clients=1, mode="sideways")
-            )._arrival_schedule()
+class TestLoadConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("clients", 0),
+        ("requests_per_client", 0),
+        ("arrival_rate_rps", 0.0),
+        ("arrival_rate_rps", -5.0),
+        ("think_time_s", 0.0),
+        ("block_interval_s", 0.0),
+        ("block_interval_s", -0.03),
+        ("max_block_bytes", 0),
+        ("mempool_capacity", 0),
+        ("rate_per_s", -1.0),
+        ("burst", 0.0),
+        ("mode", "sideways"),
+    ])
+    def test_invalid_value_rejected(self, field, value):
+        with pytest.raises(ReproError, match="invalid load config"):
+            LoadConfig(**{field: value})
 
 
 class TestObservability:
@@ -148,7 +160,7 @@ class TestObservability:
         assert 'quantile="p99"' in text
 
     def test_percentile_helper(self):
-        # Nearest-rank, shared with the chain driver's BENCH columns.
+        # Nearest-rank: the p50/p95/p99 columns of BENCH_serving.json.
         assert percentile([], 0.5) == 0.0
         values = [float(i) for i in range(100)]
         assert percentile(values, 0.50) == 50.0
