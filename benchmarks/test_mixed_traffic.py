@@ -48,7 +48,7 @@ def _rig():
 
 def test_mixed_block_cost(benchmark):
     node, client, pk, workload, conf_addr, pub_addr = _rig()
-    executor = BlockExecutor(node.confidential, node.public, lanes=1)
+    executor = BlockExecutor(node.confidential, node.public)
     index = [0]
 
     def block_for(share: float):

@@ -233,9 +233,9 @@ def run_storage_bench(
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as root:
             data_dir = os.path.join(root, "node-0")
             # A small memtable forces the LSM through its whole lifecycle
-            # inside the bench window — freezes, background flushes,
-            # compaction, and cache warming on reopen — instead of
-            # serving everything from one never-frozen memtable.
+            # inside the bench window — freezes, background flushes and
+            # compaction — instead of serving everything from one
+            # never-frozen memtable.
             config = EngineConfig(storage_backend=backend, storage_sync=sync,
                                   storage_memtable_bytes=16 * 1024)
             nodes, _ = build_consortium(1, config=config, data_dirs=[data_dir])
@@ -288,7 +288,7 @@ def run_storage_bench(
                     for key in (
                         "wal_bytes_written", "wal_fsyncs", "flushes",
                         "freezes", "compactions", "segments_live",
-                        "manifest_epoch", "cache_hit_rate", "warmed_blocks",
+                        "manifest_epoch", "cache_hit_rate",
                     )
                 }
             node.close()
@@ -308,86 +308,10 @@ def run_storage_bench(
                     )
                 entry["reopen_ms"] = reopen_s * 1000
                 entry["reopen_restored_blocks"] = restored
-                reopen_stats = getattr(reopened.kv, "stats_snapshot", None)
-                if reopen_stats is not None:
-                    entry["reopen_warmed_blocks"] = (
-                        reopen_stats()["warmed_blocks"]
-                    )
                 reopened.close()
             result["backends"][backend] = entry
-    if "lsm" in backends:
-        result["group_commit"] = run_group_commit_bench()
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2, sort_keys=True)
     return result
-
-
-def run_group_commit_bench(
-    num_threads: int = 4,
-    commits_per_thread: int = 16,
-    value_bytes: int = 256,
-) -> dict:
-    """WAL group-commit figure: concurrent committers share fsyncs.
-
-    A ``sync=True`` store pays one fsync per serial commit by
-    construction.  With ``num_threads`` committers racing, the fsync
-    leader's flush covers every record appended while it ran, so
-    ``fsyncs_per_commit`` must drop below 1 — that coalescing is the
-    whole point of group commit, and the CI bench gate watches it.
-    """
-    import tempfile
-    import threading
-
-    from repro.storage.lsm import LsmKV
-
-    def run(threads: int) -> dict:
-        total = num_threads * commits_per_thread
-        per_thread = total // threads
-        with tempfile.TemporaryDirectory(prefix="repro-gc-") as root:
-            kv = LsmKV(os.path.join(root, "db"), sync=True,
-                       memtable_bytes=1 << 22)
-            errors: list[BaseException] = []
-
-            def committer(worker: int) -> None:
-                # One put == one sync commit.  block_batch is the node's
-                # one-block-at-a-time staging area and refuses to nest,
-                # so concurrent committers drive put() directly.
-                try:
-                    for i in range(per_thread):
-                        kv.put(b"w%02d-%04d" % (worker, i),
-                               os.urandom(value_bytes))
-                except BaseException as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            started = time.perf_counter()
-            if threads == 1:
-                committer(0)
-            else:
-                pool = [threading.Thread(target=committer, args=(w,))
-                        for w in range(threads)]
-                for t in pool:
-                    t.start()
-                for t in pool:
-                    t.join()
-            wall_s = time.perf_counter() - started
-            if errors:
-                raise ReproError(f"group-commit bench failed: {errors[0]}")
-            fsyncs = kv.stats_snapshot()["wal_fsyncs"]
-            kv.close()
-        commits = per_thread * threads
-        return {
-            "commits": commits,
-            "wall_s": wall_s,
-            "fsyncs": fsyncs,
-            "fsyncs_per_commit": fsyncs / commits,
-            "commits_per_s": commits / wall_s if wall_s else 0.0,
-        }
-
-    return {
-        "num_threads": num_threads,
-        "value_bytes": value_bytes,
-        "serial": run(1),
-        "concurrent": run(num_threads),
-    }
 

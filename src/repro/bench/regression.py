@@ -6,10 +6,7 @@ The comparison fails the build when:
 
 - an LSM ``block_commit_ms`` p50 or ``reopen_ms`` regresses
   past ``tolerance`` × baseline — wall-clock gates, so the tolerance is
-  generous (default 1.6×) to absorb runner variation;
-- WAL group commit stops coalescing: with concurrent committers on a
-  ``sync`` store the bench must observe strictly fewer than one fsync per
-  commit (serial is exactly one by construction).
+  generous (default 1.6×) to absorb runner variation.
 
 Every report records the runner's ``cpu_count`` next to the baseline's so
 a cross-machine comparison is visible in the CI log.
@@ -22,11 +19,6 @@ import json
 import sys
 
 DEFAULT_TOLERANCE = 1.6
-
-# Concurrent committers on a sync store must share fsyncs.  Serial is
-# 1.0 fsync/commit by construction; anything >= this bound means the
-# group-commit leader election has stopped coalescing.
-MAX_CONCURRENT_FSYNCS_PER_COMMIT = 0.95
 
 
 def _load(path: str) -> dict:
@@ -66,22 +58,6 @@ def check_storage(fresh: dict, baseline: dict,
                     "storage: %s reopen regressed %.2f -> %.2f ms "
                     "(> %.1fx baseline)"
                     % (backend, base_reopen, reopen, tolerance))
-    gc = fresh.get("group_commit")
-    if gc is not None:
-        serial = gc["serial"]["fsyncs_per_commit"]
-        concurrent = gc["concurrent"]["fsyncs_per_commit"]
-        lines.append(
-            "  group commit: serial %.2f fsyncs/commit, %d threads %.2f"
-            % (serial, gc["num_threads"], concurrent))
-        if concurrent >= MAX_CONCURRENT_FSYNCS_PER_COMMIT:
-            failures.append(
-                "storage: group commit stopped coalescing — %.2f "
-                "fsyncs/commit with %d concurrent committers (want < %.2f)"
-                % (concurrent, gc["num_threads"],
-                   MAX_CONCURRENT_FSYNCS_PER_COMMIT))
-    elif baseline.get("group_commit") is not None:
-        failures.append("storage: group_commit section missing from "
-                        "fresh run")
     return failures, lines
 
 

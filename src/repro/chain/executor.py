@@ -1,4 +1,4 @@
-"""Block executor: serial execution plus the modeled parallel-lane schedule.
+"""Block executor: serial execution, and the modeled parallel-lane schedule.
 
 Ant Blockchain "supports smart contract paralleled execution" (§6.2).
 Transactions execute one after another in block order; the parallelism
@@ -6,7 +6,8 @@ the paper describes is *modeled* by ``lane_schedule``: list-scheduling
 of the measured per-transaction durations onto k lanes under the
 read/write-set conflict constraints (Fig. 11).  Real concurrent dispatch
 cannot win here — the VM is pure Python under the GIL — so block
-execution has exactly one path (docs/parallelism.md).
+execution has exactly one path, and the per-block report carries only
+measured figures (docs/parallelism.md).
 """
 
 from __future__ import annotations
@@ -25,23 +26,16 @@ if TYPE_CHECKING:  # imported lazily to avoid a chain <-> core import cycle
 
 @dataclass
 class BlockExecutionReport:
-    """Execution results plus the parallel-lane schedule for one block."""
+    """Measured execution results for one block."""
 
     outcomes: list["ExecutionOutcome"] = field(default_factory=list)
     serial_duration_s: float = 0.0
-    makespan_s: float = 0.0
-    lanes: int = 1
-    conflict_edges: int = 0
     analysis_rejections: int = 0  # deploys refused by the static verifier
     # Split of analysis_rejections by admission mode: did the rejected
     # deploy carry source (Pass 1 ran) or was it bytecode-only (Pass 2+3
     # were the only line of defense)?
     analysis_rejections_source: int = 0
     analysis_rejections_bytecode_only: int = 0
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_duration_s / self.makespan_s if self.makespan_s else 1.0
 
 
 def _conflicts(a: "ExecutionOutcome", b: "ExecutionOutcome") -> bool:
@@ -76,29 +70,20 @@ def lane_schedule(outcomes: list["ExecutionOutcome"], lanes: int) -> tuple[float
 class BlockExecutor:
     """Executes a block's transactions through the right engine."""
 
-    def __init__(
-        self,
-        confidential: "ConfidentialEngine",
-        public: "PublicEngine",
-        lanes: int = 1,
-    ):
+    def __init__(self, confidential: "ConfidentialEngine",
+                 public: "PublicEngine"):
         self.confidential = confidential
         self.public = public
-        self.lanes = lanes
 
     def _execute(self, tx: Transaction) -> "ExecutionOutcome":
         engine = self.confidential if tx.is_confidential else self.public
         return engine.execute(tx)
 
     def execute_block(self, transactions: list[Transaction]) -> BlockExecutionReport:
-        with get_tracer().span("block.execute", num_txs=len(transactions)) as span:
-            report = BlockExecutionReport(lanes=self.lanes)
+        with get_tracer().span("block.execute", num_txs=len(transactions)):
+            report = BlockExecutionReport()
             for tx in transactions:
                 self._record(report, self._execute(tx))
-            report.makespan_s, report.conflict_edges = lane_schedule(
-                report.outcomes, self.lanes
-            )
-            span.set("conflict_edges", report.conflict_edges)
         return report
 
     def _record(self, report: BlockExecutionReport,

@@ -123,7 +123,6 @@ class Node:
         zone: int = 0,
         kv: KVStore | None = None,
         config: EngineConfig = DEFAULT_CONFIG,
-        lanes: int = 1,
         platform=None,
         data_dir: str | None = None,
         mempool_capacity: int = 100_000,
@@ -147,7 +146,7 @@ class Node:
         # the machine the keys were sealed to.
         self.confidential = ConfidentialEngine(self.kv, config, platform=platform)
         self.public = PublicEngine(self.kv, config)
-        self.executor = BlockExecutor(self.confidential, self.public, lanes)
+        self.executor = BlockExecutor(self.confidential, self.public)
         # The serving gateway sizes this down so ``TxPool.add -> False``
         # becomes client-visible backpressure before memory does.
         self.unverified = TxPool(capacity=mempool_capacity)
@@ -626,7 +625,6 @@ def build_consortium(
     num_nodes: int,
     zones: list[int] | None = None,
     config: EngineConfig = DEFAULT_CONFIG,
-    lanes: int = 1,
     key_mode: str = "decentralized",
     data_dirs: list[str] | None = None,
 ) -> tuple[list[Node], AttestationService]:
@@ -636,7 +634,7 @@ def build_consortium(
     zones = zones or [0] * num_nodes
     nodes = [
         Node(
-            i, zone=zones[i], config=config, lanes=lanes,
+            i, zone=zones[i], config=config,
             data_dir=data_dirs[i] if data_dirs else None,
         )
         for i in range(num_nodes)

@@ -286,14 +286,6 @@ def cmd_bench(args) -> int:
                          f"({entry['reopen_restored_blocks']} blocks, "
                          "state root verified)")
             print(line)
-        gc = result.get("group_commit")
-        if gc:
-            serial, conc = gc["serial"], gc["concurrent"]
-            print(f"  group commit (sync wal): serial "
-                  f"{serial['fsyncs_per_commit']:.2f} fsyncs/commit, "
-                  f"{gc['num_threads']} threads "
-                  f"{conc['fsyncs_per_commit']:.2f} fsyncs/commit "
-                  f"({conc['commits_per_s']:.0f} commits/s)")
         if args.storage_out:
             print(f"wrote {args.storage_out}")
         return 0

@@ -73,13 +73,3 @@ class StateCipher:
         if not role:
             return self
         return StateCipher(self.role_key(role))
-
-    def storage_seal_key(self) -> bytes:
-        """Subkey sealing whole storage files (WAL records, SSTable
-        blocks, the root manifest — see docs/storage.md).  Derived from
-        ``k_states`` so every replica can open every replica's disk
-        artifacts, while the root key never leaves the enclave.
-        """
-        from repro.crypto.hkdf import hkdf
-
-        return hkdf(self._key, info=b"d-protocol-storage-seal", length=16)

@@ -55,7 +55,6 @@ STORAGE_FLUSHES = "confide_storage_flushes_total"
 STORAGE_FREEZES = "confide_storage_freezes_total"
 STORAGE_FLUSH_STALL_SECONDS = "confide_storage_flush_stall_seconds_total"
 STORAGE_FLUSH_PENDING = "confide_storage_flush_pending"
-STORAGE_WARMED_BLOCKS = "confide_storage_warmed_blocks_total"
 STORAGE_FLUSH_BYTES = "confide_storage_flush_bytes_total"
 STORAGE_COMPACTIONS = "confide_storage_compactions_total"
 STORAGE_COMPACTED_BYTES = "confide_storage_compacted_bytes_total"
@@ -290,7 +289,8 @@ def collect_storage(registry: MetricsRegistry, kv) -> None:
         "torn-tail bytes discarded during WAL recovery",
     ).set_total(snap["wal_truncated_bytes"])
     registry.counter(
-        STORAGE_WAL_FSYNCS, "WAL fsyncs issued (group-commit coalesced)"
+        STORAGE_WAL_FSYNCS,
+        "WAL fsyncs issued (one per commit, plus rotation and close)",
     ).set_total(snap["wal_fsyncs"])
     registry.counter(
         STORAGE_FLUSHES, "memtable flushes into SSTable segments"
@@ -306,10 +306,6 @@ def collect_storage(registry: MetricsRegistry, kv) -> None:
         STORAGE_FLUSH_PENDING,
         "frozen memtables awaiting the background worker",
     ).set(snap["flush_pending"])
-    registry.counter(
-        STORAGE_WARMED_BLOCKS,
-        "blocks pre-loaded into the cache from the persisted warm set",
-    ).set_total(snap["warmed_blocks"])
     registry.counter(
         STORAGE_FLUSH_BYTES, "segment bytes written by flushes"
     ).set_total(snap["flush_bytes"])

@@ -47,11 +47,10 @@ class SimNode:
     """One consortium member with durable storage and platform."""
 
     def __init__(self, node_id: int, zone: int, config: EngineConfig,
-                 lanes: int = 1, data_dir: str | None = None):
+                 data_dir: str | None = None):
         self.node_id = node_id
         self.zone = zone
         self.config = config
-        self.lanes = lanes
         self.data_dir = data_dir
         self.platform = Platform(
             platform_id=f"sim-node-{node_id}",
@@ -65,7 +64,7 @@ class SimNode:
         else:
             self.kv = MemoryKV()
         self.node: Node | None = Node(
-            node_id, zone=zone, kv=self.kv, config=config, lanes=lanes,
+            node_id, zone=zone, kv=self.kv, config=config,
             platform=self.platform,
         )
         self.buffered: dict[int, bytes] = {}  # height -> block bytes (in-memory)
@@ -136,7 +135,7 @@ class SimNode:
                 )
         node = Node(
             self.node_id, zone=self.zone, kv=self.kv, config=self.config,
-            lanes=self.lanes, platform=self.platform,
+            platform=self.platform,
         )
         try:
             recovered_pk = node.confidential.restore_keys_from_storage()
@@ -188,7 +187,7 @@ class SimNode:
         self._reattest(None, attestation, recovered_pk, cs_measurement,
                        engine=engine)
         node.confidential = engine
-        node.executor = BlockExecutor(engine, node.public, self.lanes)
+        node.executor = BlockExecutor(engine, node.public)
         self.enclave_restarts += 1
 
     @staticmethod
@@ -230,13 +229,13 @@ class SimCluster:
     """The full consortium plus its attestation service and shared keys."""
 
     def __init__(self, num_nodes: int, zones: list[int],
-                 config: EngineConfig = DEFAULT_CONFIG, lanes: int = 1,
+                 config: EngineConfig = DEFAULT_CONFIG,
                  data_root: str | None = None):
         if num_nodes < 4:
             raise ChainError("the simulator needs >= 4 nodes (PBFT f >= 1)")
         self.sim_nodes = [
             SimNode(
-                i, zones[i], config, lanes,
+                i, zones[i], config,
                 data_dir=(os.path.join(data_root, f"node-{i}")
                           if data_root is not None else None),
             )

@@ -11,9 +11,9 @@ mix-and-match segment sets on open (:mod:`manifest`).
 Confidentiality at rest follows the paper's D-Protocol posture: state
 values are already sealed by the Confidential-Engine before they reach
 the KV layer, and the engine adds whole-file sealing (WAL records,
-SSTable blocks, the manifest) under an SDM/D-Protocol- or
-platform-derived key so *nothing* the node persists — not even public
-metadata, key bytes or block bodies — is readable off the disk.
+SSTable blocks, the manifest) under a platform-derived key so *nothing*
+the node persists — not even public metadata, key bytes or block
+bodies — is readable off the disk.
 """
 
 from repro.storage.lsm.cache import BlockCache

@@ -72,17 +72,6 @@ class BlockCache:
                 self._used -= size
                 self.evictions += 1
 
-    def hot_keys(self, limit: int) -> list[tuple[int, int]]:
-        """Up to ``limit`` cached block keys, most-recently-used first.
-
-        This is the hot set the store persists at close so a reopen can
-        pre-load it (block-cache warming).
-        """
-        with self._lock:
-            keys = list(self._entries.keys())
-        keys.reverse()
-        return keys[:limit]
-
     @property
     def used_bytes(self) -> int:
         return self._used

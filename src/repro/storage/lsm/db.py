@@ -1,13 +1,15 @@
 """The LSM key-value store behind the :class:`KVStore` interface.
 
-Write path: WAL append (one framed record per batch, group-committed
-fsyncs — see :mod:`repro.storage.lsm.wal`) → memtable.  When the
-memtable passes its threshold it is **frozen**: the store swaps in a
-fresh memtable + a fresh WAL generation and hands the frozen one to a
-background worker, so commits never stall behind an SSTable seal or a
-compaction merge.  The worker writes the segment, commits a manifest
-epoch naming it (+ the new WAL generation), deletes superseded WAL
-files, and runs size-tiered compaction — all off the commit path.
+Write path: WAL append → WAL fsync → memtable, as one sequence under
+the store's single writer lock (see :meth:`LsmKV._commit`).  A batch
+becomes readable only after it is durable, and a batch whose fsync
+failed never becomes readable.  When the memtable passes its threshold
+it is **frozen**: the store swaps in a fresh memtable + a fresh WAL
+generation and hands the frozen one to a background worker, so commits
+never stall behind an SSTable seal or a compaction merge.  The worker
+writes the segment, commits a manifest epoch naming it (+ the new WAL
+generation), deletes superseded WAL files, and runs size-tiered
+compaction — all off the commit path.
 
 Ordering rules for the background pipeline:
 
@@ -24,11 +26,10 @@ Ordering rules for the background pipeline:
   publishing a manifest, leaving the directory exactly as the last
   committed WAL record/manifest epoch wrote it.
 
-Read path: active block buffer → memtable → frozen memtable → segments
-newest-to-oldest (bloom filter, then block index, through the shared
-thread-safe block cache).  At clean shutdown the hot block-key set is
-persisted in the manifest's ``extra`` next to the application binding,
-and pre-loaded on reopen (block-cache warming).
+Read path: the open block's staged writes (only on the thread executing
+that block) → memtable → frozen memtable → segments newest-to-oldest
+(bloom filter, then block index, through the shared thread-safe block
+cache).
 
 **Atomic block commits** (:meth:`block_batch`): everything a node writes
 while applying one block — every SDM ``kv_set`` ocall, the engine's
@@ -58,11 +59,8 @@ from repro.storage.lsm.cache import BlockCache
 from repro.storage.lsm.compaction import merge_entries, plan_compaction
 from repro.storage.lsm.manifest import (
     MANIFEST_NAME,
-    MAX_WARM_ENTRIES,
     RootManifest,
     SegmentRecord,
-    decode_extra,
-    encode_extra,
     read_manifest,
     verify_segments,
     write_manifest,
@@ -101,7 +99,6 @@ class LsmStats:
     compactions: int = 0
     compacted_bytes: int = 0
     recovery_seconds: float = 0.0
-    warmed_blocks: int = 0
     gets: int = 0
     puts: int = 0
     block_commits: int = 0
@@ -138,10 +135,13 @@ class LsmKV(KVStore):
         self.cache = BlockCache(cache_bytes)
         self._lock = threading.RLock()
         self._bg_cond = threading.Condition(self._lock)
+        # The one committer: held from a batch's WAL append to its
+        # memtable apply, and by flush/close so no rotation lands between.
+        self._writer_lock = threading.Lock()
         self._memtable = Memtable()
         self._buffer: BlockWrites | None = None
+        self._buffer_owner: int | None = None  # thread that opened it
         self._closed = False
-        self._closing = False  # close() in progress: final flush only
         # Background flush/compaction worker state.
         self._frozen: Memtable | None = None
         self._frozen_wal: WriteAheadLog | None = None
@@ -161,7 +161,6 @@ class LsmKV(KVStore):
         else:
             verify_segments(directory, manifest)
         self._manifest = manifest
-        self._binding, warm_keys = decode_extra(manifest.extra)
         self._readers: dict[int, SSTableReader] = {}
         for record in manifest.segments:
             self._readers[record.segment_id] = SSTableReader(
@@ -230,14 +229,6 @@ class LsmKV(KVStore):
             recovered_batches + len(self._wal.recovered)
         )
         self.stats.wal_truncated_bytes = self._wal.truncated_bytes
-        # Block-cache warming: pre-load the hot set the last clean close
-        # persisted (LRU→MRU so recency ordering survives the restart).
-        warmed = 0
-        for segment_id, offset in reversed(warm_keys):
-            reader = self._readers.get(segment_id)
-            if reader is not None and reader.warm(offset):
-                warmed += 1
-        self.stats.warmed_blocks = warmed
         self.stats.recovery_seconds = time.perf_counter() - started
 
     # -- properties ------------------------------------------------------
@@ -271,10 +262,11 @@ class LsmKV(KVStore):
             self._require_open()
             self.stats.gets += 1
             key = bytes(key)
-            if self._buffer is not None:
-                if key in self._buffer.puts:
-                    return self._buffer.puts[key]
-                if key in self._buffer.deletes:
+            staged = self._staged()
+            if staged is not None:
+                if key in staged.puts:
+                    return staged.puts[key]
+                if key in staged.deletes:
                     return None
             present, value = self._memtable.get(key)
             if present:
@@ -292,36 +284,16 @@ class LsmKV(KVStore):
             return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        with self._lock:
-            self._require_open()
-            self.stats.puts += 1
-            if self._buffer is not None:
-                self._buffer.stage_put(key, value)
-                return
-            token = self._commit({bytes(key): bytes(value)}, set())
-        self._await_durable(token)
+        self._write({bytes(key): bytes(value)}, set())
 
     def delete(self, key: bytes) -> None:
-        with self._lock:
-            self._require_open()
-            if self._buffer is not None:
-                self._buffer.stage_delete(key)
-                return
-            token = self._commit({}, {bytes(key)})
-        self._await_durable(token)
+        self._write({}, {bytes(key)})
 
     def write_batch(self, puts: dict[bytes, bytes], deletes: set[bytes] = frozenset()) -> None:
-        with self._lock:
-            self._require_open()
-            self.stats.puts += len(puts)
-            if self._buffer is not None:
-                self._buffer.stage_batch(puts, deletes)
-                return
-            token = self._commit(
-                {bytes(k): bytes(v) for k, v in puts.items()},
-                {bytes(k) for k in deletes},
-            )
-        self._await_durable(token)
+        self._write(
+            {bytes(k): bytes(v) for k, v in puts.items()},
+            {bytes(k) for k in deletes},
+        )
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         with self._lock:
@@ -335,10 +307,11 @@ class LsmKV(KVStore):
                     merged[key] = value
             for key, value in self._memtable.items():
                 merged[key] = value
-            if self._buffer is not None:
-                for key in self._buffer.deletes:
+            staged = self._staged()
+            if staged is not None:
+                for key in staged.deletes:
                     merged[key] = None
-                for key, value in self._buffer.puts.items():
+                for key, value in staged.puts.items():
                     merged[key] = value
             return iter([
                 (k, v) for k, v in merged.items() if v is not None
@@ -346,6 +319,14 @@ class LsmKV(KVStore):
 
     def __len__(self) -> int:
         return sum(1 for _ in self.items())
+
+    def _staged(self) -> BlockWrites | None:
+        """The open block's staged writes, visible only to the thread
+        executing that block: no other reader may see a block before it
+        is committed and durable."""
+        if self._buffer_owner == threading.get_ident():
+            return self._buffer
+        return None
 
     # -- atomic block commits --------------------------------------------
 
@@ -355,11 +336,14 @@ class LsmKV(KVStore):
         record; on exception nothing is committed (see module doc).
         Yields the staging buffer itself — the block's write set (so the
         base class's recording scope is never open on this store)."""
-        with self._lock:
+        # The writer lock orders the block against standalone writes:
+        # each either commits before the block opens or stages into it.
+        with self._writer_lock, self._lock:
             self._require_open()
             if self._buffer is not None:
                 raise StorageError("block_batch does not nest")
             writes = self._buffer = BlockWrites()
+            self._buffer_owner = threading.get_ident()
         try:
             yield writes
         except BaseException:
@@ -367,37 +351,45 @@ class LsmKV(KVStore):
                 self._buffer = None
             raise
         else:
-            token = None
-            with self._lock:
-                self._buffer = None
+            with self._writer_lock:
+                with self._lock:
+                    self._buffer = None
                 if writes.puts or writes.deletes:
-                    token = self._commit(writes.puts, writes.deletes)
-                    self.stats.block_commits += 1
-            self._await_durable(token)
+                    self._commit(writes.puts, writes.deletes)
+                    with self._lock:
+                        self.stats.block_commits += 1
 
     # -- write machinery -------------------------------------------------
 
-    def _commit(
-        self, puts: dict[bytes, bytes], deletes: set[bytes]
-    ) -> tuple[WriteAheadLog, int] | None:
-        """Append + apply one batch (caller holds the lock).  Returns a
-        durability token to be awaited OUTSIDE the lock, so concurrent
-        commits group-commit their fsyncs."""
-        self._raise_bg_error()
-        wal = self._wal
-        ticket, nbytes = wal.append_async(puts, deletes)
-        self.stats.wal_bytes_written += nbytes
-        self.stats.wal_records_written += 1
-        self._memtable.apply(puts, deletes)
-        if self._memtable.approximate_bytes >= self._memtable_bytes:
-            self._freeze_locked()
-            return None  # freeze closed `wal` with a final fsync
-        return (wal, ticket) if self._sync else None
+    def _write(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
+        """Stage into the open block, or commit as a batch of its own."""
+        with self._writer_lock:
+            with self._lock:
+                self._require_open()
+                self.stats.puts += len(puts)
+                if self._buffer is not None:
+                    self._buffer.stage_batch(puts, deletes)
+                    return
+            self._commit(puts, deletes)
 
-    def _await_durable(self, token: tuple[WriteAheadLog, int] | None) -> None:
-        if token is not None:
-            wal, ticket = token
-            wal.ensure_durable(ticket)
+    def _commit(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
+        """The whole commit path (caller holds the writer lock): append
+        under the store lock, fsync outside it so no reader waits on the
+        disk, then apply under it.  Readers see the batch only once it
+        is durable; a failed fsync poisons the WAL and the batch is
+        never applied."""
+        with self._lock:
+            self._require_open()
+            self._raise_bg_error()
+            wal = self._wal
+            nbytes = wal.append(puts, deletes)
+            self.stats.wal_bytes_written += nbytes
+            self.stats.wal_records_written += 1
+        wal.sync()
+        with self._lock:
+            self._memtable.apply(puts, deletes)
+            if self._memtable.approximate_bytes >= self._memtable_bytes:
+                self._freeze_locked()
 
     def _freeze_locked(self) -> None:
         """Swap the memtable + WAL generation and hand the frozen pair to
@@ -458,11 +450,7 @@ class LsmKV(KVStore):
             error: BaseException | None = None
             try:
                 published = self._bg_flush(frozen, frozen_wal, segment_id)
-                # No auto-compaction during close(): compaction rewrites
-                # the segment set and drops its cache entries, which would
-                # empty the hot set right before close persists it for
-                # warming.  The next open compacts in the background.
-                if published and self._auto_compact and not self._closing:
+                if published and self._auto_compact:
                     self._bg_compact()
             except BaseException as exc:  # noqa: BLE001 - sticky fail-closed
                 error = exc
@@ -513,7 +501,7 @@ class LsmKV(KVStore):
         taken under the lock stays valid across the unlocked merge."""
         while True:
             with self._bg_cond:
-                if (self._crashed or self._closed or self._closing
+                if (self._crashed or self._closed
                         or self._bg_error is not None):
                     return
                 plan = plan_compaction(
@@ -569,6 +557,10 @@ class LsmKV(KVStore):
         """Freeze the memtable and wait for the background worker to land
         it (and any follow-on compaction).  Synchronous from the caller's
         point of view, exactly like the historical inline flush."""
+        with self._writer_lock:
+            return self._flush()
+
+    def _flush(self) -> bool:
         with self._bg_cond:
             self._require_open()
             self._raise_bg_error()
@@ -584,14 +576,14 @@ class LsmKV(KVStore):
             return froze or pending
 
     def _publish_manifest(self, segments: tuple[SegmentRecord, ...],
-                          wal_seq: int, extra: bytes | None = None) -> None:
+                          wal_seq: int) -> None:
         """Commit one manifest epoch (caller holds the lock) and delete
         WAL generations it supersedes."""
         manifest = RootManifest(
             epoch=self._manifest.epoch + 1,
             wal_seq=wal_seq,
             segments=segments,
-            extra=self._manifest.extra if extra is None else extra,
+            extra=self._manifest.extra,
         )
         write_manifest(self.directory, manifest, self._sealer,
                        self._freshness, sync=self._sync)
@@ -605,7 +597,6 @@ class LsmKV(KVStore):
         """Record the chain state root to bind into the next manifest
         commit (surfaces in ``repro db stats``)."""
         with self._lock:
-            self._binding = bytes(state_root)
             self._manifest = RootManifest(
                 self._manifest.epoch, self._manifest.wal_seq,
                 self._manifest.segments, bytes(state_root),
@@ -613,7 +604,7 @@ class LsmKV(KVStore):
 
     @property
     def manifest_extra(self) -> bytes:
-        return self._binding
+        return self._manifest.extra
 
     def compact(self) -> bool:
         """Run compaction to quiescence; returns True if anything merged."""
@@ -630,38 +621,24 @@ class LsmKV(KVStore):
 
     def close(self) -> None:
         """Clean shutdown: flush the memtable so reopen skips WAL replay,
-        persist the hot cache-key set for warming, release every handle."""
-        with self._bg_cond:
-            if self._closed:
-                return
-            if self._buffer is not None:
-                raise StorageError("cannot close inside a block_batch")
-            self._closing = True
-        self.flush()
-        with self._bg_cond:
-            self._bg_stop = True
-            self._bg_cond.notify_all()
-            thread = self._bg_thread
-        if thread is not None:
-            thread.join()
-        with self._bg_cond:
-            self._raise_bg_error()
-            if self._manifest.segments and len(self.cache):
-                live = {r.segment_id for r in self._manifest.segments}
-                warm = [
-                    (segment_id, offset)
-                    for segment_id, offset in self.cache.hot_keys(
-                        MAX_WARM_ENTRIES)
-                    if segment_id in live
-                ]
-                extra = encode_extra(self._binding, warm)
-                if extra != self._manifest.extra:
-                    self._publish_manifest(
-                        self._manifest.segments, self._manifest.wal_seq,
-                        extra=extra,
-                    )
-            self._wal.close()
-            self._closed = True
+        then release every handle."""
+        with self._writer_lock:
+            with self._bg_cond:
+                if self._closed:
+                    return
+                if self._buffer is not None:
+                    raise StorageError("cannot close inside a block_batch")
+            self._flush()
+            with self._bg_cond:
+                self._bg_stop = True
+                self._bg_cond.notify_all()
+                thread = self._bg_thread
+            if thread is not None:
+                thread.join()
+            with self._bg_cond:
+                self._raise_bg_error()
+                self._wal.close()
+                self._closed = True
 
     def crash(self) -> None:
         """Simulated process death: drop handles, flush *nothing*.

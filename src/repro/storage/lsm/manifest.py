@@ -100,51 +100,6 @@ class RootManifest:
         return cls(epoch, rlp.decode_int(items[0]), segments, items[2])
 
 
-# ---------------------------------------------------------------------------
-# Structured `extra`: application binding + block-cache warm set
-# ---------------------------------------------------------------------------
-#
-# Historically `extra` carried only the raw chain state root.  To warm the
-# block cache across restarts, the store now also persists the hot block
-# keys at clean shutdown.  The structured form is magic-prefixed so legacy
-# manifests (raw root bytes) keep decoding; the warm set is advisory —
-# a reopen that cannot honour it just starts cold.
-
-_EXTRA_MAGIC = b"LSMX1"
-MAX_WARM_ENTRIES = 512
-
-
-def encode_extra(binding: bytes, warm: list[tuple[int, int]]) -> bytes:
-    """Pack the application binding + warm block keys into ``extra``."""
-    if not warm:
-        return bytes(binding)
-    return _EXTRA_MAGIC + rlp.encode([
-        bytes(binding),
-        [
-            [rlp.encode_int(segment_id), rlp.encode_int(offset)]
-            for segment_id, offset in warm[:MAX_WARM_ENTRIES]
-        ],
-    ])
-
-
-def decode_extra(extra: bytes) -> tuple[bytes, list[tuple[int, int]]]:
-    """Unpack ``extra`` into (binding, warm keys); legacy raw bytes give
-    an empty warm set."""
-    if not extra.startswith(_EXTRA_MAGIC):
-        return extra, []
-    try:
-        items = rlp.decode(extra[len(_EXTRA_MAGIC):])
-        if not isinstance(items, list) or len(items) != 2:
-            raise StorageError("malformed structured manifest extra")
-        warm = [
-            (rlp.decode_int(pair[0]), rlp.decode_int(pair[1]))
-            for pair in items[1]
-        ]
-        return items[0], warm
-    except (StorageError, IndexError, TypeError) as exc:
-        raise StorageError(f"malformed structured manifest extra: {exc}")
-
-
 class CounterFreshness:
     """In-memory monotonic counter (tests, standalone stores)."""
 

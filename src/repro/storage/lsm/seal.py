@@ -2,17 +2,11 @@
 
 Everything the LSM engine writes to disk (WAL records, SSTable blocks,
 the root manifest) can be sealed with AES-GCM under a key that never
-touches the disk itself.  Two derivations are supported:
-
-- **D-Protocol derived** (:meth:`StorageSealer.from_state_cipher`): an
-  HKDF subkey of ``k_states``, the same root the SDM seals individual
-  state values with (paper §4.3).  Every replica derives the same key,
-  so a re-provisioned node can read segments produced before a restart.
-- **Platform derived** (:meth:`StorageSealer.from_platform`): SGX
-  sealing semantics — the key comes from the platform secret and a
-  measured identity, so the database is bound to the machine (and
-  enclave identity) that wrote it; a copied directory cannot be opened
-  elsewhere.
+touches the disk itself.  The key is **platform derived**
+(:meth:`StorageSealer.from_platform`): SGX sealing semantics — the key
+comes from the platform secret and a measured identity, so the database
+is bound to the machine (and enclave identity) that wrote it; a copied
+directory cannot be opened elsewhere.
 
 The AAD of every sealed blob carries a context string (file kind,
 segment id, block offset, manifest epoch), so blobs cannot be swapped
@@ -28,10 +22,7 @@ deterministic simulator relies on.
 from __future__ import annotations
 
 from repro.crypto.gcm import NONCE_SIZE, TAG_SIZE, AesGcm, deterministic_nonce
-from repro.crypto.hkdf import hkdf
 from repro.errors import AuthenticationError, StorageError
-
-STORAGE_SEAL_INFO = b"d-protocol-storage-seal"
 
 
 class StorageSealer:
@@ -44,12 +35,6 @@ class StorageSealer:
         self._gcm = AesGcm(self._key)
         # Mixed into every AAD: the measured identity the data is bound to.
         self.identity = bytes(identity)
-
-    @classmethod
-    def from_state_cipher(cls, cipher) -> "StorageSealer":
-        """Derive from the D-Protocol root key ``k_states`` (every
-        replica derives the same sealer)."""
-        return cls(cipher.storage_seal_key(), identity=b"d-protocol")
 
     @classmethod
     def from_platform(cls, platform, label: bytes = b"lsm-storage") -> "StorageSealer":
@@ -107,8 +92,3 @@ class StorageSealer:
                 f"sealed storage blob failed authentication "
                 f"(context {context!r}): {exc}"
             ) from exc
-
-
-def storage_seal_key(k_states: bytes) -> bytes:
-    """The D-Protocol storage-seal subkey (see docs/storage.md)."""
-    return hkdf(k_states, info=STORAGE_SEAL_INFO, length=16)

@@ -305,21 +305,6 @@ class SSTableReader:
             for entry_key, op, value in self._block(offset, length):
                 yield entry_key, (None if op == OP_DELETE else value)
 
-    def warm(self, offset: int) -> bool:
-        """Pre-load the block at ``offset`` into the shared cache.
-
-        Used by manifest-driven cache warming on reopen; an offset that
-        no longer names a block (the segment was rewritten) is ignored.
-        """
-        pos = bisect_right([e[1] for e in self._index], offset) - 1
-        if pos < 0:
-            return False
-        _, block_offset, length = self._index[pos]
-        if block_offset != offset:
-            return False
-        self._block(block_offset, length)
-        return True
-
     def verify_blocks(self) -> int:
         """Structural check: every block frame's CRC (works sealed)."""
         checked = 0

@@ -23,19 +23,16 @@ A CRC/short-read failure at the tail is *torn-write tolerance*
 (truncate and continue); a record whose CRC verifies but whose seal does
 not open is *tampering* and raises :class:`StorageError`.
 
-Group commit
-------------
-With ``sync=True``, durability is decoupled from the append: every
-append writes + flushes its record under the log's I/O lock and takes a
-ticket; :meth:`ensure_durable` then elects the first waiter as *leader*,
-who runs one ``os.fsync`` — outside the I/O lock, so appends keep
-streaming in behind it — covering every record written up to its
-snapshot.  Waiters that arrive while a fsync is in flight coalesce into
-the next one — N concurrent committers pay ~2 fsyncs, not N.  A failed fsync is sticky:
-the log is poisoned and every later append/wait fails closed, because a
-record whose durability was reported lost can never be un-reported
-(the PostgreSQL fsync-retry lesson).  A serial writer degrades to
-exactly one fsync per append, same as before.
+Durability
+----------
+:meth:`WriteAheadLog.append` writes and flushes one record under the
+log's I/O lock; :meth:`WriteAheadLog.sync` fsyncs under that same lock,
+so :meth:`WriteAheadLog.close` can never close the fd in the middle of
+an fsync.  A store has exactly one committer, so each commit pays one
+fsync.  A failed fsync is sticky: the log is poisoned and every later
+append/sync fails closed, because a record whose durability was
+reported lost can never be un-reported (the PostgreSQL fsync-retry
+lesson).
 """
 
 from __future__ import annotations
@@ -114,13 +111,7 @@ class WriteAheadLog:
         self.truncated_bytes = 0
         self.fsyncs = 0
         self.recovered: list[tuple[dict[bytes, bytes], set[bytes]]] = []
-        # Group-commit state: tickets are per-generation append counters;
-        # _durable_ticket trails _appended_ticket until a fsync catches up.
         self._io_lock = threading.Lock()
-        self._sync_cond = threading.Condition(threading.Lock())
-        self._appended_ticket = 0
-        self._durable_ticket = 0
-        self._fsync_leader = False
         self._sync_error: BaseException | None = None
         existed = os.path.exists(path)
         if existed:
@@ -176,31 +167,10 @@ class WriteAheadLog:
                     f.truncate(good_end)
 
     def append(self, puts: dict[bytes, bytes], deletes=frozenset()) -> int:
-        """Durably frame one batch; returns bytes appended."""
-        ticket, nbytes = self.append_async(puts, deletes)
-        if self._sync:
-            self.ensure_durable(ticket)
-        return nbytes
-
-    def append_async(
-        self, puts: dict[bytes, bytes], deletes=frozenset()
-    ) -> tuple[int, int]:
-        """Write + flush one batch without waiting for durability.
-
-        Returns ``(ticket, bytes_appended)``.  The caller must pass the
-        ticket to :meth:`ensure_durable` before reporting the commit —
-        this is the group-commit path: append under the store lock, wait
-        for the (coalesced) fsync outside it.
-        """
+        """Write + flush one batch (durable only after :meth:`sync`);
+        returns bytes appended."""
         with self._io_lock:
-            if self._file is None:
-                raise StorageError(
-                    "WAL is read-only" if self._read_only else "WAL is closed"
-                )
-            if self._sync_error is not None:
-                raise StorageError(
-                    f"WAL poisoned by earlier fsync failure: {self._sync_error}"
-                )
+            self._require_writable()
             payload = _encode_batch(puts, deletes)
             if self._sealer is not None:
                 payload = self._sealer.seal(
@@ -216,72 +186,33 @@ class WriteAheadLog:
             self.bytes_written += len(record)
             self.records_written += 1
             self._next_index += 1
-            self._appended_ticket += 1
-            return self._appended_ticket, len(record)
+            return len(record)
 
-    def ensure_durable(self, ticket: int) -> None:
-        """Block until every record up to ``ticket`` is fsynced.
-
-        No-op unless the log is ``sync``.  The first waiter becomes the
-        fsync leader; everyone whose record was already written rides
-        the same fsync.
-        """
+    def sync(self) -> None:
+        """Make every appended record durable (no-op unless ``sync``)."""
         if not self._sync:
             return
-        while True:
-            with self._sync_cond:
-                while True:
-                    if self._sync_error is not None:
-                        raise StorageError(
-                            "WAL poisoned by earlier fsync failure: "
-                            f"{self._sync_error}"
-                        )
-                    if self._durable_ticket >= ticket:
-                        return
-                    if not self._fsync_leader:
-                        self._fsync_leader = True
-                        break
-                    self._sync_cond.wait()
-            # Leader: snapshot the appended frontier under the I/O lock,
-            # then fsync OUTSIDE both locks — appends stream in behind the
-            # in-flight fsync and the next leader covers them all.  That
-            # overlap window is where the coalescing comes from; fsyncing
-            # under the I/O lock would stall every append and degrade to
-            # one fsync per commit.
-            error: BaseException | None = None
-            stale_fd = False
-            with self._io_lock:
-                target = self._appended_ticket
-                file = self._file
-            if file is None:
-                # Closed while we waited for leadership; close() already
-                # made everything durable.
-                target = max(target, ticket)
-            else:
-                try:
-                    os.fsync(file.fileno())
-                    self.fsyncs += 1
-                except (OSError, ValueError) as exc:
-                    # Rotation/close may have closed the fd mid-fsync.
-                    with self._io_lock:
-                        stale_fd = self._file is not file
-                    error = exc
-            with self._sync_cond:
-                self._fsync_leader = False
-                if error is not None and stale_fd and self._sync_error is None:
-                    # A clean close() fsyncs before closing the fd, so the
-                    # frontier we snapshotted is durable despite the error.
-                    error = None
-                if error is not None:
-                    if self._sync_error is None:
-                        self._sync_error = error
-                    self._sync_cond.notify_all()
-                    raise StorageError(
-                        f"WAL fsync failed: {error}"
-                    ) from error
-                if target > self._durable_ticket:
-                    self._durable_ticket = target
-                self._sync_cond.notify_all()
+        with self._io_lock:
+            self._require_writable()
+            self._fsync_locked()
+
+    def _require_writable(self) -> None:
+        if self._file is None:
+            raise StorageError(
+                "WAL is read-only" if self._read_only else "WAL is closed"
+            )
+        if self._sync_error is not None:
+            raise StorageError(
+                f"WAL poisoned by earlier fsync failure: {self._sync_error}"
+            )
+
+    def _fsync_locked(self) -> None:
+        try:
+            os.fsync(self._file.fileno())
+        except OSError as exc:
+            self._sync_error = exc
+            raise StorageError(f"WAL fsync failed: {exc}") from exc
+        self.fsyncs += 1
 
     def close(self) -> None:
         """Close the log; with ``sync``, a final fsync makes every
@@ -290,15 +221,12 @@ class WriteAheadLog:
         with self._io_lock:
             if self._file is None:
                 return
-            if self._sync and self._sync_error is None:
-                os.fsync(self._file.fileno())
-                self.fsyncs += 1
-            self._file.close()
-            self._file = None
-            durable = self._appended_ticket
-        with self._sync_cond:
-            self._durable_ticket = max(self._durable_ticket, durable)
-            self._sync_cond.notify_all()
+            try:
+                if self._sync and self._sync_error is None:
+                    self._fsync_locked()
+            finally:
+                self._file.close()
+                self._file = None
 
     def crash(self) -> None:
         """Drop the handle without any shutdown work (simulated crash)."""
@@ -306,10 +234,8 @@ class WriteAheadLog:
             if self._file is not None:
                 self._file.close()
                 self._file = None
-        with self._sync_cond:
             if self._sync_error is None:
                 self._sync_error = StorageError("WAL crashed")
-            self._sync_cond.notify_all()
 
     def __enter__(self) -> "WriteAheadLog":
         return self

@@ -298,7 +298,7 @@ def test_executor_counts_analysis_rejections(wasm_artifact, client):
     confidential = ConfidentialEngine(MemoryKV())
     bootstrap_founder(confidential.km)
     confidential.provision_from_km()
-    executor = BlockExecutor(confidential, public, lanes=2)
+    executor = BlockExecutor(confidential, public)
 
     bad = dataclasses.replace(wasm_artifact, code=wasm_artifact.code[:-10])
     raw_bad, _ = client.deploy_raw(bad)

@@ -7,7 +7,7 @@ import pytest
 from repro.bench.regression import check_storage, main
 
 
-def _storage_result(block_p50=10.0, reopen=50.0, concurrent_fsyncs=0.4):
+def _storage_result(block_p50=10.0, reopen=50.0):
     return {
         "cpu_count": 1,
         "backends": {
@@ -16,11 +16,6 @@ def _storage_result(block_p50=10.0, reopen=50.0, concurrent_fsyncs=0.4):
                 "reopen_ms": reopen,
                 "reopen_restored_blocks": 8,
             },
-        },
-        "group_commit": {
-            "num_threads": 4,
-            "serial": {"fsyncs_per_commit": 1.0},
-            "concurrent": {"fsyncs_per_commit": concurrent_fsyncs},
         },
     }
 
@@ -44,18 +39,6 @@ class TestStorageGate:
             _storage_result(reopen=200.0),
             _storage_result(reopen=50.0))
         assert any("reopen" in f for f in failures)
-
-    def test_uncoalesced_group_commit_fails(self):
-        failures, _ = check_storage(
-            _storage_result(concurrent_fsyncs=1.0),
-            _storage_result())
-        assert any("coalescing" in f for f in failures)
-
-    def test_missing_group_commit_section_fails(self):
-        fresh = _storage_result()
-        del fresh["group_commit"]
-        failures, _ = check_storage(fresh, _storage_result())
-        assert any("group_commit" in f for f in failures)
 
     def test_missing_backend_fails(self):
         fresh = _storage_result()

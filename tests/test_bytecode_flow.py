@@ -593,7 +593,7 @@ class TestRejectionModeSplit:
 
         public = _public_engine()
         confidential = _confidential_engine()
-        executor = BlockExecutor(confidential, public, lanes=2)
+        executor = BlockExecutor(confidential, public)
 
         leaky, _ = CORPUS["wasm_secret_to_event"]
         raw_bytecode, _ = corpus_client.deploy_raw(leaky(), SCHEMA_SOURCE)

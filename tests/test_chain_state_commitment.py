@@ -10,7 +10,9 @@ seed it so the next block scans nothing.
 
 from __future__ import annotations
 
+import errno
 import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.errors import ChainError, InvariantViolation, StorageError
 from repro.obs.trace import get_tracer
 from repro.storage import KVStore, LsmKV, MemoryKV
 from repro.sim.invariants import check_state_commitment
+from repro.storage.lsm import wal as wal_module
 from repro.storage.merkle import state_root
 from repro.workloads import Client
 
@@ -232,6 +235,30 @@ class TestMaintainedRoot:
         world.close()
 
 
+class _OsWith:
+    """``os`` as one module sees it, with some functions replaced."""
+
+    def __init__(self, **overrides):
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+def _staged_writes(monkeypatch, kv) -> list:
+    """Record the write set of every ``block_batch`` scope on `kv`."""
+    staged = []
+    inner = kv.block_batch
+
+    @contextmanager
+    def block_batch():
+        with inner() as writes:
+            staged.append(writes)
+            yield writes
+    monkeypatch.setattr(kv, "block_batch", block_batch)
+    return staged
+
+
 def _fail_block(monkeypatch, node, point: str):
     """Make the next block on `node` raise out of its storage scope."""
     if point == "before_execute":
@@ -247,9 +274,15 @@ def _fail_block(monkeypatch, node, point: str):
             return inner(puts, deletes)
         monkeypatch.setattr(node.kv, "write_batch", write_batch)
     elif point == "fsync":
-        def await_durable(_token):
-            raise StorageError("injected fsync failure")
-        monkeypatch.setattr(node.kv, "_await_durable", await_durable)
+        # The WAL's next fsync fails once; the store must fail closed.
+        failed = []
+
+        def fsync(fd):
+            if not failed:
+                failed.append(fd)
+                raise OSError(errno.EIO, "injected fsync failure")
+            return os.fsync(fd)
+        monkeypatch.setattr(wal_module, "os", _OsWith(fsync=fsync))
     else:
         raise AssertionError(point)
 
@@ -262,7 +295,7 @@ def _restart_enclave(node) -> None:
                                 platform=node.confidential.platform)
     engine.restore_keys_from_storage()
     node.confidential = engine
-    node.executor = BlockExecutor(engine, node.public, 1)
+    node.executor = BlockExecutor(engine, node.public)
 
 
 class TestAbortedBlock:
@@ -337,13 +370,24 @@ class TestReceiptsAfterCommit:
         node = world.leader
         world.commit(world.calls())
         committed = set(node.receipts)
+        before = dict(node.kv.items())
         doomed = world.draft(world.calls())
+        staged = _staged_writes(monkeypatch, node.kv)
         _fail_block(monkeypatch, node, point)
         with pytest.raises(StorageError):
             node.apply_transactions(doomed)
         for tx in doomed:
             assert tx.tx_hash not in node.receipts
         assert set(node.receipts) == committed
+        if point == "fsync":
+            # Durable before visible: the failed block is not readable,
+            # and the poisoned WAL refuses the next block.
+            (writes,) = staged
+            assert writes.puts
+            for key in writes.puts:
+                assert node.kv.get(key) == before.get(key)
+            with pytest.raises(StorageError):
+                node.apply_transactions(world.draft(world.calls()))
 
         # The process dies; whatever the restored node recovers, every
         # receipt it serves belongs to a block in its chain.

@@ -23,7 +23,7 @@ from repro.workloads import (
 
 @pytest.fixture(scope="module")
 def world():
-    nodes, service = build_consortium(4, lanes=2)
+    nodes, service = build_consortium(4)
     operator = Client.from_seed(b"operator")
     pk = nodes[0].pk_tx
 
@@ -128,11 +128,13 @@ class TestConfidentialityEndToEnd:
 class TestParallelExecutionIntegration:
     def test_lane_report_present(self, world):
         nodes, operator, addresses, business_txs = world
-        # Re-execute the ABS batch on a fresh node pair to observe lanes.
+        # Re-execute the ABS batch on a fresh node, then model 4 lanes
+        # over its measured outcomes (the block report is measured only).
+        from repro.chain.executor import lane_schedule
         from repro.chain.node import Node
         from repro.core import bootstrap_founder
 
-        node = Node(0, lanes=4)
+        node = Node(0)
         bootstrap_founder(node.confidential.km)
         node.confidential.provision_from_km()
         pk = node.pk_tx
@@ -149,8 +151,8 @@ class TestParallelExecutionIntegration:
         node.preverify_pending()
         applied = node.apply_transactions(node.draft_block(max_bytes=1 << 20))
         report = applied.report
-        assert report.lanes == 4
-        assert report.makespan_s < report.serial_duration_s
-        assert report.conflict_edges > 0  # per-institution aggregates conflict
+        makespan, conflict_edges = lane_schedule(report.outcomes, 4)
+        assert makespan < report.serial_duration_s
+        assert conflict_edges > 0  # per-institution aggregates conflict
         # Two institutions bound the speedup near 2x.
-        assert 1.2 < report.speedup < 3.5
+        assert 1.2 < report.serial_duration_s / makespan < 3.5

@@ -16,7 +16,7 @@ from repro.workloads import (
 
 @pytest.fixture(scope="module")
 def busy_world():
-    nodes, _ = build_consortium(4, lanes=4)
+    nodes, _ = build_consortium(4)
     consortium = Consortium(nodes)
     issuer = Client.from_seed(b"scale-issuer")
     carrier = Client.from_seed(b"scale-carrier")

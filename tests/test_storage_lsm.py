@@ -1170,3 +1170,176 @@ class TestCrashDuringBackgroundFlush:
             f.truncate(os.path.getsize(interior) - 3)
         with pytest.raises(StorageError, match="torn tail"):
             LsmKV(directory, sync=True)
+
+
+class _WalOs:
+    """``os`` as the WAL module sees it, with ``fsync`` replaced."""
+
+    def __init__(self, fsync):
+        self.fsync = fsync
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+class TestDurableBeforeVisible:
+    """A committed batch becomes readable only once its WAL record is
+    fsynced; a batch whose fsync failed never becomes readable."""
+
+    def test_no_read_while_the_commit_fsync_is_in_flight(
+            self, tmp_path, monkeypatch):
+        import threading as _threading
+
+        import repro.storage.lsm.wal as wal_mod
+
+        kv = LsmKV(str(tmp_path / "db"), sync=True)
+        with kv.block_batch():
+            kv.put(b"k", b"block-1")
+        syncing = _threading.Event()
+        release = _threading.Event()
+
+        def blocked_fsync(fd):
+            syncing.set()
+            assert release.wait(timeout=10)
+            os.fsync(fd)
+
+        monkeypatch.setattr(wal_mod, "os", _WalOs(blocked_fsync))
+
+        def commit_block_2():
+            with kv.block_batch():
+                kv.put(b"k", b"block-2")
+
+        committer = _threading.Thread(target=commit_block_2)
+        committer.start()
+        try:
+            assert syncing.wait(timeout=10)
+            # Block 2 is appended but not durable: readers (who never
+            # wait on the fsync) still see block 1.
+            assert kv.get(b"k") == b"block-1"
+            assert dict(kv.items())[b"k"] == b"block-1"
+        finally:
+            release.set()
+            committer.join(timeout=10)
+        assert kv.get(b"k") == b"block-2"
+        kv.close()
+
+    def test_open_block_is_invisible_to_other_threads(self, tmp_path):
+        # The executing thread reads its own staged writes; a reader on
+        # another thread (the gateway's query_state) sees only committed
+        # blocks, never one that may still abort.
+        import threading as _threading
+
+        kv = LsmKV(str(tmp_path / "db"))
+        kv.put(b"k", b"block-1")
+        staged = _threading.Event()
+        release = _threading.Event()
+
+        def execute_block_2():
+            with kv.block_batch():
+                kv.put(b"k", b"block-2")
+                kv.put(b"new", b"x")
+                assert kv.get(b"k") == b"block-2"
+                staged.set()
+                assert release.wait(timeout=10)
+
+        executor = _threading.Thread(target=execute_block_2)
+        executor.start()
+        try:
+            assert staged.wait(timeout=10)
+            assert kv.get(b"k") == b"block-1"
+            assert kv.get(b"new") is None
+            assert dict(kv.items()) == {b"k": b"block-1"}
+        finally:
+            release.set()
+            executor.join(timeout=10)
+        assert not executor.is_alive()
+        assert kv.get(b"k") == b"block-2"
+        kv.close()
+
+    def test_concurrent_writers_and_flushes_lose_nothing(self, tmp_path):
+        # Writers, explicit flushes (WAL rotations) and readers race
+        # under a short switch interval.  A rotation landing between a
+        # commit's append and its apply would leave the record only in
+        # memory once its WAL generation retires; every commit must
+        # survive a crash and pay exactly one fsync.
+        import sys
+        import threading as _threading
+
+        directory = str(tmp_path / "db")
+        kv = LsmKV(directory, sync=True, memtable_bytes=2048)
+        writers, per_writer = 4, 30
+        expected = {
+            b"w%d-%02d" % (w, i): b"v" * 40
+            for w in range(writers) for i in range(per_writer)
+        }
+        done = _threading.Event()
+        errors: list[BaseException] = []
+
+        def write(worker):
+            try:
+                for i in range(per_writer):
+                    kv.put(b"w%d-%02d" % (worker, i), b"v" * 40)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        def churn():
+            try:
+                while not done.is_set():
+                    kv.flush()
+                    kv.get(b"w0-00")
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [_threading.Thread(target=write, args=(w,))
+                       for w in range(writers)]
+            churner = _threading.Thread(target=churn)
+            churner.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            done.set()
+            churner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads + [churner])
+        assert errors == []
+        snap = kv.stats_snapshot()
+        commits = writers * per_writer
+        assert snap["wal_records_written"] == commits
+        assert snap["freezes"] > 1, "no rotation raced the writers"
+        # One per commit, plus each rotation's final fsync.
+        assert snap["wal_fsyncs"] == commits + snap["freezes"]
+        kv.crash()
+        reopened = LsmKV(directory)
+        assert dict(reopened.items()) == expected
+        reopened.close()
+
+    def test_failed_fsync_is_never_readable_and_fails_closed(
+            self, tmp_path, monkeypatch):
+        import errno
+
+        import repro.storage.lsm.wal as wal_mod
+
+        kv = LsmKV(str(tmp_path / "db"), sync=True)
+        with kv.block_batch():
+            kv.put(b"k", b"block-1")
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "injected EIO")
+
+        monkeypatch.setattr(wal_mod, "os", _WalOs(failing_fsync))
+        with pytest.raises(StorageError, match="fsync"):
+            with kv.block_batch():
+                kv.put(b"k", b"block-2")
+        monkeypatch.undo()
+        # Poisoned: later writes refuse even though fsync works again ...
+        with pytest.raises(StorageError, match="poisoned"):
+            kv.put(b"other", b"x")
+        # ... and the batch whose durability was lost is not served.
+        assert kv.get(b"k") == b"block-1"
+        assert kv.get(b"other") is None
+        kv.crash()
