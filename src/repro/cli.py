@@ -732,7 +732,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="re-execute one sequence line against the "
                         "single --target and print oracle findings")
     p.add_argument("--expect", metavar="KIND",
-                   choices=("divergence", "canary", "resource", "crash"),
+                   choices=("divergence", "canary", "resource", "crash",
+                            "pool"),
                    help="exit 1 unless a finding of this kind is "
                         "detected")
     p.add_argument("--report", metavar="FILE",

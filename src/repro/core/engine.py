@@ -19,6 +19,7 @@ timings behind Table 1.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -63,6 +64,7 @@ from repro.core.stats import (
     TX_VERIFY,
 )
 from repro.crypto.gcm import NONCE_SIZE, AesGcm
+from repro.crypto.hashes import sha256
 from repro.crypto.keys import KeyPair
 from repro.errors import (
     AnalysisError,
@@ -108,6 +110,11 @@ class _DeployedContract:
     schema: Schema | None = None
     schema_source: str = ""
     security_version: int = 1
+
+    @functools.cached_property
+    def code_hash(self) -> bytes:
+        """Key of this code's template in the code cache, hashed once."""
+        return sha256(self.artifact.code)
 
 
 @dataclass
@@ -411,7 +418,9 @@ class _BaseEngine:
                     method,
                     context,
                     code_cache=self.code_cache,
+                    code_hash=record.code_hash,
                     fuse=self.config.use_instruction_fusion,
+                    memory_pool=self.config.use_memory_pool,
                     max_steps=self.config.max_steps,
                     gas_limit=self.config.gas_limit,
                 )

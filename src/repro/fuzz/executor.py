@@ -5,6 +5,11 @@ fuzz target and runs every candidate sequence twice — once per VM —
 under branch coverage (:class:`~repro.obs.trace.CoverageMap`), then
 hands both :class:`SequenceRun` transcripts to the oracles.
 
+The CONFIDE-VM side runs on pooled linear memory, as the engine does
+with OPT1 on; :meth:`DifferentialExecutor.run_fresh` replays it on
+freshly allocated memory for the pool oracle, because a reused buffer
+is where state would bleed between calls.
+
 Comparability across the two storage models:
 
 - CONFIDE-VM contracts write **logical** keys straight to the host
@@ -30,11 +35,12 @@ from dataclasses import dataclass, field
 
 from repro.errors import ContractError, OutOfGasError, TrapError, VMError
 from repro.lang.compiler import compile_source
+from repro.obs.trace import get_tracer
 from repro.storage.merkle import state_root
 from repro.vm.evm.interpreter import EvmInstance, EvmRevert
 from repro.vm.host import AbortExecution, HostBridge, HostContext
 from repro.vm.wasm.code_cache import prepare_module
-from repro.vm.wasm.interpreter import WasmInstance
+from repro.vm.wasm.interpreter import ModuleTemplate, WasmInstance
 
 # Per-call budgets: generous for honest contracts (the whole example
 # suite runs in thousands of instructions) yet small enough that a
@@ -181,13 +187,14 @@ class DifferentialExecutor:
         # same pipeline the analyzer uses, so coverage pcs line up with
         # PathConstraint pcs).
         self.wasm_module = prepare_module(self.wasm_artifact.code)
+        self.wasm_template = ModuleTemplate(self.wasm_module)
         self.methods = self.wasm_artifact.methods
 
     def _set_context(self, vm: str) -> None:
         if self.coverage is not None:
             self.coverage.context = (self.target.name, vm)
 
-    def run_wasm(self, sequence) -> SequenceRun:
+    def run_wasm(self, sequence, pooled: bool = True) -> SequenceRun:
         self._set_context("wasm")
         host = FuzzHost()
         run = SequenceRun(vm="wasm", state=host.state, wire=host.wire)
@@ -195,8 +202,9 @@ class DifferentialExecutor:
             host.input = step.args
             before = len(host.logs)
             try:
-                instance = WasmInstance(self.wasm_module, host,
-                                        max_steps=self.max_steps)
+                instance = WasmInstance(self.wasm_template, host,
+                                        max_steps=self.max_steps,
+                                        pooled=pooled)
                 result = instance.run(step.method)
                 outcome = CallOutcome(
                     "ok", result.output, tuple(host.logs[before:]),
@@ -240,6 +248,17 @@ class DifferentialExecutor:
             run.outcomes.append(outcome)
         run.all_logs = list(host.logs)
         return run
+
+    def run_fresh(self, sequence) -> SequenceRun:
+        """The CONFIDE-VM run again on freshly allocated memory, outside
+        coverage (it adds no edges; it only has to match)."""
+        tracer = get_tracer()
+        saved = tracer.coverage
+        tracer.coverage = None
+        try:
+            return self.run_wasm(sequence, pooled=False)
+        finally:
+            tracer.coverage = saved
 
     def run_pair(self, sequence) -> tuple[SequenceRun, SequenceRun]:
         return self.run_wasm(sequence), self.run_evm(sequence)

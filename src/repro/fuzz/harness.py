@@ -37,7 +37,7 @@ from repro.obs.trace import CoverageMap, get_tracer
 ASSIST_EVERY = 32        # mutation execs between constraint-assist rounds
 ASSIST_SITES_PER_ROUND = 8
 CANARY_PLANT_ONE_IN = 4  # plant fresh canaries in ~1/4 of mutants
-FINDING_KINDS = ("divergence", "canary", "resource", "crash")
+FINDING_KINDS = ("divergence", "canary", "resource", "crash", "pool")
 
 
 @dataclass
@@ -188,11 +188,12 @@ class _TargetLoop:
         """Run + judge one sequence; returns newly covered edge count."""
         before = len(self.coverage)
         wasm_run, evm_run = self.executor.run_pair(sequence)
+        fresh_run = self.executor.run_fresh(sequence)
         if minimizing:
             self.stats.minimize_execs += 1
         else:
             self.stats.execs += 1
-        found = self.suite.judge(sequence, wasm_run, evm_run)
+        found = self.suite.judge(sequence, wasm_run, evm_run, fresh_run)
         new_edges = len(self.coverage) - before
         if new_edges and not minimizing:
             self.corpus.add(sequence)
@@ -385,6 +386,7 @@ def replay(target_name: str, line: str,
                                     public_outputs=target.receipts_public)
         suite = OracleSuite(target, target.abi, wasm_res.report.resources)
         wasm_run, evm_run = executor.run_pair(sequence)
-        return suite.judge(sequence, wasm_run, evm_run)
+        return suite.judge(sequence, wasm_run, evm_run,
+                           executor.run_fresh(sequence))
     finally:
         tracer.coverage = saved

@@ -1,4 +1,4 @@
-"""The three fuzzing oracles: divergence, confidentiality, resources.
+"""The fuzzing oracles: divergence, confidentiality, resources, pool.
 
 Every executed sequence is judged by:
 
@@ -23,6 +23,12 @@ Every executed sequence is judged by:
    per-call budget, or a call whose executed instruction count
    explodes past the static analyzer's cycle estimate for loop-free
    code.  Plus **crash**: any exception outside the VM error taxonomy.
+
+4. **Pool** — CONFIDE-VM ran the sequence on pooled linear memory and
+   again on fresh memory; any difference in per-call status, output,
+   logs, instruction count or trap text, or in the final state or
+   wire, means a reused buffer carried bytes from one call into the
+   next.
 """
 
 from __future__ import annotations
@@ -188,6 +194,26 @@ def check_crashes(target_name, sequence, run) -> list:
     ]
 
 
+def check_pool(target_name, sequence, pooled_run, fresh_run) -> list:
+    """Pooled vs fresh linear memory: the transcripts must be identical."""
+    for i, (p, f) in enumerate(zip(pooled_run.outcomes, fresh_run.outcomes)):
+        if ((p.status, p.output, p.logs, p.instructions, p.error)
+                != (f.status, f.output, f.logs, f.instructions, f.error)):
+            return [Finding(
+                "pool", target_name, sequence,
+                f"{sequence[i].method}|call[{i}]"
+                f"|pooled={p.status}:{p.instructions}:{p.output.hex()}:{p.error}"
+                f"|fresh={f.status}:{f.instructions}:{f.output.hex()}:{f.error}",
+                call_index=i)]
+    if (pooled_run.state_digest != fresh_run.state_digest
+            or pooled_run.wire != fresh_run.wire):
+        return [Finding(
+            "pool", target_name, sequence,
+            f"state|pooled={pooled_run.state_digest.hex()[:16]}"
+            f"|fresh={fresh_run.state_digest.hex()[:16]}")]
+    return []
+
+
 @dataclass
 class OracleSuite:
     """All oracles over one differential execution."""
@@ -196,7 +222,8 @@ class OracleSuite:
     abi: object
     wasm_resources: list = field(default_factory=list)
 
-    def judge(self, sequence, wasm_run, evm_run) -> list:
+    def judge(self, sequence, wasm_run, evm_run, fresh_run=None) -> list:
+        """``fresh_run`` is ``wasm_run`` replayed on fresh memory."""
         findings = []
         findings += check_divergence(self.target.name, sequence,
                                      wasm_run, evm_run)
@@ -208,4 +235,7 @@ class OracleSuite:
         # Static estimates are CONFIDE-VM cycles; the EVM side still
         # reports fuel/gas exhaustion.
         findings += check_resources(self.target.name, sequence, evm_run, [])
+        if fresh_run is not None:
+            findings += check_pool(self.target.name, sequence, wasm_run,
+                                   fresh_run)
         return findings

@@ -141,6 +141,9 @@ class LsmKV(KVStore):
         self._memtable = Memtable()
         self._buffer: BlockWrites | None = None
         self._buffer_owner: int | None = None  # thread that opened it
+        # Signalled when the open block commits or aborts: other
+        # threads' writes wait on it rather than join the block.
+        self._block_closed = threading.Condition(self._lock)
         self._closed = False
         # Background flush/compaction worker state.
         self._frozen: Memtable | None = None
@@ -349,11 +352,13 @@ class LsmKV(KVStore):
         except BaseException:
             with self._lock:
                 self._buffer = None
+                self._block_closed.notify_all()
             raise
         else:
             with self._writer_lock:
                 with self._lock:
                     self._buffer = None
+                    self._block_closed.notify_all()
                 if writes.puts or writes.deletes:
                     self._commit(writes.puts, writes.deletes)
                     with self._lock:
@@ -362,15 +367,26 @@ class LsmKV(KVStore):
     # -- write machinery -------------------------------------------------
 
     def _write(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
-        """Stage into the open block, or commit as a batch of its own."""
-        with self._writer_lock:
+        """Stage into this thread's open block, or commit as a batch of
+        its own.  Another thread's open block is waited out, never
+        joined: its abort must not discard a write that returned."""
+        me = threading.get_ident()
+        while True:
             with self._lock:
-                self._require_open()
-                self.stats.puts += len(puts)
-                if self._buffer is not None:
-                    self._buffer.stage_batch(puts, deletes)
-                    return
-            self._commit(puts, deletes)
+                while self._buffer is not None and self._buffer_owner != me:
+                    self._require_open()
+                    self._block_closed.wait()
+            with self._writer_lock:
+                with self._lock:
+                    self._require_open()
+                    if self._buffer is not None and self._buffer_owner != me:
+                        continue  # another block opened meanwhile
+                    self.stats.puts += len(puts)
+                    if self._buffer is not None:
+                        self._buffer.stage_batch(puts, deletes)
+                        return
+                self._commit(puts, deletes)
+                return
 
     def _commit(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
         """The whole commit path (caller holds the writer lock): append
@@ -655,6 +671,7 @@ class LsmKV(KVStore):
             self._bg_stop = True
             self._buffer = None
             self._bg_cond.notify_all()
+            self._block_closed.notify_all()
             thread = self._bg_thread
         if thread is not None:
             thread.join()

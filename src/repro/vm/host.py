@@ -135,6 +135,9 @@ class HostBridge:
         # fixed-size linear memory, so out-of-bounds host access traps.
         self.expandable = expandable
         self._input: bytes | None = None
+        # End of the highest byte a host function wrote: a pooled
+        # linear memory is re-zeroed up to here on release.
+        self.dirty = 0
 
     def _ensure(self, end: int) -> None:
         if end > len(self.memory):
@@ -153,8 +156,11 @@ class HostBridge:
     def _mem_write(self, ptr: int, data: bytes) -> None:
         if ptr < 0:
             raise TrapError(f"host write with negative ptr: {ptr}")
-        self._ensure(ptr + len(data))
-        self.memory[ptr : ptr + len(data)] = data
+        end = ptr + len(data)
+        self._ensure(end)
+        self.memory[ptr:end] = data
+        if end > self.dirty:
+            self.dirty = end
 
     def _count(self, name: str) -> None:
         calls = self.result.host_calls

@@ -1,10 +1,14 @@
 """Contract code cache (part of OPT1).
 
 Without the cache, every transaction that touches a contract pays to
-fetch the LEB128 module blob from storage, decode it, validate it and
-(when OPT4 is on) run fusion.  CONFIDE-VM "introduces a code cache
-mechanism" (§6.4) holding the fully prepared module keyed by code hash,
-so repeated executions of hot contracts skip all of that.
+fetch the LEB128 module blob from storage, decode it, validate it,
+(when OPT4 is on) run fusion, and translate every function it calls.
+CONFIDE-VM "introduces a code cache mechanism" (§6.4) holding the fully
+prepared code keyed by code hash: here one
+:class:`~repro.vm.wasm.interpreter.ModuleTemplate` per hash, whose
+functions are translated on first call and kept, so repeated executions
+of hot contracts skip all of that.  Identical function bodies across
+the cached modules share one translation.
 
 The cache is bounded (LRU) because prepared modules live in enclave
 memory, which is EPC-constrained.
@@ -17,6 +21,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.crypto.hashes import sha256
+from repro.vm.wasm.interpreter import BodyTable, ModuleTemplate
 from repro.vm.wasm.module import Module, decode_module, validate_module
 from repro.vm.wasm.optimizer import fuse_module
 
@@ -29,21 +34,23 @@ class CacheStats:
 
 
 class CodeCache:
-    """LRU cache of prepared (decoded/validated/fused) modules."""
+    """LRU cache of module templates, keyed by code hash."""
 
     def __init__(self, capacity: int = 64, fuse: bool = True):
         self.capacity = capacity
         self.fuse = fuse
         self.stats = CacheStats()
-        self._entries: OrderedDict[bytes, Module] = OrderedDict()
-        # The parallel block executor prepares modules from several
-        # worker threads at once; the LRU reorder + insert + evict
-        # sequence must be atomic or the OrderedDict corrupts.
+        self.bodies = BodyTable()
+        self._entries: OrderedDict[bytes, ModuleTemplate] = OrderedDict()
+        # Gateway query threads execute calls beside the block producer;
+        # the LRU reorder + insert + evict sequence must be atomic or
+        # the OrderedDict corrupts.
         self._lock = threading.Lock()
 
-    def prepare(self, blob: bytes) -> Module:
-        """Return a ready-to-execute module for the code blob."""
-        key = sha256(blob)
+    def prepare(self, blob: bytes, code_hash: bytes | None = None) -> ModuleTemplate:
+        """Return the template for the code blob (``code_hash`` is its
+        SHA-256 when the caller already has it)."""
+        key = sha256(blob) if code_hash is None else code_hash
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
@@ -54,18 +61,14 @@ class CodeCache:
         # Decode/validate/fuse outside the lock: it is pure and by far
         # the expensive part; a racing double-prepare just wastes one
         # preparation, it cannot corrupt the cache.
-        module = prepare_module(blob, fuse=self.fuse)
+        template = ModuleTemplate(prepare_module(blob, fuse=self.fuse), self.bodies)
         with self._lock:
             if key not in self._entries:
-                self._entries[key] = module
+                self._entries[key] = template
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
-        return module
-
-    def invalidate(self, blob_hash: bytes) -> None:
-        with self._lock:
-            self._entries.pop(blob_hash, None)
+        return template
 
     def clear(self) -> None:
         with self._lock:

@@ -1,63 +1,784 @@
-"""CONFIDE-VM bytecode interpreter.
+"""CONFIDE-VM execution: each function translated once into Python.
 
-A fixed-size linear memory + operand stack machine over 64-bit integers
-(values held unsigned in [0, 2^64); signed operators reinterpret).  The
-dispatch loop is a hand-ordered if/elif chain — the Python analogue of
-the switch-generated jumping table the paper optimizes — with the OPT4
-superinstructions placed on the hot path.
+A module runs over a fixed-size linear memory of 64-bit integers
+(values held unsigned in [0, 2^64); signed operators reinterpret).
+Instead of dispatching every instruction through an opcode chain, a
+:class:`ModuleTemplate` translates each function, on its first call,
+into one Python function — the analogue of the paper's code cache
+holding prepared code (OPT1):
 
-Fuel (a step limit) bounds runaway contracts; the executed-instruction
-count is reported in :class:`~repro.vm.host.ExecutionResult`, which is
-how the "~450K instructions to parse JSON" style measurements in §6.4
-are reproduced.
+- the body is cut into regions at jump targets; a ``while`` loop picks
+  the region by a binary search on its start, and inside a region the
+  code is straight-line, leaving only at conditional branches;
+- the operand stack lives in Python expressions and temporaries while
+  a region runs; only values that cross a region boundary, or that a
+  region finds already there, go through a list;
+- VM locals are Python locals and immediates are inlined.
+
+Semantics are the instruction-by-instruction ones, exactly: fuel (the
+step limit) is charged per instruction — one check per straight run up
+to a branch or call, and when that check fails the run's prefix is
+translated on demand, so the same instruction traps with ``out of
+fuel`` after the same host effects; trap texts, the coverage sites
+``(fidx, pc)`` and the executed-instruction count reported in
+:class:`~repro.vm.host.ExecutionResult` (how the "~450K instructions to
+parse JSON" measurements of §6.4 are reproduced) are unchanged.
+
+Identical function bodies share one translation per template owner
+(the engine's :class:`~repro.vm.wasm.code_cache.CodeCache`).  With
+``pooled`` on (OPT1's memory pool), linear memory comes from a
+per-thread pool and only the extent a call dirtied is zeroed on
+release.
 """
 
 from __future__ import annotations
+
+import threading
+import weakref
 
 from repro.errors import TrapError, VMError
 from repro.obs.trace import get_tracer
 from repro.vm.host import ExecutionResult, HostBridge, HostContext
 from repro.vm.wasm import opcodes as op
-from repro.vm.wasm.module import Module
+from repro.vm.wasm.module import Function, Module, validate_module
 
 _M = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
-_TWO64 = 1 << 64
+_S = 1 << 63
 
 DEFAULT_MAX_STEPS = 200_000_000
 _MAX_CALL_DEPTH = 128
 
+# A VM store dirties at most this many bytes past its address; the
+# per-function extent tracks store addresses and adds this on release.
+_STORE_SPAN = 8
+# Pooled buffers kept per thread and size (nested calls hold one each).
+_POOL_KEEP = 8
 
-def _signed(v: int) -> int:
-    return v - _TWO64 if v & _SIGN_BIT else v
+
+# ---------------------------------------------------------------------------
+# Linear-memory pool
+# ---------------------------------------------------------------------------
+
+_pool = threading.local()
+
+
+def _acquire(size: int) -> bytearray:
+    free = getattr(_pool, "free", None)
+    if free is None:
+        free = _pool.free = {}
+    buffers = free.get(size)
+    if buffers:
+        return buffers.pop()
+    return bytearray(size)
+
+
+def _release(buffer: bytearray, size: int, extent: int) -> None:
+    """Zero the dirtied extent and return the buffer to this thread's pool."""
+    if len(buffer) != size:
+        return  # resized by a negative-offset store: not reusable
+    extent = min(extent, size)
+    buffer[:extent] = bytes(extent)
+    buffers = _pool.free.setdefault(size, [])
+    if len(buffers) < _POOL_KEEP:
+        buffers.append(buffer)
+
+
+def pooled_buffers(size: int) -> list:
+    """This thread's free buffers of one size (for tests and probes)."""
+    return list(getattr(_pool, "free", {}).get(size, ()))
+
+
+# ---------------------------------------------------------------------------
+# Translation
+# ---------------------------------------------------------------------------
+
+_CONDITIONAL = frozenset({op.JMP_IF, op.JMP_IFZ, op.CMP_BR})
+_ENDS_FLOW = frozenset({op.JMP, op.RETURN, op.UNREACHABLE})
+_MEMORY_OPS = frozenset({
+    op.LOAD8_U, op.LOAD16_U, op.LOAD32_U, op.LOAD64, op.LOAD8_LOCAL,
+    op.STORE8, op.STORE16, op.STORE32, op.STORE64, op.MEMCOPY, op.MEMFILL,
+    op.MEMSIZE,
+})
+_WRITES = frozenset({op.STORE8, op.STORE16, op.STORE32, op.STORE64,
+                     op.MEMCOPY, op.MEMFILL})
+
+_LOADS = {op.LOAD8_U: ("load8", 1), op.LOAD16_U: ("load16", 2),
+          op.LOAD32_U: ("load32", 4), op.LOAD64: ("load64", 8)}
+_STORES = {op.STORE8: ("store8", 1), op.STORE16: ("store16", 2),
+           op.STORE32: ("store32", 4), op.STORE64: ("store64", 8)}
+
+_ARITH = {op.ADD: "{l} + {r}", op.SUB: "{l} - {r}", op.MUL: "{l} * {r}"}
+_BITWISE = {op.AND: "{l} & {r}", op.OR: "{l} | {r}", op.XOR: "{l} ^ {r}"}
+_SIGNED_CMP = {op.CMP_LT_S: "<", op.CMP_GT_S: ">", op.CMP_LE_S: "<=",
+               op.CMP_GE_S: ">="}
+_UNSIGNED_CMP = {op.CMP_EQ: "==", op.CMP_NE: "!=", op.CMP_LT_U: "<",
+                 op.CMP_GT_U: ">", op.CMP_LE_U: "<=", op.CMP_GE_U: ">="}
+
+
+def _atom(expr: str) -> bool:
+    return expr.isidentifier() or expr.isdigit()
+
+
+def _p(expr: str) -> str:
+    return expr if _atom(expr) else f"({expr})"
+
+
+def _signed_expr(expr: str) -> str:
+    if expr.isdigit():
+        value = int(expr)
+        return str(value - (1 << 64) if value & _S else value)
+    return f"(({_p(expr)} ^ {_S}) - {_S})"
+
+
+def _compare(kind: int, lhs: str, rhs: str) -> str:
+    if kind in _UNSIGNED_CMP:
+        return f"{_p(lhs)} {_UNSIGNED_CMP[kind]} {_p(rhs)}"
+    return f"({_p(lhs)} ^ {_S}) {_SIGNED_CMP[kind]} ({_p(rhs)} ^ {_S})"
+
+
+class _Emitter:
+    """Translates a run of instructions, keeping the operand stack symbolic.
+
+    ``sym`` holds the values pushed since the region began, as pure
+    Python expressions with the VM locals each one reads; anything that
+    can trap (a pop from the real stack, a memory access, a division, a
+    call) is emitted in program order, so traps fire where they did.
+    """
+
+    def __init__(self, body: "_Body", indent: int):
+        self.body = body
+        self.lines: list[str] = []
+        self.indent = indent
+        self.silent = False
+        self.sym: list[tuple[str, frozenset]] = []
+        self.ntemps = 0
+        self.uses_list = False
+
+    # -- plumbing ------------------------------------------------------------
+
+    def line(self, text: str) -> None:
+        if not self.silent:
+            self.lines.append("    " * self.indent + text)
+
+    def temp(self) -> str:
+        name = f"t{self.ntemps}"
+        self.ntemps += 1
+        return name
+
+    def push(self, expr: str, refs: frozenset = frozenset()) -> None:
+        self.sym.append((expr, refs))
+
+    def pop(self) -> tuple[str, frozenset]:
+        """A value the instruction takes with ``stack.pop()``."""
+        if self.sym:
+            return self.sym.pop()
+        self.uses_list = True
+        name = self.temp()
+        self.line(f"{name} = pop()")
+        return name, frozenset()
+
+    def top(self) -> tuple[str, frozenset]:
+        """A value the instruction reads as ``stack[-1]`` and replaces."""
+        if self.sym:
+            return self.sym.pop()
+        self.uses_list = True
+        name = self.temp()
+        self.line(f"{name} = stack[-1]")
+        self.line("del stack[-1]")
+        return name, frozenset()
+
+    def materialize(self, expr: str) -> str:
+        if _atom(expr):
+            return expr
+        name = self.temp()
+        self.line(f"{name} = {expr}")
+        return name
+
+    def set_local(self, index: int, expr: str) -> None:
+        """``L{index} = expr``, first pinning pushed values that read it."""
+        for i, (value, refs) in enumerate(self.sym):
+            if index in refs:
+                name = self.temp()
+                self.line(f"{name} = {value}")
+                self.sym[i] = (name, frozenset())
+        self.line(f"L{index} = {expr}")
+
+    def flush_lines(self) -> list[str]:
+        return [f"push({value})" for value, _refs in self.sym]
+
+    def flush(self) -> None:
+        for text in self.flush_lines():
+            self.uses_list = True
+            self.line(text)
+        self.sym.clear()
+
+    def binary(self, template: str, mask: bool) -> None:
+        rhs, rrefs = self.pop()
+        lhs, lrefs = self.top()
+        expr = template.format(l=_p(lhs), r=_p(rhs))
+        self.push(f"({expr}) & {_M}" if mask else expr, lrefs | rrefs)
+
+    def address(self, base: str, offset: int) -> str:
+        if offset == 0:
+            return self.materialize(base)
+        if base.isdigit():
+            return str(int(base) + offset)
+        name = self.temp()
+        self.line(f"{name} = {_p(base)} + {offset}")
+        return name
+
+    def grow(self, addr: str, offset: int) -> None:
+        """Extend the dirtied extent over a store at ``addr``."""
+        if offset < 0:
+            self.line("hi = memlen")  # negative offsets index from the end
+        else:
+            self.line(f"if {addr} > hi: hi = {addr}")
+
+    def branch(self, pc: int, taken: str, covered: str, target: int) -> None:
+        self.line(f"if cov is not None: cov.branch((FIDX, {pc}), {covered})")
+        self.line(f"if {taken}:")
+        self.indent += 1
+        for text in self.flush_lines():
+            self.uses_list = True
+            self.line(text)
+        self.line(f"pc = {target}")
+        self.line("continue")
+        self.indent -= 1
+
+    # -- one instruction ---------------------------------------------------
+
+    def instr(self, pc: int, opcode: int, a: int, b: int) -> None:
+        body = self.body
+        if opcode == op.LOCAL_GET:
+            self.push(f"L{a}", frozenset((a,)))
+        elif opcode == op.CONST:
+            self.push(str(a & _M))
+        elif opcode == op.GETGET:
+            self.push(f"L{a}", frozenset((a,)))
+            self.push(f"L{b}", frozenset((b,)))
+        elif opcode == op.GETCONST:
+            self.push(f"L{a}", frozenset((a,)))
+            self.push(str(b & _M))
+        elif opcode == op.LOCAL_SET:
+            value, _refs = self.pop()
+            self.set_local(a, value)
+        elif opcode == op.LOCAL_TEE:
+            if self.sym:
+                self.set_local(a, self.sym.pop()[0])
+            else:
+                self.uses_list = True
+                self.set_local(a, "stack[-1]")
+                self.line("del stack[-1]")
+            self.push(f"L{a}", frozenset((a,)))
+        elif opcode == op.MOVL:
+            self.set_local(b, f"L{a}")
+        elif opcode == op.INCL:
+            self.set_local(a, f"(L{a} + {b}) & {_M}")
+        elif opcode == op.ADDI:
+            value, refs = self.top()
+            self.push(f"({_p(value)} + {a}) & {_M}", refs)
+        elif opcode == op.GETADD:
+            value, refs = self.top()
+            self.push(f"({_p(value)} + L{a}) & {_M}", refs | {a})
+        elif opcode in _ARITH:
+            self.binary(_ARITH[opcode], True)
+        elif opcode in _BITWISE:
+            self.binary(_BITWISE[opcode], False)
+        elif opcode in (op.SHL, op.SHR_U, op.SHR_S):
+            amount, rrefs = self.pop()
+            amount = (str(int(amount) & 63) if amount.isdigit()
+                      else f"({_p(amount)} & 63)")
+            value, lrefs = self.top()
+            if opcode == op.SHL:
+                expr = f"({_p(value)} << {amount}) & {_M}"
+            elif opcode == op.SHR_U:
+                expr = f"{_p(value)} >> {amount}"
+            else:
+                expr = f"({_signed_expr(value)} >> {amount}) & {_M}"
+            self.push(expr, lrefs | rrefs)
+        elif opcode == op.EQZ:
+            value, refs = self.top()
+            self.push(f"(0 if {_p(value)} else 1)", refs)
+        elif op.EQ <= opcode <= op.GE_U:
+            rhs, rrefs = self.pop()
+            lhs, lrefs = self.top()
+            cond = _compare(op.comparison_kind(opcode), lhs, rhs)
+            self.push(f"(1 if {cond} else 0)", lrefs | rrefs)
+        elif opcode in (op.DIV_S, op.REM_S):
+            rhs, _r = self.pop()
+            lhs, _l = self.top()
+            helper = "div_s" if opcode == op.DIV_S else "rem_s"
+            name = self.temp()
+            self.line(f"{name} = {helper}({lhs}, {rhs})")
+            self.push(name)
+        elif opcode in (op.DIV_U, op.REM_U):
+            rhs, rrefs = self.pop()
+            rhs = self.materialize(rhs)
+            if not rhs.isdigit() or int(rhs) == 0:
+                word = "division" if opcode == op.DIV_U else "remainder"
+                self.line(f"if {rhs} == 0: "
+                          f"raise TrapError('integer {word} by zero')")
+            lhs, lrefs = self.top()
+            sign = "//" if opcode == op.DIV_U else "%"
+            self.push(f"{_p(lhs)} {sign} {rhs}", lrefs | rrefs)
+        elif opcode in _LOADS or opcode == op.LOAD8_LOCAL:
+            if opcode == op.LOAD8_LOCAL:
+                name, width, base, offset = "load8", 1, f"L{a}", b
+            else:
+                name, width = _LOADS[opcode]
+                base, offset = self.pop()[0], a
+            addr = self.address(base, offset)
+            if width == 1:
+                self.line(f"if {addr} >= memlen: oob('{name}', {addr})")
+                value = f"mem[{addr}]"
+            else:
+                self.line(f"if {addr} + {width} > memlen: oob('{name}', {addr})")
+                value = f"from_bytes(mem[{addr}:{addr} + {width}], 'big')"
+            result = self.temp()
+            self.line(f"{result} = {value}")
+            self.push(result)
+        elif opcode in _STORES:
+            name, width = _STORES[opcode]
+            value = self.pop()[0]
+            addr = self.address(self.pop()[0], a)
+            if width == 1:
+                self.line(f"if {addr} >= memlen: oob('{name}', {addr})")
+                self.line(f"mem[{addr}] = {_p(value)} & 255")
+            else:
+                self.line(f"if {addr} + {width} > memlen: oob('{name}', {addr})")
+                mask = (1 << 8 * width) - 1
+                if value.isdigit():
+                    data = repr((int(value) & mask).to_bytes(width, "big"))
+                elif width == 8:
+                    data = f"({value}).to_bytes(8, 'big')"
+                else:
+                    data = f"({_p(value)} & {mask}).to_bytes({width}, 'big')"
+                self.line(f"mem[{addr}:{addr} + {width}] = {data}")
+            self.grow(addr, a)
+        elif opcode in (op.MEMCOPY, op.MEMFILL):
+            length = self.materialize(self.pop()[0])
+            second = self.pop()[0]
+            if opcode == op.MEMCOPY:
+                src = self.materialize(second)
+            else:
+                fill = self.materialize(f"{_p(second)} & 255")
+            dst = self.materialize(self.pop()[0])
+            if opcode == op.MEMCOPY:
+                self.line(f"if {src} + {length} > memlen or "
+                          f"{dst} + {length} > memlen: "
+                          "raise TrapError('memcopy out of bounds')")
+                self.line(f"mem[{dst}:{dst} + {length}] = "
+                          f"mem[{src}:{src} + {length}]")
+            else:
+                self.line(f"if {dst} + {length} > memlen: "
+                          "raise TrapError('memfill out of bounds')")
+                self.line(f"mem[{dst}:{dst} + {length}] = "
+                          f"bytes(({fill},)) * {length}")
+            self.line(f"if {dst} + {length} > hi: hi = {dst} + {length}")
+        elif opcode == op.MEMSIZE:
+            self.push("memlen")
+        elif opcode == op.SELECT:
+            cond, crefs = self.pop()
+            if_false, frefs = self.pop()
+            if_true, trefs = self.pop()
+            self.push(f"{_p(if_true)} if {_p(cond)} else {_p(if_false)}",
+                      crefs | frefs | trefs)
+        elif opcode == op.CALL:
+            nparams, nresults = body.callees[a]
+            args = self.take_args(nparams, "call_args")
+            self.line("self.steps_left = steps")
+            call = f"call({a}, {args})"
+            if nresults:
+                result = self.temp()
+                self.line(f"{result} = {call}")
+                self.push(result)
+            else:
+                self.line(call)
+            self.line("steps = self.steps_left")
+        elif opcode == op.CALL_HOST:
+            nparams, nresults = body.hosts[a]
+            if len(self.sym) >= nparams:
+                args = ", ".join(_signed_expr(v) for v, _r in
+                                 self.sym[len(self.sym) - nparams:])
+                del self.sym[len(self.sym) - nparams:]
+            else:
+                args = "*" + self.take_args(nparams, "host_args")
+            call = f"hosts[{a}]({args})"
+            if nresults:
+                result = self.temp()
+                self.line(f"{result} = {call}")
+                self.line(f"{result} = ({result} if {result} is not None "
+                          f"else 0) & {_M}")
+                self.push(result)
+            else:
+                self.line(call)
+        elif opcode == op.DROP:
+            if self.sym:
+                self.sym.pop()
+            else:
+                self.uses_list = True
+                self.line("pop()")
+        elif opcode == op.RETURN:
+            self.line("self.steps_left = steps")
+            if body.func.nresults:
+                self.line(f"return {self.pop()[0]}")
+            else:
+                self.line("return None")
+        elif opcode == op.UNREACHABLE:
+            self.line("raise TrapError('unreachable executed')")
+        elif opcode == op.JMP:
+            self.flush()
+            self.line(f"pc = {a}")
+        elif opcode == op.JMP_IF:
+            value = _p(self.pop()[0])
+            self.branch(pc, value, f"{value} != 0", a)
+        elif opcode == op.JMP_IFZ:
+            value = _p(self.pop()[0])
+            self.branch(pc, f"not {value}", f"{value} == 0", a)
+        elif opcode == op.CMP_BR:
+            rhs = self.pop()[0]
+            lhs = self.pop()[0]
+            cond = _compare(b, lhs, rhs)
+            self.branch(pc, cond, cond, a)
+        elif opcode == op.NOP:
+            pass
+        else:  # unreachable for validated code
+            self.line(f"raise TrapError('unknown opcode {opcode}')")
+
+    def take_args(self, nparams: int, helper: str) -> str:
+        """The call's arguments: symbolic when all are, else sliced off
+        the real stack exactly as the instruction-level VM did."""
+        if len(self.sym) >= nparams:
+            args = [v for v, _r in self.sym[len(self.sym) - nparams:]]
+            del self.sym[len(self.sym) - nparams:]
+            return "[" + ", ".join(args) + "]"
+        self.flush()
+        self.uses_list = True
+        name = self.temp()
+        self.line(f"{name} = {helper}(stack, {nparams})")
+        return name
+
+
+def _segment_length(code, start: int, end: int) -> int:
+    """Instructions from ``start`` through the next branch, call or
+    terminator: the run one fuel check pays for."""
+    i = start
+    while i < end:
+        opcode = code[i][0]
+        if opcode in _CONDITIONAL or opcode in _ENDS_FLOW or opcode == op.CALL:
+            return i - start + 1
+        i += 1
+    return end - start
+
+
+class _Body:
+    """One distinct function body and its translation.
+
+    ``make(fidx)`` returns the body's Python function for function
+    index ``fidx`` (the only per-index value is the coverage site);
+    ``prefix(seg, steps)`` translates, on demand, the first ``steps``
+    instructions of the fuel segment at ``seg`` followed by the
+    ``out of fuel`` trap.
+    """
+
+    def __init__(self, func: Function, callees: dict, hosts: dict):
+        self.func = func
+        self.callees = callees
+        self.hosts = hosts
+        code = func.code
+        self.leaders = sorted({0} | {a for (opcode, a, _b) in code
+                                     if opcode in op.BRANCH_OPS})
+        self.has_memory = any(opc in _MEMORY_OPS for (opc, _a, _b) in code)
+        self.writes = any(opc in _WRITES for (opc, _a, _b) in code)
+        self.globals = dict(_RUNTIME, _BODY=self)
+        self._prefixes: dict = {}
+        self.make = self._compile()
+
+    # -- the function --------------------------------------------------------
+
+    def _region(self, start: int, end: int, indent: int) -> _Emitter:
+        code = self.func.code
+        em = _Emitter(self, indent)
+        i = start
+        open_segment = False
+        while i < end:
+            opcode, a, b = code[i]
+            if not open_segment:
+                length = _segment_length(code, i, end)
+                em.line(f"if steps < {length}: "
+                        f"fuel(_BODY, {i}, steps, locals())")
+                em.line(f"steps -= {length}")
+                open_segment = True
+            em.instr(i, opcode, a, b)
+            if opcode in _ENDS_FLOW:
+                return em
+            if opcode in _CONDITIONAL or opcode == op.CALL:
+                open_segment = False
+            i += 1
+        em.flush()
+        em.line(f"pc = {end}")
+        return em
+
+    def _tree(self, lo: int, hi: int, indent: int, out: list) -> bool:
+        """Binary search over region starts; returns whether any region
+        used the real stack."""
+        leaders = self.leaders
+        if hi - lo == 1:
+            end = leaders[lo + 1] if lo + 1 < len(leaders) else len(self.func.code)
+            em = self._region(leaders[lo], end, indent)
+            out.extend(em.lines)
+            return em.uses_list
+        mid = (lo + hi) // 2
+        out.append("    " * indent + f"if pc < {leaders[mid]}:")
+        uses = self._tree(lo, mid, indent + 1, out)
+        out.append("    " * indent + "else:")
+        return self._tree(mid, hi, indent + 1, out) or uses
+
+    def _prologue(self, uses_list: bool) -> list[str]:
+        func = self.func
+        lines = [f"L{i} &= {_M}" for i in range(func.nparams)]
+        extra = [f"L{i}" for i in range(func.nparams, func.nparams + func.nlocals)]
+        if extra:
+            lines.append(" = ".join(extra) + " = 0")
+        if self.has_memory:
+            lines += ["mem = self.memory", "memlen = len(mem)"]
+        lines.append("steps = self.steps_left")
+        code = func.code
+        if any(opc in _CONDITIONAL for (opc, _a, _b) in code):
+            lines.append("cov = self._coverage")
+        if self.hosts:
+            lines.append("hosts = self._hosts")
+        if self.callees:
+            lines.append("call = self._call")
+        if uses_list:
+            lines += ["stack = []", "push = stack.append", "pop = stack.pop"]
+        if self.writes:
+            lines.append("hi = 0")
+        return lines
+
+    def _compile(self):
+        func = self.func
+        body: list[str] = []
+        if len(self.leaders) > 1 or any(
+                opc in op.BRANCH_OPS for (opc, _a, _b) in func.code):
+            body.append("        pc = 0")
+            body.append("        while True:")
+            uses_list = self._tree(0, len(self.leaders), 3, body)
+        else:
+            em = self._region(0, len(func.code), 2)
+            body.extend(em.lines)
+            uses_list = em.uses_list
+        params = "".join(f", L{i}" for i in range(func.nparams))
+        src = [f"def make(FIDX):", f"    def run(self{params}):"]
+        src += ["        " + text for text in self._prologue(uses_list)]
+        src.append("        try:")
+        src += ["    " + text for text in body]
+        src += [
+            "        except IndexError as exc:",
+            "            raise TrapError("
+            "f'stack underflow or bad index: {exc}') from exc",
+        ]
+        if self.writes:
+            src += ["        finally:",
+                    "            if hi > self.dirty: self.dirty = hi"]
+        src.append("    return run")
+        namespace: dict = {}
+        exec(compile("\n".join(src), "<confide-vm>", "exec"),
+             self.globals, namespace)
+        return namespace["make"]
+
+    # -- fuel exhaustion inside a segment -------------------------------------
+
+    def prefix(self, seg: int, steps: int, env: dict):
+        key = (seg, steps)
+        fn = self._prefixes.get(key)
+        if fn is None:
+            fn = self._prefixes[key] = self._compile_prefix(seg, steps, env)
+        return fn
+
+    def _compile_prefix(self, seg: int, steps: int, env: dict):
+        code = self.func.code
+        start = max(leader for leader in self.leaders if leader <= seg)
+        em = _Emitter(self, 2)
+        em.silent = True
+        for i in range(start, seg):
+            em.instr(i, *code[i])
+        em.silent = False
+        bound = em.ntemps
+        for i in range(seg, seg + max(steps, 0)):
+            em.instr(i, *code[i])
+        em.line("raise TrapError('out of fuel')")
+        names = ["self"] + [f"L{i}" for i in
+                            range(self.func.nparams + self.func.nlocals)]
+        names += [n for n in ("mem", "memlen", "hosts", "stack") if n in env]
+        names += [f"t{i}" for i in range(bound)]
+        src = ["def prefix(env):"]
+        src += [f"    {name} = env['{name}']" for name in names]
+        if "stack" in env:
+            src += ["    push = stack.append", "    pop = stack.pop"]
+        src += ["    hi = 0", "    try:"]
+        src += em.lines
+        src += ["    finally:", "        if hi > self.dirty: self.dirty = hi"]
+        namespace: dict = {}
+        exec(compile("\n".join(src), "<confide-vm>", "exec"),
+             self.globals, namespace)
+        return namespace["prefix"]
+
+
+def _oob(name: str, addr: int):
+    raise TrapError(f"{name} out of bounds at {addr}")
+
+
+def _fuel(body: _Body, seg: int, steps: int, env: dict):
+    body.prefix(seg, steps, env)(env)
+
+
+def _div_s(lhs: int, rhs: int) -> int:
+    rhs = rhs - (1 << 64) if rhs & _S else rhs
+    lhs = lhs - (1 << 64) if lhs & _S else lhs
+    if rhs == 0:
+        raise TrapError("integer division by zero")
+    quotient = abs(lhs) // abs(rhs)
+    if (lhs < 0) != (rhs < 0):
+        quotient = -quotient
+    return quotient & _M
+
+
+def _rem_s(lhs: int, rhs: int) -> int:
+    rhs = rhs - (1 << 64) if rhs & _S else rhs
+    lhs = lhs - (1 << 64) if lhs & _S else lhs
+    if rhs == 0:
+        raise TrapError("integer remainder by zero")
+    remainder = abs(lhs) % abs(rhs)
+    if lhs < 0:
+        remainder = -remainder
+    return remainder & _M
+
+
+def _call_args(stack: list, nargs: int) -> list:
+    args = stack[len(stack) - nargs:] if nargs else []
+    del stack[len(stack) - nargs:]
+    return args
+
+
+def _host_args(stack: list, nargs: int) -> list:
+    raw = stack[len(stack) - nargs:]
+    del stack[len(stack) - nargs:]
+    return [v - (1 << 64) if v & _S else v for v in raw]
+
+
+_RUNTIME = {
+    "TrapError": TrapError,
+    "oob": _oob,
+    "fuel": _fuel,
+    "div_s": _div_s,
+    "rem_s": _rem_s,
+    "call_args": _call_args,
+    "host_args": _host_args,
+    "from_bytes": int.from_bytes,
+}
+
+
+# ---------------------------------------------------------------------------
+# Templates and instances
+# ---------------------------------------------------------------------------
+
+class BodyTable:
+    """Translated bodies keyed by content, shared by the templates of one
+    owner; a body lives as long as a template still uses it."""
+
+    def __init__(self):
+        self._bodies: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+        self._lock = threading.Lock()
+
+    def get(self, key, build) -> _Body:
+        with self._lock:
+            body = self._bodies.get(key)
+        if body is None:
+            # Translate outside the lock; a racing twin is discarded.
+            body = build()
+            with self._lock:
+                body = self._bodies.setdefault(key, body)
+        return body
+
+    def __len__(self) -> int:
+        return len(self._bodies)
+
+
+class ModuleTemplate:
+    """Everything the calls of one prepared module share: the module,
+    its data image, its host-binding layout and its functions, each
+    translated on its first call.
+
+    ``bodies`` maps a body's content to its translation; an owner that
+    passes one mapping to many templates (the engine's code cache)
+    translates a body that several modules contain once.
+    """
+
+    def __init__(self, module: Module, bodies=None):
+        self.module = module
+        self.functions = module.functions
+        self.exports = module.exports
+        self.memory_bytes = module.memory_bytes
+        self.data = [(seg.offset, seg.data) for seg in module.data]
+        self.data_end = max((off + len(d) for off, d in self.data), default=0)
+        self.host_names = tuple(imp.name for imp in module.hosts)
+        self.nparams = [f.nparams for f in module.functions]
+        self.compiled: list = [None] * len(module.functions)
+        self._bodies = BodyTable() if bodies is None else bodies
+
+    def compile(self, fidx: int):
+        """Translate function ``fidx`` (on its first call)."""
+        module = self.module
+        func = module.functions[fidx]
+        callees = {a: (module.functions[a].nparams, module.functions[a].nresults)
+                   for (opcode, a, _b) in func.code if opcode == op.CALL}
+        hosts = {a: (module.hosts[a].nparams, module.hosts[a].nresults)
+                 for (opcode, a, _b) in func.code if opcode == op.CALL_HOST}
+        key = (func.nparams, func.nlocals, func.nresults, tuple(func.code),
+               tuple(sorted(callees.items())), tuple(sorted(hosts.items())))
+        body = self._bodies.get(key, lambda: _Body(func, callees, hosts))
+        fn = self.compiled[fidx] = body.make(fidx)
+        return fn
 
 
 class WasmInstance:
-    """One instantiation of a module: memory + host bindings."""
+    """One call's instantiation of a template: memory + host bindings.
+
+    ``module`` is a :class:`ModuleTemplate`, or a bare :class:`Module`,
+    which is validated and gets a template of its own.  With ``pooled``
+    the linear memory comes from this thread's pool and goes back,
+    zeroed where it was dirtied, when :meth:`run` returns or traps.
+    """
 
     def __init__(
         self,
-        module: Module,
+        module: ModuleTemplate | Module,
         context: HostContext,
         max_steps: int = DEFAULT_MAX_STEPS,
+        pooled: bool = False,
     ):
-        self.module = module
-        self.memory = bytearray(module.memory_bytes)
-        for seg in module.data:
-            end = seg.offset + len(seg.data)
-            if end > len(self.memory):
+        if isinstance(module, Module):
+            validate_module(module)
+            module = ModuleTemplate(module)
+        self.template = template = module
+        self.module = template.module
+        size = template.memory_bytes
+        self._pooled = pooled
+        self.memory = memory = _acquire(size) if pooled else bytearray(size)
+        for offset, data in template.data:
+            end = offset + len(data)
+            if end > len(memory):
                 raise VMError("data segment out of memory bounds")
-            self.memory[seg.offset : end] = seg.data
+            memory[offset:end] = data
+        self.dirty = 0
         self.result = ExecutionResult()
-        self._bridge = HostBridge(context, self.memory, self.result)
-        bridge_methods = {
-            imp.name: getattr(self._bridge, imp.name, None) for imp in module.hosts
-        }
-        for name, handler in bridge_methods.items():
+        self._bridge = bridge = HostBridge(context, memory, self.result)
+        hosts = [getattr(bridge, name, None) for name in template.host_names]
+        for name, handler in zip(template.host_names, hosts):
             if handler is None:
                 raise VMError(f"module imports unknown host function '{name}'")
-        self._hosts = [bridge_methods[imp.name] for imp in module.hosts]
-        self._host_imports = module.hosts
+        self._hosts = hosts
         self.steps_left = max_steps
         self._max_steps = max_steps
         self._depth = 0
@@ -68,312 +789,38 @@ class WasmInstance:
 
     def run(self, export: str, args: list[int] | None = None) -> ExecutionResult:
         """Invoke an exported function; returns the execution result."""
-        fidx = self.module.exports.get(export)
-        if fidx is None:
-            raise VMError(f"module has no export '{export}'")
-        value = self._call(fidx, list(args or []))
+        try:
+            fidx = self.template.exports.get(export)
+            if fidx is None:
+                raise VMError(f"module has no export '{export}'")
+            value = self._call(fidx, list(args or []))
+        finally:
+            if self._pooled:
+                self._release()
         self.result.instructions = self._max_steps - self.steps_left
         if value is not None and not self.result.output:
             self.result.output = (value & _M).to_bytes(8, "big")
         return self.result
 
+    def _release(self) -> None:
+        template = self.template
+        extent = max(self.dirty + _STORE_SPAN, self._bridge.dirty,
+                     template.data_end)
+        _release(self.memory, template.memory_bytes, extent)
+        self.memory = self._bridge.memory = None
+
     def _call(self, fidx: int, args: list[int]):
-        func = self.module.functions[fidx]
-        if len(args) != func.nparams:
+        template = self.template
+        nparams = template.nparams[fidx]
+        if len(args) != nparams:
             raise TrapError(
-                f"function {fidx} expects {func.nparams} args, got {len(args)}"
+                f"function {fidx} expects {nparams} args, got {len(args)}"
             )
         self._depth += 1
         if self._depth > _MAX_CALL_DEPTH:
             raise TrapError("call stack exhausted")
         try:
-            return _execute(self, fidx, func, args)
+            fn = template.compiled[fidx] or template.compile(fidx)
+            return fn(self, *args)
         finally:
             self._depth -= 1
-
-
-def _execute(self: WasmInstance, fidx: int, func, args: list[int]):
-    """The dispatch loop (module-level, flat, hand-ordered by heat)."""
-    cov = self._coverage
-    code = func.code
-    locals_ = [a & _M for a in args] + [0] * func.nlocals
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    mem = self.memory
-    memlen = len(mem)
-    hosts = self._hosts
-    host_imports = self._host_imports
-    functions = self.module.functions
-    steps = self.steps_left
-    pc = 0
-    size = len(code)
-    try:
-        while pc < size:
-            opcode, a, b = code[pc]
-            pc += 1
-            steps -= 1
-            if steps < 0:
-                raise TrapError("out of fuel")
-            if opcode == 3:  # LOCAL_GET
-                push(locals_[a])
-            elif opcode == 69:  # CMP_BR
-                rhs = pop()
-                lhs = pop()
-                if b == 0:
-                    taken = lhs == rhs
-                elif b == 1:
-                    taken = lhs != rhs
-                elif b == 2:
-                    taken = _signed(lhs) < _signed(rhs)
-                elif b == 3:
-                    taken = lhs < rhs
-                elif b == 4:
-                    taken = _signed(lhs) > _signed(rhs)
-                elif b == 5:
-                    taken = lhs > rhs
-                elif b == 6:
-                    taken = _signed(lhs) <= _signed(rhs)
-                elif b == 7:
-                    taken = lhs <= rhs
-                elif b == 8:
-                    taken = _signed(lhs) >= _signed(rhs)
-                else:
-                    taken = lhs >= rhs
-                if cov is not None:
-                    cov.branch((fidx, pc - 1), taken)
-                if taken:
-                    pc = a
-            elif opcode == 70:  # LOAD8_LOCAL
-                addr = locals_[a] + b
-                if addr >= memlen:
-                    raise TrapError(f"load8 out of bounds at {addr}")
-                push(mem[addr])
-            elif opcode == 1:  # CONST
-                push(a & _M)
-            elif opcode == 65:  # GETCONST
-                push(locals_[a])
-                push(b & _M)
-            elif opcode == 64:  # GETGET
-                push(locals_[a])
-                push(locals_[b])
-            elif opcode == 66:  # ADDI
-                stack[-1] = (stack[-1] + a) & _M
-            elif opcode == 71:  # INCL
-                locals_[a] = (locals_[a] + b) & _M
-            elif opcode == 67:  # GETADD
-                stack[-1] = (stack[-1] + locals_[a]) & _M
-            elif opcode == 68:  # MOVL
-                locals_[b] = locals_[a]
-            elif opcode == 16:  # ADD
-                rhs = pop()
-                stack[-1] = (stack[-1] + rhs) & _M
-            elif opcode == 48:  # LOAD8_U
-                addr = pop() + a
-                if addr >= memlen:
-                    raise TrapError(f"load8 out of bounds at {addr}")
-                push(mem[addr])
-            elif opcode == 52:  # STORE8
-                value = pop()
-                addr = pop() + a
-                if addr >= memlen:
-                    raise TrapError(f"store8 out of bounds at {addr}")
-                mem[addr] = value & 0xFF
-            elif opcode == 4:  # LOCAL_SET
-                locals_[a] = pop()
-            elif opcode == 6:  # JMP
-                pc = a
-            elif opcode == 8:  # JMP_IFZ
-                taken = not pop()
-                if cov is not None:
-                    cov.branch((fidx, pc - 1), taken)
-                if taken:
-                    pc = a
-            elif opcode == 7:  # JMP_IF
-                taken = bool(pop())
-                if cov is not None:
-                    cov.branch((fidx, pc - 1), taken)
-                if taken:
-                    pc = a
-            elif opcode == 17:  # SUB
-                rhs = pop()
-                stack[-1] = (stack[-1] - rhs) & _M
-            elif opcode == 18:  # MUL
-                rhs = pop()
-                stack[-1] = (stack[-1] * rhs) & _M
-            elif opcode == 33:  # EQ
-                rhs = pop()
-                stack[-1] = 1 if stack[-1] == rhs else 0
-            elif opcode == 34:  # NE
-                rhs = pop()
-                stack[-1] = 1 if stack[-1] != rhs else 0
-            elif opcode == 35:  # LT_S
-                rhs = pop()
-                stack[-1] = 1 if _signed(stack[-1]) < _signed(rhs) else 0
-            elif opcode == 36:  # LT_U
-                rhs = pop()
-                stack[-1] = 1 if stack[-1] < rhs else 0
-            elif opcode == 37:  # GT_S
-                rhs = pop()
-                stack[-1] = 1 if _signed(stack[-1]) > _signed(rhs) else 0
-            elif opcode == 38:  # GT_U
-                rhs = pop()
-                stack[-1] = 1 if stack[-1] > rhs else 0
-            elif opcode == 39:  # LE_S
-                rhs = pop()
-                stack[-1] = 1 if _signed(stack[-1]) <= _signed(rhs) else 0
-            elif opcode == 40:  # LE_U
-                rhs = pop()
-                stack[-1] = 1 if stack[-1] <= rhs else 0
-            elif opcode == 41:  # GE_S
-                rhs = pop()
-                stack[-1] = 1 if _signed(stack[-1]) >= _signed(rhs) else 0
-            elif opcode == 42:  # GE_U
-                rhs = pop()
-                stack[-1] = 1 if stack[-1] >= rhs else 0
-            elif opcode == 32:  # EQZ
-                stack[-1] = 1 if stack[-1] == 0 else 0
-            elif opcode == 51:  # LOAD64
-                addr = pop() + a
-                if addr + 8 > memlen:
-                    raise TrapError(f"load64 out of bounds at {addr}")
-                push(int.from_bytes(mem[addr : addr + 8], "big"))
-            elif opcode == 55:  # STORE64
-                value = pop()
-                addr = pop() + a
-                if addr + 8 > memlen:
-                    raise TrapError(f"store64 out of bounds at {addr}")
-                mem[addr : addr + 8] = value.to_bytes(8, "big")
-            elif opcode == 5:  # LOCAL_TEE
-                locals_[a] = stack[-1]
-            elif opcode == 2:  # DROP
-                pop()
-            elif opcode == 23:  # AND
-                rhs = pop()
-                stack[-1] &= rhs
-            elif opcode == 24:  # OR
-                rhs = pop()
-                stack[-1] |= rhs
-            elif opcode == 25:  # XOR
-                rhs = pop()
-                stack[-1] ^= rhs
-            elif opcode == 26:  # SHL
-                rhs = pop() & 63
-                stack[-1] = (stack[-1] << rhs) & _M
-            elif opcode == 27:  # SHR_U
-                rhs = pop() & 63
-                stack[-1] >>= rhs
-            elif opcode == 28:  # SHR_S
-                rhs = pop() & 63
-                stack[-1] = (_signed(stack[-1]) >> rhs) & _M
-            elif opcode == 19:  # DIV_S
-                rhs = _signed(pop())
-                lhs = _signed(stack[-1])
-                if rhs == 0:
-                    raise TrapError("integer division by zero")
-                quotient = abs(lhs) // abs(rhs)
-                if (lhs < 0) != (rhs < 0):
-                    quotient = -quotient
-                stack[-1] = quotient & _M
-            elif opcode == 20:  # DIV_U
-                rhs = pop()
-                if rhs == 0:
-                    raise TrapError("integer division by zero")
-                stack[-1] //= rhs
-            elif opcode == 21:  # REM_S
-                rhs = _signed(pop())
-                lhs = _signed(stack[-1])
-                if rhs == 0:
-                    raise TrapError("integer remainder by zero")
-                remainder = abs(lhs) % abs(rhs)
-                if lhs < 0:
-                    remainder = -remainder
-                stack[-1] = remainder & _M
-            elif opcode == 22:  # REM_U
-                rhs = pop()
-                if rhs == 0:
-                    raise TrapError("integer remainder by zero")
-                stack[-1] %= rhs
-            elif opcode == 9:  # CALL
-                callee = functions[a]
-                nargs = callee.nparams
-                call_args = stack[len(stack) - nargs :] if nargs else []
-                del stack[len(stack) - nargs :]
-                self.steps_left = steps
-                value = self._call(a, call_args)
-                steps = self.steps_left
-                if callee.nresults:
-                    push(value)
-            elif opcode == 10:  # CALL_HOST
-                imp = host_imports[a]
-                nargs = imp.nparams
-                if nargs:
-                    raw = stack[len(stack) - nargs :]
-                    del stack[len(stack) - nargs :]
-                    call_args = [_signed(v) for v in raw]
-                else:
-                    call_args = []
-                self.steps_left = steps
-                value = hosts[a](*call_args)
-                steps = self.steps_left
-                if imp.nresults:
-                    push((value if value is not None else 0) & _M)
-            elif opcode == 56:  # MEMCOPY
-                length = pop()
-                src = pop()
-                dst = pop()
-                if src + length > memlen or dst + length > memlen:
-                    raise TrapError("memcopy out of bounds")
-                mem[dst : dst + length] = mem[src : src + length]
-            elif opcode == 57:  # MEMFILL
-                length = pop()
-                byte = pop() & 0xFF
-                dst = pop()
-                if dst + length > memlen:
-                    raise TrapError("memfill out of bounds")
-                mem[dst : dst + length] = bytes([byte]) * length
-            elif opcode == 58:  # MEMSIZE
-                push(memlen)
-            elif opcode == 13:  # SELECT
-                cond = pop()
-                if_false = pop()
-                if_true = pop()
-                push(if_true if cond else if_false)
-            elif opcode == 49:  # LOAD16_U
-                addr = pop() + a
-                if addr + 2 > memlen:
-                    raise TrapError(f"load16 out of bounds at {addr}")
-                push(int.from_bytes(mem[addr : addr + 2], "big"))
-            elif opcode == 50:  # LOAD32_U
-                addr = pop() + a
-                if addr + 4 > memlen:
-                    raise TrapError(f"load32 out of bounds at {addr}")
-                push(int.from_bytes(mem[addr : addr + 4], "big"))
-            elif opcode == 53:  # STORE16
-                value = pop()
-                addr = pop() + a
-                if addr + 2 > memlen:
-                    raise TrapError(f"store16 out of bounds at {addr}")
-                mem[addr : addr + 2] = (value & 0xFFFF).to_bytes(2, "big")
-            elif opcode == 54:  # STORE32
-                value = pop()
-                addr = pop() + a
-                if addr + 4 > memlen:
-                    raise TrapError(f"store32 out of bounds at {addr}")
-                mem[addr : addr + 4] = (value & 0xFFFFFFFF).to_bytes(4, "big")
-            elif opcode == 11:  # RETURN
-                self.steps_left = steps
-                return pop() if func.nresults else None
-            elif opcode == 0:  # NOP
-                pass
-            elif opcode == 12:  # UNREACHABLE
-                raise TrapError("unreachable executed")
-            else:
-                raise TrapError(f"unknown opcode {opcode}")
-        self.steps_left = steps
-        if func.nresults:
-            raise TrapError("function fell off end without result")
-        return None
-    except IndexError as exc:
-        self.steps_left = steps
-        raise TrapError(f"stack underflow or bad index: {exc}") from exc

@@ -213,6 +213,58 @@ class TestDifferentialExecutor:
             evm_run.outcomes[0].compare_key()
 
 
+class TestPoolOracle:
+    """The pooled run and the fresh-memory run must agree; a pool that
+    hands back a dirty buffer is reported as a ``pool`` finding."""
+
+    SOURCE = """
+    fn put() { let b = alloc(8); store64(b, 4660); }
+    fn peek() { let b = alloc(8); output(b, 8); }
+    """
+
+    def _judge(self, executor, sequence):
+        from repro.fuzz.oracles import check_pool
+
+        return check_pool("scratch", sequence, executor.run_wasm(sequence),
+                          executor.run_fresh(sequence))
+
+    def _in_thread(self, fn):
+        import threading
+
+        box = []
+        thread = threading.Thread(target=lambda: box.append(fn()))
+        thread.start()
+        thread.join(timeout=60)
+        return box[0]
+
+    def _executor(self):
+        from repro.fuzz.targets import FuzzTarget
+
+        return DifferentialExecutor(
+            FuzzTarget("scratch", self.SOURCE, ContractAbi(())))
+
+    def test_honest_pool_matches_fresh_memory(self):
+        executor = self._executor()
+        sequence = (CallStep("put"), CallStep("peek"))
+        assert self._in_thread(lambda: self._judge(executor, sequence)) == []
+        gates = DifferentialExecutor(load_target("gates"))
+        sequence = (CallStep("open", bytes(24)), CallStep("probe", bytes(8)))
+        assert self._in_thread(lambda: self._judge(gates, sequence)) == []
+
+    def test_dirty_buffer_is_reported(self, monkeypatch):
+        import repro.vm.wasm.interpreter as interpreter
+
+        def keep_dirty(buffer, size, extent):
+            interpreter._pool.free.setdefault(size, []).append(buffer)
+
+        monkeypatch.setattr(interpreter, "_release", keep_dirty)
+        executor = self._executor()
+        sequence = (CallStep("put"), CallStep("peek"))
+        findings = self._in_thread(lambda: self._judge(executor, sequence))
+        assert [f.kind for f in findings] == ["pool"]
+        assert findings[0].call_index == 1
+
+
 class TestCampaign:
     def test_replays_byte_identically(self):
         config = small_config(targets=("gates", "div_shift"), seed=13,

@@ -1256,6 +1256,48 @@ class TestDurableBeforeVisible:
         assert kv.get(b"k") == b"block-2"
         kv.close()
 
+    def test_other_threads_write_survives_an_aborted_block(self, tmp_path):
+        # A write from a thread that does not own the open block waits
+        # for the block to end, then commits on its own: the block
+        # aborting must not discard a put that had returned.
+        import threading as _threading
+
+        directory = str(tmp_path / "db")
+        kv = LsmKV(directory)
+        opened = _threading.Event()
+        written = _threading.Event()
+
+        def abort_block():
+            with pytest.raises(RuntimeError):
+                with kv.block_batch():
+                    kv.put(b"block", b"x")
+                    opened.set()
+                    # The other thread's put must not complete into
+                    # this block; give it the chance to.
+                    assert not written.wait(timeout=0.5)
+                    raise RuntimeError("block aborts")
+
+        def put_other():
+            assert opened.wait(timeout=10)
+            kv.put(b"other", b"kept")
+            written.set()
+
+        threads = [_threading.Thread(target=abort_block),
+                   _threading.Thread(target=put_other)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert written.is_set()
+        assert kv.get(b"other") == b"kept"
+        assert kv.get(b"block") is None
+        kv.close()
+        reopened = LsmKV(directory)
+        assert reopened.get(b"other") == b"kept"
+        assert reopened.get(b"block") is None
+        reopened.close()
+
     def test_concurrent_writers_and_flushes_lose_nothing(self, tmp_path):
         # Writers, explicit flushes (WAL rotations) and readers race
         # under a short switch interval.  A rotation landing between a
