@@ -2,8 +2,14 @@
 
 Figure 12's ablation flips these switches cumulatively:
 
-- OPT1 — ``use_code_cache`` + ``use_memory_pool`` (decoded-module cache,
-  pooled enclave allocation);
+- OPT1 — ``use_code_cache`` + ``use_memory_pool``: the code cache keeps
+  one template per code hash — the decoded, validated, fused module with
+  every function translated once, on its first call — where without it
+  every call decodes the module and translates the functions it runs;
+  the memory pool hands each call its linear memory from a per-thread
+  pool, re-zeroing only the extent the last call dirtied, where without
+  it every call allocates a fresh zeroed buffer (and the EPC model
+  charges allocator overhead);
 - OPT2 — a *workload* property (Flatbuffers vs JSON contract variants in
   :mod:`repro.workloads.abs`), not an engine switch;
 - OPT3 — ``use_preverification`` (§5.2 metadata cache);

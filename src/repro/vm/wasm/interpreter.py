@@ -33,6 +33,8 @@ release.
 
 from __future__ import annotations
 
+import mmap
+import sys
 import threading
 import weakref
 
@@ -62,20 +64,21 @@ _POOL_KEEP = 8
 _pool = threading.local()
 
 
-def _acquire(size: int) -> bytearray:
+def _acquire(size: int) -> mmap.mmap:
+    """A zeroed linear memory from this thread's pool.  A new one is an
+    anonymous mapping: its pages cost nothing until a call writes them,
+    where a fresh ``bytearray`` zero-fills (and faults in) all of them."""
     free = getattr(_pool, "free", None)
     if free is None:
         free = _pool.free = {}
     buffers = free.get(size)
     if buffers:
         return buffers.pop()
-    return bytearray(size)
+    return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
 
 
-def _release(buffer: bytearray, size: int, extent: int) -> None:
+def _release(buffer: mmap.mmap, size: int, extent: int) -> None:
     """Zero the dirtied extent and return the buffer to this thread's pool."""
-    if len(buffer) != size:
-        return  # resized by a negative-offset store: not reusable
     extent = min(extent, size)
     buffer[:extent] = bytes(extent)
     buffers = _pool.free.setdefault(size, [])
@@ -106,6 +109,11 @@ _LOADS = {op.LOAD8_U: ("load8", 1), op.LOAD16_U: ("load16", 2),
           op.LOAD32_U: ("load32", 4), op.LOAD64: ("load64", 8)}
 _STORES = {op.STORE8: ("store8", 1), op.STORE16: ("store16", 2),
            op.STORE32: ("store32", 4), op.STORE64: ("store64", 8)}
+
+# Host functions that always return an int (others may return None,
+# which a result-bearing import reads as 0).
+_INT_HOSTS = frozenset({"input_size", "input_read", "storage_get",
+                        "call_contract"})
 
 _ARITH = {op.ADD: "{l} + {r}", op.SUB: "{l} - {r}", op.MUL: "{l} * {r}"}
 _BITWISE = {op.AND: "{l} & {r}", op.OR: "{l} | {r}", op.XOR: "{l} ^ {r}"}
@@ -227,12 +235,6 @@ class _Emitter:
         self.line(f"{name} = {_p(base)} + {offset}")
         return name
 
-    def grow(self, addr: str, offset: int) -> None:
-        """Extend the dirtied extent over a store at ``addr``."""
-        if offset < 0:
-            self.line("hi = memlen")  # negative offsets index from the end
-        else:
-            self.line(f"if {addr} > hi: hi = {addr}")
 
     def branch(self, pc: int, taken: str, covered: str, target: int) -> None:
         self.line(f"if cov is not None: cov.branch((FIDX, {pc}), {covered})")
@@ -354,7 +356,7 @@ class _Emitter:
                 else:
                     data = f"({_p(value)} & {mask}).to_bytes({width}, 'big')"
                 self.line(f"mem[{addr}:{addr} + {width}] = {data}")
-            self.grow(addr, a)
+            self.line(f"if {addr} > hi: hi = {addr}")
         elif opcode in (op.MEMCOPY, op.MEMFILL):
             length = self.materialize(self.pop()[0])
             second = self.pop()[0]
@@ -396,7 +398,7 @@ class _Emitter:
                 self.line(call)
             self.line("steps = self.steps_left")
         elif opcode == op.CALL_HOST:
-            nparams, nresults = body.hosts[a]
+            name, nparams, nresults = body.hosts[a]
             if len(self.sym) >= nparams:
                 args = ", ".join(_signed_expr(v) for v, _r in
                                  self.sym[len(self.sym) - nparams:])
@@ -406,9 +408,12 @@ class _Emitter:
             call = f"hosts[{a}]({args})"
             if nresults:
                 result = self.temp()
-                self.line(f"{result} = {call}")
-                self.line(f"{result} = ({result} if {result} is not None "
-                          f"else 0) & {_M}")
+                if name in _INT_HOSTS:
+                    self.line(f"{result} = {call} & {_M}")
+                else:
+                    self.line(f"{result} = {call}")
+                    self.line(f"{result} = ({result} if {result} is not None "
+                              f"else 0) & {_M}")
                 self.push(result)
             else:
                 self.line(call)
@@ -490,7 +495,7 @@ class _Body:
                                      if opcode in op.BRANCH_OPS})
         self.has_memory = any(opc in _MEMORY_OPS for (opc, _a, _b) in code)
         self.writes = any(opc in _WRITES for (opc, _a, _b) in code)
-        self.globals = dict(_RUNTIME, _BODY=self)
+        self.globals = dict(_RUNTIME, fuel=self.fuel)
         self._prefixes: dict = {}
         self.make = self._compile()
 
@@ -505,8 +510,7 @@ class _Body:
             opcode, a, b = code[i]
             if not open_segment:
                 length = _segment_length(code, i, end)
-                em.line(f"if steps < {length}: "
-                        f"fuel(_BODY, {i}, steps, locals())")
+                em.line(f"if steps < {length}: fuel({i})")
                 em.line(f"steps -= {length}")
                 open_segment = True
             em.instr(i, opcode, a, b)
@@ -589,6 +593,13 @@ class _Body:
 
     # -- fuel exhaustion inside a segment -------------------------------------
 
+    def fuel(self, seg: int):
+        """Called by the translation when the segment at ``seg`` needs
+        more steps than are left: runs the affordable prefix, which
+        raises (``out of fuel``, or whatever trapped first)."""
+        env = sys._getframe(1).f_locals
+        self.prefix(seg, env["steps"], env)(env)
+
     def prefix(self, seg: int, steps: int, env: dict):
         key = (seg, steps)
         fn = self._prefixes.get(key)
@@ -629,10 +640,6 @@ def _oob(name: str, addr: int):
     raise TrapError(f"{name} out of bounds at {addr}")
 
 
-def _fuel(body: _Body, seg: int, steps: int, env: dict):
-    body.prefix(seg, steps, env)(env)
-
-
 def _div_s(lhs: int, rhs: int) -> int:
     rhs = rhs - (1 << 64) if rhs & _S else rhs
     lhs = lhs - (1 << 64) if lhs & _S else lhs
@@ -670,7 +677,6 @@ def _host_args(stack: list, nargs: int) -> list:
 _RUNTIME = {
     "TrapError": TrapError,
     "oob": _oob,
-    "fuel": _fuel,
     "div_s": _div_s,
     "rem_s": _rem_s,
     "call_args": _call_args,
@@ -733,7 +739,8 @@ class ModuleTemplate:
         func = module.functions[fidx]
         callees = {a: (module.functions[a].nparams, module.functions[a].nresults)
                    for (opcode, a, _b) in func.code if opcode == op.CALL}
-        hosts = {a: (module.hosts[a].nparams, module.hosts[a].nresults)
+        hosts = {a: (module.hosts[a].name, module.hosts[a].nparams,
+                     module.hosts[a].nresults)
                  for (opcode, a, _b) in func.code if opcode == op.CALL_HOST}
         key = (func.nparams, func.nlocals, func.nresults, tuple(func.code),
                tuple(sorted(callees.items())), tuple(sorted(hosts.items())))

@@ -339,6 +339,13 @@ def validate_module(module: Module) -> None:
             elif opcode in (op.GETCONST, op.LOAD8_LOCAL, op.INCL):
                 if not 0 <= a < nvars:
                     raise VMError(f"function {fidx} instr {i}: bad local {a}")
+                if opcode == op.LOAD8_LOCAL and b < 0:
+                    raise VMError(f"function {fidx} instr {i}: negative offset {b}")
+            elif op.LOAD8_U <= opcode <= op.STORE64:
+                # The binary encodes offsets unsigned; a negative one
+                # would index linear memory from its end.
+                if a < 0:
+                    raise VMError(f"function {fidx} instr {i}: negative offset {a}")
             elif opcode in op.BRANCH_OPS:
                 if not 0 <= a < size:
                     raise VMError(f"function {fidx} instr {i}: bad target {a}")

@@ -135,7 +135,7 @@ def _assert_pool_clean(size):
     assert buffers, "nothing was returned to the pool"
     for buffer in buffers:
         assert len(buffer) == size
-        assert buffer.count(0) == size, "a released buffer kept dirty bytes"
+        assert buffer[:] == bytes(size), "a released buffer kept dirty bytes"
 
 
 def _in_fresh_thread(fn):

@@ -282,6 +282,13 @@ class TestModuleFormat:
         with pytest.raises(VMError):
             validate_module(Module(functions=[func], exports={"f": 0}))
 
+    def test_validator_rejects_negative_offset(self):
+        for code in ([instr(op.CONST, 9), instr(op.LOAD8_U, -1), instr(op.RETURN)],
+                     [instr(op.LOAD8_LOCAL, 0, -2), instr(op.RETURN)]):
+            func = Function(0, 1, 1, code)
+            with pytest.raises(VMError, match="negative offset"):
+                validate_module(Module(functions=[func], exports={"f": 0}))
+
     def test_data_segment_beyond_memory(self):
         module = Module(
             functions=[Function(0, 0, 0, [instr(op.RETURN)])],
