@@ -40,7 +40,7 @@ class CodeCache:
         self.capacity = capacity
         self.fuse = fuse
         self.stats = CacheStats()
-        self.bodies = BodyTable()
+        self._bodies = BodyTable()
         self._entries: OrderedDict[bytes, ModuleTemplate] = OrderedDict()
         # Gateway query threads execute calls beside the block producer;
         # the LRU reorder + insert + evict sequence must be atomic or
@@ -61,7 +61,7 @@ class CodeCache:
         # Decode/validate/fuse outside the lock: it is pure and by far
         # the expensive part; a racing double-prepare just wastes one
         # preparation, it cannot corrupt the cache.
-        template = ModuleTemplate(prepare_module(blob, fuse=self.fuse), self.bodies)
+        template = ModuleTemplate(prepare_module(blob, fuse=self.fuse), self._bodies)
         with self._lock:
             if key not in self._entries:
                 self._entries[key] = template

@@ -55,6 +55,8 @@ _MAX_CALL_DEPTH = 128
 _STORE_SPAN = 8
 # Pooled buffers kept per thread and size (nested calls hold one each).
 _POOL_KEEP = 8
+# A pushed expression longer than this is computed into a temporary.
+_MAX_EXPR = 160
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +86,6 @@ def _release(buffer: mmap.mmap, size: int, extent: int) -> None:
     buffers = _pool.free.setdefault(size, [])
     if len(buffers) < _POOL_KEEP:
         buffers.append(buffer)
-
-
-def pooled_buffers(size: int) -> list:
-    """This thread's free buffers of one size (for tests and probes)."""
-    return list(getattr(_pool, "free", {}).get(size, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +171,9 @@ class _Emitter:
         return name
 
     def push(self, expr: str, refs: frozenset = frozenset()) -> None:
+        if len(expr) > _MAX_EXPR:
+            # Long chains would nest past the parser's limits.
+            expr, refs = self.materialize(expr), frozenset()
         self.sym.append((expr, refs))
 
     def pop(self) -> tuple[str, frozenset]:
@@ -234,7 +234,6 @@ class _Emitter:
         name = self.temp()
         self.line(f"{name} = {_p(base)} + {offset}")
         return name
-
 
     def branch(self, pc: int, taken: str, covered: str, target: int) -> None:
         self.line(f"if cov is not None: cov.branch((FIDX, {pc}), {covered})")
@@ -707,9 +706,6 @@ class BodyTable:
                 body = self._bodies.setdefault(key, body)
         return body
 
-    def __len__(self) -> int:
-        return len(self._bodies)
-
 
 class ModuleTemplate:
     """Everything the calls of one prepared module share: the module,
@@ -769,7 +765,6 @@ class WasmInstance:
             validate_module(module)
             module = ModuleTemplate(module)
         self.template = template = module
-        self.module = template.module
         size = template.memory_bytes
         self._pooled = pooled
         self.memory = memory = _acquire(size) if pooled else bytearray(size)

@@ -191,6 +191,22 @@ class TestCodeCache:
         module = prepare_module(blob)
         assert module.exports == {"sum": 0}
 
+    def test_bodies_translate_lazily_once_per_cache(self):
+        # Every CWScript module starts with the same prelude functions:
+        # one cache translates each distinct body once, on first call;
+        # another cache (another engine) translates its own.
+        workloads = synthetic_workloads()
+        blobs = [compile_source(workloads[name].source, "wasm").code
+                 for name in ("crypto-hash", "string-concat")]
+        cache = CodeCache()
+        first, second = (cache.prepare(blob) for blob in blobs)
+        assert first.compiled == [None] * len(first.functions)
+        alloc = first.compile(0)
+        assert second.compile(0).__code__ is alloc.__code__
+        assert sum(fn is not None for fn in second.compiled) == 1
+        other = CodeCache().prepare(blobs[0])
+        assert other.compile(0).__code__ is not alloc.__code__
+
     def test_code_cache_hammer(self):
         workloads = synthetic_workloads()
         blobs = [

@@ -19,7 +19,8 @@ import pytest
 from repro.lang import compile_source
 from repro.vm.host import HostContext
 from repro.vm.wasm.code_cache import CodeCache, prepare_module
-from repro.vm.wasm.interpreter import ModuleTemplate, WasmInstance, pooled_buffers
+from repro.vm.wasm import interpreter
+from repro.vm.wasm.interpreter import ModuleTemplate, WasmInstance
 from repro.vm.wasm.module import DataSegment, decode_module, encode_module
 
 HIGH = 0xF0000        # where every write path lands
@@ -115,6 +116,11 @@ def templates():
         "reader": cache.prepare(compile_source(READER_SOURCE, "wasm").code),
         "outer": cache.prepare(compile_source(OUTER_SOURCE, "wasm").code),
     }
+
+
+def pooled_buffers(size):
+    """This thread's free pooled buffers of one size."""
+    return list(getattr(interpreter._pool, "free", {}).get(size, ()))
 
 
 def _run(template, method, host=None):

@@ -200,6 +200,18 @@ class TestControl:
         with pytest.raises(TrapError, match="unreachable"):
             run_ops([instr(op.UNREACHABLE)])
 
+    def test_long_expression_chain(self):
+        # Left-deep arithmetic thousands of operators long stays one
+        # straight run of code and evaluates exactly.
+        code = [instr(op.CONST, 1)]
+        for i in range(2000):
+            code += [instr(op.CONST, i), instr(op.ADD), instr(op.CONST, 3),
+                     instr(op.MUL)]
+        expected = 1
+        for i in range(2000):
+            expected = ((expected + i) * 3) & _M
+        assert run_ops(expr(code)) == expected
+
     def test_local_tee(self):
         code = expr([instr(op.CONST, 9), instr(op.LOCAL_TEE, 0)])
         assert run_ops(code, nlocals=1) == 9
