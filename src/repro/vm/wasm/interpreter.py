@@ -562,8 +562,7 @@ class _Body:
     def _compile(self):
         func = self.func
         body: list[str] = []
-        if len(self.leaders) > 1 or any(
-                opc in op.BRANCH_OPS for (opc, _a, _b) in func.code):
+        if any(opc in op.BRANCH_OPS for (opc, _a, _b) in func.code):
             body.append("        pc = 0")
             body.append("        while True:")
             uses_list = self._tree(0, len(self.leaders), 3, body)
@@ -572,7 +571,7 @@ class _Body:
             body.extend(em.lines)
             uses_list = em.uses_list
         params = "".join(f", L{i}" for i in range(func.nparams))
-        src = [f"def make(FIDX):", f"    def run(self{params}):"]
+        src = ["def make(FIDX):", f"    def run(self{params}):"]
         src += ["        " + text for text in self._prologue(uses_list)]
         src.append("        try:")
         src += ["    " + text for text in body]
