@@ -222,7 +222,7 @@ class OracleSuite:
     abi: object
     wasm_resources: list = field(default_factory=list)
 
-    def judge(self, sequence, wasm_run, evm_run, fresh_run=None) -> list:
+    def judge(self, sequence, wasm_run, evm_run, fresh_run) -> list:
         """``fresh_run`` is ``wasm_run`` replayed on fresh memory."""
         findings = []
         findings += check_divergence(self.target.name, sequence,
@@ -235,7 +235,6 @@ class OracleSuite:
         # Static estimates are CONFIDE-VM cycles; the EVM side still
         # reports fuel/gas exhaustion.
         findings += check_resources(self.target.name, sequence, evm_run, [])
-        if fresh_run is not None:
-            findings += check_pool(self.target.name, sequence, wasm_run,
-                                   fresh_run)
+        findings += check_pool(self.target.name, sequence, wasm_run,
+                               fresh_run)
         return findings

@@ -11,8 +11,8 @@ into one block, we gain about 17% performance improvement"):
 
 - the **full** set — what the compiler emits;
 - the **optimized** set — after :func:`repro.vm.wasm.optimizer.fuse`
-  aggregates hot instruction pairs into superinstructions, shrinking the
-  dispatch chain each executed instruction walks.
+  aggregates hot instruction pairs into superinstructions, so fewer
+  instructions execute (and pay fuel).
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ about 50% instructions which helps to shrink the jumping table") and
 fuses hot instruction patterns into single blocks for another ~17% gain.
 This pass reproduces the mechanism on decoded code:
 
-- hot adjacent pairs become one superinstruction, halving dispatches on
-  the hottest paths (comparisons feeding branches, local shuffles, and
+- hot adjacent pairs become one superinstruction, halving executed
+  instructions on the hottest paths (comparisons feeding branches, local shuffles, and
   pointer-walk byte loads dominate contract bytecode);
 - jump targets are remapped, and fusion never crosses a branch target,
   so control flow is preserved exactly.
