@@ -10,7 +10,11 @@ status, output, logs, executed-instruction count and trap text of
   runs out inside basic blocks, at calls and at branches;
 - the mixed serving workload (SCF-AR, ABS and coldchain on one
   Confidential-Engine): every deploy, setup and business receipt, then
-  business transactions under small step budgets.
+  business transactions under small step budgets;
+- seeded random raw modules, fused and unfused, that no compiler would
+  emit: they underflow the operand stack, call host functions and
+  functions with too few values, divide by zero, recurse and branch at
+  random, under a sweep of small budgets.
 
 Whatever changes how CONFIDE-VM runs code must leave every transcript
 byte-identical.  Regenerate only when the semantics change on purpose:
@@ -33,6 +37,11 @@ from repro.fuzz.corpus import CallStep, decode_sequence, encode_sequence
 from repro.fuzz.executor import FUZZ_MAX_STEPS, DifferentialExecutor
 from repro.fuzz.targets import load_target, target_names
 from repro.obs.trace import CoverageMap, get_tracer
+from repro.vm.host import HOST_TABLE, HostContext
+from repro.vm.wasm import opcodes as op
+from repro.vm.wasm.interpreter import WasmInstance
+from repro.vm.wasm.module import Function, Module, validate_module
+from repro.vm.wasm.optimizer import fuse_module
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "fixtures", "vm_golden.json")
@@ -146,9 +155,112 @@ def mix_golden() -> dict:
     return {"receipts": rows, "sweep": sweep}
 
 
+# -- random raw modules ---------------------------------------------------------
+
+RAW_MODULES = 60
+RAW_STEPS = tuple(range(25)) + (100, 1000, 20000)
+
+
+class RawHost(HostContext):
+    """Host state for one raw-module run."""
+
+    def __init__(self):
+        self.logs: list[bytes] = []
+        self.store: dict[bytes, bytes] = {}
+
+    def get_input(self) -> bytes:
+        return bytes(range(16))
+
+    def get_caller(self) -> bytes:
+        return b"\xaa" * 20
+
+    def storage_get(self, key: bytes) -> bytes | None:
+        return self.store.get(bytes(key))
+
+    def storage_set(self, key: bytes, value: bytes) -> None:
+        self.store[bytes(key)] = bytes(value)
+
+    def call_contract(self, address: bytes, method: str, argument: bytes) -> bytes:
+        return b"xyz"
+
+
+def _raw_function(rng, nfuncs, nparams, nresults, nlocals) -> Function:
+    plain = [op.NOP, op.DROP, op.SELECT, op.ADD, op.SUB, op.MUL, op.DIV_S,
+             op.DIV_U, op.REM_S, op.REM_U, op.AND, op.OR, op.XOR, op.SHL,
+             op.SHR_U, op.SHR_S, op.EQZ, op.EQ, op.NE, op.LT_S, op.LT_U,
+             op.GT_S, op.GT_U, op.LE_S, op.LE_U, op.GE_S, op.GE_U,
+             op.MEMCOPY, op.MEMFILL, op.MEMSIZE]
+    size = rng.randint(3, 30)
+    nvars = nparams + nlocals
+    code = []
+    for _ in range(size - 1):
+        k = rng.random()
+        if k < 0.25:
+            code.append((op.CONST, rng.choice(
+                [0, 1, 2, 5, 8, 64, 1000, -1, -8, 65535, 1 << 20, 1 << 63]), 0))
+        elif k < 0.4 and nvars:
+            code.append((rng.choice([op.LOCAL_GET, op.LOCAL_SET, op.LOCAL_TEE]),
+                         rng.randrange(nvars), 0))
+        elif k < 0.65:
+            code.append((rng.choice(plain), 0, 0))
+        elif k < 0.72:
+            code.append((rng.choice([op.LOAD8_U, op.LOAD16_U, op.LOAD32_U,
+                                     op.LOAD64]), rng.choice([0, 3, 65530]), 0))
+        elif k < 0.8:
+            code.append((rng.choice([op.STORE8, op.STORE16, op.STORE32,
+                                     op.STORE64]), rng.choice([0, 5, 65530]), 0))
+        elif k < 0.88:
+            code.append((rng.choice([op.JMP, op.JMP_IF, op.JMP_IFZ]),
+                         rng.randrange(size), 0))
+        elif k < 0.93:
+            code.append((op.CALL, rng.randrange(nfuncs), 0))
+        elif k < 0.97:
+            code.append((op.CALL_HOST, rng.randrange(len(HOST_TABLE)), 0))
+        else:
+            code.append((rng.choice([op.UNREACHABLE, op.RETURN]), 0, 0))
+    code.append((op.RETURN, 0, 0))
+    return Function(nparams, nlocals, nresults, code)
+
+
+def _raw_run(module, steps) -> list:
+    host = RawHost()
+    tracer = get_tracer()
+    saved = tracer.coverage
+    tracer.coverage = coverage = CoverageMap()
+    try:
+        result = WasmInstance(module, host, max_steps=steps).run("main")
+        outcome = ["ok", result.output.hex(), result.instructions]
+    except Exception as exc:  # noqa: BLE001 — the transcript records it
+        outcome = ["error", type(exc).__name__, str(exc)]
+    finally:
+        tracer.coverage = saved
+    edges = sorted([list(site), outcome_]
+                   for _context, site, outcome_ in coverage.edges)
+    return outcome + [[log.hex() for log in host.logs],
+                      sorted((k.hex(), v.hex()) for k, v in host.store.items()),
+                      coverage.branches, _digest(edges)]
+
+
+def raw_golden() -> list:
+    rng = random.Random("golden-raw")
+    digests = []
+    for _ in range(RAW_MODULES):
+        nfuncs = rng.randint(1, 3)
+        functions = [_raw_function(rng, nfuncs, 0, 1, rng.randint(0, 3))] + [
+            _raw_function(rng, nfuncs, rng.randint(0, 2), rng.randint(0, 1),
+                          rng.randint(0, 2)) for _ in range(nfuncs - 1)]
+        module = Module(functions=functions, hosts=list(HOST_TABLE),
+                        exports={"main": 0}, memory_pages=1)
+        for variant in (module, fuse_module(module)):
+            validate_module(variant)
+            digests.append(_digest([_raw_run(variant, steps)
+                                    for steps in RAW_STEPS]))
+    return digests
+
+
 def generate() -> dict:
     return {"targets": {name: target_golden(name) for name in target_names()},
-            "mix": mix_golden()}
+            "mix": mix_golden(), "raw": raw_golden()}
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +286,10 @@ def test_mix_transcripts(golden):
         assert got == want, i
     assert len(actual["receipts"]) == len(golden["mix"]["receipts"])
     assert actual["sweep"] == golden["mix"]["sweep"]
+
+
+def test_raw_module_transcripts(golden):
+    assert raw_golden() == golden["raw"]
 
 
 if __name__ == "__main__":
