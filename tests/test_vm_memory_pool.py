@@ -229,3 +229,33 @@ def test_pooled_buffer_is_reused(templates):
         second.run("scan")
 
     _in_fresh_thread(scenario)
+
+
+def test_threads_share_templates_and_keep_their_own_pools():
+    # Gateway query threads run calls beside the block producer: the
+    # templates (and their first-call translations) are shared, the
+    # pooled memories are not.
+    cache = CodeCache()
+    writer = cache.prepare(_writer_blob())
+    reader = cache.prepare(compile_source(READER_SOURCE, "wasm").code)
+    size = writer.memory_bytes
+    barrier = threading.Barrier(4)
+    errors = []
+
+    def worker():
+        try:
+            barrier.wait(timeout=30)
+            for path in PATHS * 2:
+                _write({"writer": writer}, path, "ok")
+                assert _run(reader, "scan").output == bytes(8)
+            _assert_pool_clean(size)
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
