@@ -225,7 +225,7 @@ class TestPoolOracle:
     def _judge(self, executor, sequence):
         from repro.fuzz.oracles import check_pool
 
-        return check_pool("scratch", sequence, executor.run_wasm(sequence),
+        return check_pool("bleed", sequence, executor.run_wasm(sequence),
                           executor.run_fresh(sequence))
 
     def _in_thread(self, fn):
@@ -241,7 +241,7 @@ class TestPoolOracle:
         from repro.fuzz.targets import FuzzTarget
 
         return DifferentialExecutor(
-            FuzzTarget("scratch", self.SOURCE, ContractAbi(())))
+            FuzzTarget("bleed", self.SOURCE, ContractAbi(())))
 
     def test_honest_pool_matches_fresh_memory(self):
         executor = self._executor()
