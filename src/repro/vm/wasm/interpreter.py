@@ -13,16 +13,19 @@ holding prepared code (OPT1):
 - the operand stack lives in Python expressions and temporaries while
   a region runs; only values that cross a region boundary, or that a
   region finds already there, go through a list;
-- VM locals are Python locals and immediates are inlined.
+- VM locals are Python locals and immediates are inlined;
+- a function longer than ``_CHUNK`` instructions is translated in
+  chunks of regions, each on its first entry, so translating never
+  holds more than one chunk's source and syntax tree at a time.
 
 Semantics are the instruction-by-instruction ones, exactly: fuel (the
-step limit) is charged per instruction — one check per straight run up
-to a branch or call, and when that check fails the run's prefix is
-translated on demand, so the same instruction traps with ``out of
-fuel`` after the same host effects; trap texts, the coverage sites
-``(fidx, pc)`` and the executed-instruction count reported in
-:class:`~repro.vm.host.ExecutionResult` (how the "~450K instructions to
-parse JSON" measurements of §6.4 are reproduced) are unchanged.
+step limit) is charged per instruction — a cumulative check before each
+instruction that can trap or has an effect — so the same instruction
+traps with ``out of fuel`` after the same host effects; trap texts, the
+coverage sites ``(fidx, pc)`` and the executed-instruction count
+reported in :class:`~repro.vm.host.ExecutionResult` (how the "~450K
+instructions to parse JSON" measurements of §6.4 are reproduced) are
+unchanged.
 
 Identical function bodies share one translation per template owner
 (the engine's :class:`~repro.vm.wasm.code_cache.CodeCache`).  With
@@ -34,9 +37,9 @@ release.
 from __future__ import annotations
 
 import mmap
-import sys
 import threading
 import weakref
+from bisect import bisect_right
 
 from repro.errors import TrapError, VMError
 from repro.obs.trace import get_tracer
@@ -57,6 +60,9 @@ _STORE_SPAN = 8
 _POOL_KEEP = 8
 # A pushed expression longer than this is computed into a temporary.
 _MAX_EXPR = 160
+# Longer functions are translated in chunks of at most this many
+# instructions (compile() peaks at several KB per instruction).
+_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +107,20 @@ _MEMORY_OPS = frozenset({
 })
 _WRITES = frozenset({op.STORE8, op.STORE16, op.STORE32, op.STORE64,
                      op.MEMCOPY, op.MEMFILL})
+# Instructions that neither trap nor have an effect while their operands
+# are symbolic; every other instruction gets a fuel check.
+_QUIET = frozenset({
+    op.NOP, op.CONST, op.DROP, op.LOCAL_GET, op.LOCAL_SET, op.LOCAL_TEE,
+    op.SELECT, op.ADD, op.SUB, op.MUL, op.DIV_U, op.REM_U, op.AND, op.OR,
+    op.XOR, op.SHL, op.SHR_U, op.SHR_S, op.EQZ, op.MEMSIZE, op.GETGET,
+    op.GETCONST, op.ADDI, op.GETADD, op.MOVL, op.INCL,
+}) | frozenset(range(op.EQ, op.GE_U + 1))
+_OUT_OF_FUEL = "raise TrapError('out of fuel')"
 
 _LOADS = {op.LOAD8_U: ("load8", 1), op.LOAD16_U: ("load16", 2),
           op.LOAD32_U: ("load32", 4), op.LOAD64: ("load64", 8)}
 _STORES = {op.STORE8: ("store8", 1), op.STORE16: ("store16", 2),
            op.STORE32: ("store32", 4), op.STORE64: ("store64", 8)}
-
-# Host functions that always return an int (others may return None,
-# which a result-bearing import reads as 0).
-_INT_HOSTS = frozenset({"input_size", "input_read", "storage_get",
-                        "call_contract"})
 
 _ARITH = {op.ADD: "{l} + {r}", op.SUB: "{l} - {r}", op.MUL: "{l} * {r}"}
 _BITWISE = {op.AND: "{l} & {r}", op.OR: "{l} | {r}", op.XOR: "{l} ^ {r}"}
@@ -148,22 +158,25 @@ class _Emitter:
     Python expressions with the VM locals each one reads; anything that
     can trap (a pop from the real stack, a memory access, a division, a
     call) is emitted in program order, so traps fire where they did.
+    ``count`` is the instruction's place in its fuel run; ``risky`` is
+    set when a quiet instruction had to touch the real stack or test a
+    divisor, so that it gets a fuel check too.
     """
 
     def __init__(self, body: "_Body", indent: int):
         self.body = body
         self.lines: list[str] = []
         self.indent = indent
-        self.silent = False
         self.sym: list[tuple[str, frozenset]] = []
         self.ntemps = 0
         self.uses_list = False
+        self.count = 0
+        self.risky = False
 
     # -- plumbing ------------------------------------------------------------
 
     def line(self, text: str) -> None:
-        if not self.silent:
-            self.lines.append("    " * self.indent + text)
+        self.lines.append("    " * self.indent + text)
 
     def temp(self) -> str:
         name = f"t{self.ntemps}"
@@ -180,7 +193,7 @@ class _Emitter:
         """A value the instruction takes with ``stack.pop()``."""
         if self.sym:
             return self.sym.pop()
-        self.uses_list = True
+        self.uses_list = self.risky = True
         name = self.temp()
         self.line(f"{name} = pop()")
         return name, frozenset()
@@ -189,7 +202,7 @@ class _Emitter:
         """A value the instruction reads as ``stack[-1]`` and replaces."""
         if self.sym:
             return self.sym.pop()
-        self.uses_list = True
+        self.uses_list = self.risky = True
         name = self.temp()
         self.line(f"{name} = stack[-1]")
         self.line("del stack[-1]")
@@ -236,6 +249,7 @@ class _Emitter:
         return name
 
     def branch(self, pc: int, taken: str, covered: str, target: int) -> None:
+        self.line(f"steps -= {self.count}")
         self.line(f"if cov is not None: cov.branch((FIDX, {pc}), {covered})")
         self.line(f"if {taken}:")
         self.indent += 1
@@ -267,7 +281,7 @@ class _Emitter:
             if self.sym:
                 self.set_local(a, self.sym.pop()[0])
             else:
-                self.uses_list = True
+                self.uses_list = self.risky = True
                 self.set_local(a, "stack[-1]")
                 self.line("del stack[-1]")
             self.push(f"L{a}", frozenset((a,)))
@@ -317,6 +331,7 @@ class _Emitter:
             rhs = self.materialize(rhs)
             if not rhs.isdigit() or int(rhs) == 0:
                 word = "division" if opcode == op.DIV_U else "remainder"
+                self.risky = True
                 self.line(f"if {rhs} == 0: "
                           f"raise TrapError('integer {word} by zero')")
             lhs, lrefs = self.top()
@@ -387,7 +402,7 @@ class _Emitter:
         elif opcode == op.CALL:
             nparams, nresults = body.callees[a]
             args = self.take_args(nparams, "call_args")
-            self.line("self.steps_left = steps")
+            self.line(f"self.steps_left = steps - {self.count}")
             call = f"call({a}, {args})"
             if nresults:
                 result = self.temp()
@@ -397,7 +412,7 @@ class _Emitter:
                 self.line(call)
             self.line("steps = self.steps_left")
         elif opcode == op.CALL_HOST:
-            name, nparams, nresults = body.hosts[a]
+            nparams, nresults = body.hosts[a]
             if len(self.sym) >= nparams:
                 args = ", ".join(_signed_expr(v) for v, _r in
                                  self.sym[len(self.sym) - nparams:])
@@ -407,12 +422,9 @@ class _Emitter:
             call = f"hosts[{a}]({args})"
             if nresults:
                 result = self.temp()
-                if name in _INT_HOSTS:
-                    self.line(f"{result} = {call} & {_M}")
-                else:
-                    self.line(f"{result} = {call}")
-                    self.line(f"{result} = ({result} if {result} is not None "
-                              f"else 0) & {_M}")
+                self.line(f"{result} = {call}")
+                self.line(f"{result} = ({result} if {result} is not None "
+                          f"else 0) & {_M}")
                 self.push(result)
             else:
                 self.line(call)
@@ -420,10 +432,10 @@ class _Emitter:
             if self.sym:
                 self.sym.pop()
             else:
-                self.uses_list = True
+                self.uses_list = self.risky = True
                 self.line("pop()")
         elif opcode == op.RETURN:
-            self.line("self.steps_left = steps")
+            self.line(f"self.steps_left = steps - {self.count}")
             if body.func.nresults:
                 self.line(f"return {self.pop()[0]}")
             else:
@@ -432,6 +444,7 @@ class _Emitter:
             self.line("raise TrapError('unreachable executed')")
         elif opcode == op.JMP:
             self.flush()
+            self.line(f"steps -= {self.count}")
             self.line(f"pc = {a}")
         elif opcode == op.JMP_IF:
             value = _p(self.pop()[0])
@@ -463,26 +476,15 @@ class _Emitter:
         return name
 
 
-def _segment_length(code, start: int, end: int) -> int:
-    """Instructions from ``start`` through the next branch, call or
-    terminator: the run one fuel check pays for."""
-    i = start
-    while i < end:
-        opcode = code[i][0]
-        if opcode in _CONDITIONAL or opcode in _ENDS_FLOW or opcode == op.CALL:
-            return i - start + 1
-        i += 1
-    return end - start
-
-
 class _Body:
     """One distinct function body and its translation.
 
     ``make(fidx)`` returns the body's Python function for function
-    index ``fidx`` (the only per-index value is the coverage site);
-    ``prefix(seg, steps)`` translates, on demand, the first ``steps``
-    instructions of the fuel segment at ``seg`` followed by the
-    ``out of fuel`` trap.
+    index ``fidx`` (the only per-index value is the coverage site).  A
+    body longer than ``_CHUNK`` instructions is translated in chunks of
+    at most that many, each on its first entry, so the transient memory
+    of ``compile()`` is bounded by the chunk, not the function; its VM
+    locals then live in a list between chunks.
     """
 
     def __init__(self, func: Function, callees: dict, hosts: dict):
@@ -490,41 +492,60 @@ class _Body:
         self.callees = callees
         self.hosts = hosts
         code = func.code
-        self.leaders = sorted({0} | {a for (opcode, a, _b) in code
-                                     if opcode in op.BRANCH_OPS})
+        leaders = {0} | {a for (opcode, a, _b) in code if opcode in op.BRANCH_OPS}
+        if len(code) > _CHUNK:
+            # No region may outgrow a chunk: cut long straight runs.
+            bounds = sorted(leaders) + [len(code)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                leaders.update(range(lo + _CHUNK, hi, _CHUNK))
+        self.leaders = sorted(leaders)
         self.has_memory = any(opc in _MEMORY_OPS for (opc, _a, _b) in code)
         self.writes = any(opc in _WRITES for (opc, _a, _b) in code)
-        self.globals = dict(_RUNTIME, fuel=self.fuel)
-        self._prefixes: dict = {}
-        self.make = self._compile()
+        self.branches = any(opc in _CONDITIONAL for (opc, _a, _b) in code)
+        if len(code) <= _CHUNK:
+            self.make = self._compile()
+        else:
+            self.make = self._compile_chunked()
 
-    # -- the function --------------------------------------------------------
+    # -- regions -------------------------------------------------------------
 
     def _region(self, start: int, end: int, indent: int) -> _Emitter:
+        """Straight-line code for ``code[start:end]``.
+
+        Fuel is charged per instruction, as a cumulative check
+        ``steps < n`` placed before each instruction that can trap or
+        has an effect (pure pushes need none: nothing can observe
+        them), and paid off with ``steps -= n`` at each branch, call,
+        jump, return and at the region's end.
+        """
         code = self.func.code
         em = _Emitter(self, indent)
-        i = start
-        open_segment = False
-        while i < end:
+        checked = 0
+        for i in range(start, end):
             opcode, a, b = code[i]
-            if not open_segment:
-                length = _segment_length(code, i, end)
-                em.line(f"if steps < {length}: fuel({i})")
-                em.line(f"steps -= {length}")
-                open_segment = True
+            em.count += 1
+            em.risky = False
+            mark, indent = len(em.lines), em.indent
             em.instr(i, opcode, a, b)
+            if em.risky or opcode not in _QUIET:
+                em.lines.insert(mark, "    " * indent +
+                                f"if steps < {em.count}: {_OUT_OF_FUEL}")
+                checked = em.count
             if opcode in _ENDS_FLOW:
                 return em
             if opcode in _CONDITIONAL or opcode == op.CALL:
-                open_segment = False
-            i += 1
+                em.count = checked = 0
         em.flush()
+        if em.count:
+            if checked < em.count:
+                em.line(f"if steps < {em.count}: {_OUT_OF_FUEL}")
+            em.line(f"steps -= {em.count}")
         em.line(f"pc = {end}")
         return em
 
     def _tree(self, lo: int, hi: int, indent: int, out: list) -> bool:
-        """Binary search over region starts; returns whether any region
-        used the real stack."""
+        """Binary search over region starts ``leaders[lo:hi]``; returns
+        whether any region used the real stack."""
         leaders = self.leaders
         if hi - lo == 1:
             end = leaders[lo + 1] if lo + 1 < len(leaders) else len(self.func.code)
@@ -538,100 +559,129 @@ class _Body:
         return self._tree(mid, hi, indent + 1, out) or uses
 
     def _prologue(self, uses_list: bool) -> list[str]:
-        func = self.func
-        lines = [f"L{i} &= {_M}" for i in range(func.nparams)]
-        extra = [f"L{i}" for i in range(func.nparams, func.nparams + func.nlocals)]
-        if extra:
-            lines.append(" = ".join(extra) + " = 0")
+        lines = []
         if self.has_memory:
             lines += ["mem = self.memory", "memlen = len(mem)"]
-        lines.append("steps = self.steps_left")
-        code = func.code
-        if any(opc in _CONDITIONAL for (opc, _a, _b) in code):
+        if self.branches:
             lines.append("cov = self._coverage")
         if self.hosts:
             lines.append("hosts = self._hosts")
         if self.callees:
             lines.append("call = self._call")
         if uses_list:
-            lines += ["stack = []", "push = stack.append", "pop = stack.pop"]
+            lines += ["push = stack.append", "pop = stack.pop"]
         if self.writes:
             lines.append("hi = 0")
         return lines
+
+    def _wrap(self, body: list[str]) -> list[str]:
+        """``body`` inside the trap translation and the extent update."""
+        src = ["try:"] + ["    " + text for text in body]
+        src += [
+            "except IndexError as exc:",
+            "    raise TrapError(f'stack underflow or bad index: {exc}') from exc",
+        ]
+        if self.writes:
+            src += ["finally:", "    if hi > self.dirty: self.dirty = hi"]
+        return src
+
+    @staticmethod
+    def _exec(src: list[str], names: dict, result: str):
+        namespace: dict = {}
+        exec(compile("\n".join(src), "<confide-vm>", "exec"), names, namespace)
+        return namespace[result]
+
+    # -- whole functions -------------------------------------------------------
 
     def _compile(self):
         func = self.func
         body: list[str] = []
         if any(opc in op.BRANCH_OPS for (opc, _a, _b) in func.code):
-            body.append("        pc = 0")
-            body.append("        while True:")
-            uses_list = self._tree(0, len(self.leaders), 3, body)
+            body += ["pc = 0", "while True:"]
+            uses_list = self._tree(0, len(self.leaders), 1, body)
         else:
-            em = self._region(0, len(func.code), 2)
-            body.extend(em.lines)
+            em = self._region(0, len(func.code), 0)
+            body += em.lines
             uses_list = em.uses_list
+        nvars = func.nparams + func.nlocals
+        head = [f"L{i} &= {_M}" for i in range(func.nparams)]
+        if nvars > func.nparams:
+            head.append(" = ".join(f"L{i}" for i in range(func.nparams, nvars))
+                        + " = 0")
+        if uses_list:
+            head.append("stack = []")
+        head += self._prologue(uses_list) + ["steps = self.steps_left"]
         params = "".join(f", L{i}" for i in range(func.nparams))
         src = ["def make(FIDX):", f"    def run(self{params}):"]
-        src += ["        " + text for text in self._prologue(uses_list)]
-        src.append("        try:")
-        src += ["    " + text for text in body]
-        src += [
-            "        except IndexError as exc:",
-            "            raise TrapError("
-            "f'stack underflow or bad index: {exc}') from exc",
-        ]
-        if self.writes:
-            src += ["        finally:",
-                    "            if hi > self.dirty: self.dirty = hi"]
+        src += ["        " + text for text in head + self._wrap(body)]
         src.append("    return run")
-        namespace: dict = {}
-        exec(compile("\n".join(src), "<confide-vm>", "exec"),
-             self.globals, namespace)
-        return namespace["make"]
+        return self._exec(src, _RUNTIME, "make")
 
-    # -- fuel exhaustion inside a segment -------------------------------------
+    # -- oversized functions, chunk by chunk ----------------------------------
 
-    def fuel(self, seg: int):
-        """Called by the translation when the segment at ``seg`` needs
-        more steps than are left: runs the affordable prefix, which
-        raises (``out of fuel``, or whatever trapped first)."""
-        env = sys._getframe(1).f_locals
-        self.prefix(seg, env["steps"], env)(env)
+    def _compile_chunked(self):
+        """Entry function of an oversized body: it holds the VM locals
+        in a list and hands control to the chunk that holds ``pc``."""
+        func = self.func
+        leaders = self.leaders
+        # Consecutive regions, at most _CHUNK instructions per chunk.
+        self.spans: list[tuple[int, int]] = []   # leader index ranges
+        first = 0
+        for j in range(1, len(leaders) + 1):
+            end = leaders[j] if j < len(leaders) else len(func.code)
+            if end - leaders[first] > _CHUNK:
+                self.spans.append((first, j - 1))
+                first = j - 1
+        self.spans.append((first, len(leaders)))
+        self.chunks: list = [None] * len(self.spans)
+        params = "".join(f", L{i}" for i in range(func.nparams))
+        init = "[" + "".join(f"L{i} & {_M}, " for i in range(func.nparams)) + "]"
+        if func.nlocals:
+            init += f" + [0] * {func.nlocals}"
+        src = [
+            "def make(FIDX):",
+            f"    def run(self{params}):",
+            f"        L = {init}",
+            "        stack = []",
+            "        pc = 0",
+            "        steps = self.steps_left",
+            "        while True:",
+            "            j = bisect(STARTS, pc) - 1",
+            "            out = (CHUNKS[j] or chunk(j))"
+            "(self, FIDX, L, stack, pc, steps)",
+            "            if out.__class__ is not tuple:",
+            "                return out",
+            "            pc, steps = out",
+            "    return run",
+        ]
+        starts = [leaders[lo] for lo, _hi in self.spans]
+        names = dict(_RUNTIME, bisect=bisect_right, STARTS=starts,
+                     CHUNKS=self.chunks, chunk=self._chunk)
+        return self._exec(src, names, "make")
 
-    def prefix(self, seg: int, steps: int, env: dict):
-        key = (seg, steps)
-        fn = self._prefixes.get(key)
-        if fn is None:
-            fn = self._prefixes[key] = self._compile_prefix(seg, steps, env)
+    def _chunk(self, j: int):
+        """Translate chunk ``j``: its regions, left with ``(pc, steps)``
+        when control moves to another chunk."""
+        lo, hi = self.spans[j]
+        leaders = self.leaders
+        start = leaders[lo]
+        end = leaders[hi] if hi < len(leaders) else len(self.func.code)
+        nvars = self.func.nparams + self.func.nlocals
+        local_names = "".join(f"L{i}, " for i in range(nvars))
+        body = [
+            "while True:",
+            f"    if pc < {start} or pc >= {end}:",
+        ]
+        if nvars:
+            body.append(f"        L[:] = ({local_names})")
+        body.append("        return pc, steps")
+        uses_list = self._tree(lo, hi, 1, body)
+        head = [f"{local_names} = L"] if nvars else []
+        src = ["def chunk(self, FIDX, L, stack, pc, steps):"]
+        src += ["    " + text for text in
+                head + self._prologue(uses_list) + self._wrap(body)]
+        fn = self.chunks[j] = self._exec(src, _RUNTIME, "chunk")
         return fn
-
-    def _compile_prefix(self, seg: int, steps: int, env: dict):
-        code = self.func.code
-        start = max(leader for leader in self.leaders if leader <= seg)
-        em = _Emitter(self, 2)
-        em.silent = True
-        for i in range(start, seg):
-            em.instr(i, *code[i])
-        em.silent = False
-        bound = em.ntemps
-        for i in range(seg, seg + max(steps, 0)):
-            em.instr(i, *code[i])
-        em.line("raise TrapError('out of fuel')")
-        names = ["self"] + [f"L{i}" for i in
-                            range(self.func.nparams + self.func.nlocals)]
-        names += [n for n in ("mem", "memlen", "hosts", "stack") if n in env]
-        names += [f"t{i}" for i in range(bound)]
-        src = ["def prefix(env):"]
-        src += [f"    {name} = env['{name}']" for name in names]
-        if "stack" in env:
-            src += ["    push = stack.append", "    pop = stack.pop"]
-        src += ["    hi = 0", "    try:"]
-        src += em.lines
-        src += ["    finally:", "        if hi > self.dirty: self.dirty = hi"]
-        namespace: dict = {}
-        exec(compile("\n".join(src), "<confide-vm>", "exec"),
-             self.globals, namespace)
-        return namespace["prefix"]
 
 
 def _oob(name: str, addr: int):
@@ -726,6 +776,8 @@ class ModuleTemplate:
         self.host_names = tuple(imp.name for imp in module.hosts)
         self.nparams = [f.nparams for f in module.functions]
         self.compiled: list = [None] * len(module.functions)
+        # The translations in use; the table only holds them weakly.
+        self._in_use: list = [None] * len(module.functions)
         self._bodies = BodyTable() if bodies is None else bodies
 
     def compile(self, fidx: int):
@@ -734,12 +786,12 @@ class ModuleTemplate:
         func = module.functions[fidx]
         callees = {a: (module.functions[a].nparams, module.functions[a].nresults)
                    for (opcode, a, _b) in func.code if opcode == op.CALL}
-        hosts = {a: (module.hosts[a].name, module.hosts[a].nparams,
-                     module.hosts[a].nresults)
+        hosts = {a: (module.hosts[a].nparams, module.hosts[a].nresults)
                  for (opcode, a, _b) in func.code if opcode == op.CALL_HOST}
         key = (func.nparams, func.nlocals, func.nresults, tuple(func.code),
                tuple(sorted(callees.items())), tuple(sorted(hosts.items())))
-        body = self._bodies.get(key, lambda: _Body(func, callees, hosts))
+        body = self._in_use[fidx] = self._bodies.get(
+            key, lambda: _Body(func, callees, hosts))
         fn = self.compiled[fidx] = body.make(fidx)
         return fn
 

@@ -38,6 +38,7 @@ from repro.fuzz.executor import FUZZ_MAX_STEPS, DifferentialExecutor
 from repro.fuzz.targets import load_target, target_names
 from repro.obs.trace import CoverageMap, get_tracer
 from repro.vm.host import HOST_TABLE, HostContext
+from repro.vm.wasm import interpreter
 from repro.vm.wasm import opcodes as op
 from repro.vm.wasm.interpreter import WasmInstance
 from repro.vm.wasm.module import Function, Module, validate_module
@@ -289,6 +290,18 @@ def test_mix_transcripts(golden):
 
 
 def test_raw_module_transcripts(golden):
+    assert raw_golden() == golden["raw"]
+
+
+def test_chunked_translation_keeps_every_transcript(golden, monkeypatch):
+    # Functions longer than a chunk are translated a group of regions at
+    # a time, with their locals in a list between groups; with five-
+    # instruction chunks nearly every function here is, and no
+    # transcript may move.
+    monkeypatch.setattr(interpreter, "_CHUNK", 5)
+    for name in target_names():
+        assert target_golden(name) == golden["targets"][name], name
+    assert mix_golden() == golden["mix"]
     assert raw_golden() == golden["raw"]
 
 

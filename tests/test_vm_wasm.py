@@ -332,3 +332,47 @@ class TestLeb128:
     def test_truncated_leb(self):
         with pytest.raises(VMError):
             decode_uleb(b"\x80", 0)
+
+
+class TestTranslationMemory:
+    def test_large_function_translates_in_bounded_memory(self):
+        # One deployed function of ~5,400 instructions, every part of it
+        # executed: translated whole, compile() would peak near 27 MB;
+        # chunk by chunk it peaks at a few MB whatever the size.
+        import tracemalloc
+
+        from repro.vm.wasm.code_cache import CodeCache
+
+        code = []
+        for k in range(300):
+            skip = len(code) + 18
+            code += [
+                instr(op.LOCAL_GET, 0), instr(op.CONST, k + 1), instr(op.ADD),
+                instr(op.LOCAL_SET, 0),
+                instr(op.CONST, 0), instr(op.LOCAL_GET, 0),
+                instr(op.STORE64, 8 * (k % 64)),
+                instr(op.CONST, 0), instr(op.LOAD64, 8 * (k % 64)),
+                instr(op.LOCAL_GET, 1), instr(op.XOR), instr(op.LOCAL_SET, 1),
+                instr(op.LOCAL_GET, 1), instr(op.JMP_IFZ, skip),
+                instr(op.LOCAL_GET, 2), instr(op.CONST, 1), instr(op.ADD),
+                instr(op.LOCAL_SET, 2),
+            ]
+        code += [instr(op.LOCAL_GET, 0), instr(op.LOCAL_GET, 1), instr(op.ADD),
+                 instr(op.LOCAL_GET, 2), instr(op.ADD), instr(op.RETURN)]
+        module = Module(functions=[Function(0, 3, 1, code)],
+                        hosts=list(HOST_TABLE), exports={"f": 0},
+                        memory_pages=1, data=[])
+        total = mixed = nonzero = 0
+        for k in range(300):
+            total += k + 1
+            mixed ^= total
+            nonzero += mixed != 0
+        template = CodeCache().prepare(encode_module(module))
+        tracemalloc.start()
+        try:
+            result = WasmInstance(template, MockHost()).run("f")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int.from_bytes(result.output, "big") == total + mixed + nonzero
+        assert peak < 8 * 1024 * 1024, f"translation peaked at {peak} bytes"
