@@ -12,6 +12,7 @@ forgot any single path leaves a canary behind.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -231,10 +232,12 @@ def test_pooled_buffer_is_reused(templates):
     _in_fresh_thread(scenario)
 
 
-def test_threads_share_templates_and_keep_their_own_pools():
+@pytest.mark.parametrize("chunk", [interpreter._CHUNK, 5])
+def test_threads_share_templates_and_keep_their_own_pools(monkeypatch, chunk):
     # Gateway query threads run calls beside the block producer: the
-    # templates (and their first-call translations) are shared, the
-    # pooled memories are not.
+    # templates (and their first-call translations, whole or chunk by
+    # chunk) are shared, the pooled memories are not.
+    monkeypatch.setattr(interpreter, "_CHUNK", chunk)
     cache = CodeCache()
     writer = cache.prepare(_writer_blob())
     reader = cache.prepare(compile_source(READER_SOURCE, "wasm").code)
@@ -253,9 +256,14 @@ def test_threads_share_templates_and_keep_their_own_pools():
             errors.append(exc)
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors[0]
