@@ -48,6 +48,8 @@ class TestAesErrors:
             cipher.encrypt_block(b"tiny")
         with pytest.raises(CryptoError):
             cipher.encrypt_block(b"x" * 17)
+        with pytest.raises(CryptoError):
+            cipher.encrypt_blocks(b"x" * 33)
 
 
 class TestKeyExpansion:

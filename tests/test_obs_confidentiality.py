@@ -14,10 +14,12 @@ import json
 import pytest
 
 from conftest import deploy_confidential, run_confidential
+from repro.core import ConfidentialEngine, bootstrap_founder
 from repro.obs.collect import collect_engine
 from repro.obs.export import chrome_trace, prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
+from repro.storage.lsm import LsmKV, StorageSealer
 from repro.workloads import COLDCHAIN_CONTRACT, encode_reading, encode_register
 
 # Distinctive plaintext that must never cross the telemetry boundary.
@@ -116,3 +118,49 @@ class TestNoPlaintextInTelemetry:
                 )
                 if isinstance(value, str):
                     assert len(value) <= 64
+
+
+class TestStorageSealSpans:
+    def test_seal_and_open_spans_carry_kind_and_size_only(self, traced,
+                                                          tmp_path, client):
+        # A coldchain run on a sealed LSM store small enough to flush,
+        # then a reopen that reads every file kind back.
+        def open_store():
+            return LsmKV(str(tmp_path), memtable_bytes=512,
+                         sealer=StorageSealer(b"s" * 16, identity=b"node"))
+
+        kv = open_store()
+        engine = ConfidentialEngine(kv)
+        bootstrap_founder(engine.km)
+        engine.provision_from_km()
+        address = deploy_confidential(engine, client, COLDCHAIN_CONTRACT)
+        register_args = encode_register(SHIPMENT, 20, 80)
+        reading_args = encode_reading(SHIPMENT, BREACH_TEMP, SENSOR)
+        for method, args in (("register", register_args),
+                             ("record", reading_args)):
+            outcome = run_confidential(engine, client, address, method, args)
+            assert outcome.receipt.success, outcome.receipt.error
+        kv.flush()
+        kv.put(b"after-flush", SHIPMENT)
+        kv.crash()  # no flush at close: reopening replays the WAL
+        reopened = open_store()
+        assert len(list(reopened.items())) > 0
+        reopened.close()
+
+        spans = traced.drain()
+        storage = [span for span in spans
+                   if span.name in ("storage.seal", "storage.open")]
+        seen = {(span.name, span.args["kind"]) for span in storage}
+        assert seen == {(name, kind)
+                        for name in ("storage.seal", "storage.open")
+                        for kind in ("wal", "sst", "manifest")}
+        for span in storage:
+            assert set(span.args) == {"kind", "payload_bytes"}
+            assert isinstance(span.args["payload_bytes"], int)
+
+        trace_text = json.dumps(chrome_trace(spans))
+        secrets = [SHIPMENT, SENSOR, register_args, reading_args,
+                   b"s" * 16, *client._tx_keys.values()]
+        for secret in secrets:
+            for needle in needles_for(secret):
+                assert needle not in trace_text, f"trace leaked {needle!r}"
