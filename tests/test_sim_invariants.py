@@ -224,6 +224,41 @@ class TestHarnessViolationReporting:
         assert "seed=3" in report
         assert "fault schedule" in report
 
+    def test_gateway_echoing_the_canary_is_reported(self, monkeypatch):
+        """Every gateway answer crosses the wire: a submit_tx response
+        carrying the canary is a confidentiality violation."""
+        from repro.serve.gateway import Gateway
+
+        submit = Gateway._rpc_submit_tx
+
+        def echo(self, params, client):
+            return {**submit(self, params, client), "echo": "SIM-CANARY-3"}
+
+        monkeypatch.setattr(Gateway, "_rpc_submit_tx", echo)
+        result = run_sim(SimConfig(seed=3, steps=10))
+        assert any(v.startswith("confidentiality")
+                   and "submit_tx response" in v
+                   for v in result.violations), result.violations
+
+    def test_node_losing_a_committed_receipt_is_reported(self, monkeypatch):
+        """Receipt conservation: after the drain, a node whose gateway
+        has lost one committed receipt fails the run."""
+        import repro.sim.harness as harness_mod
+
+        drain = harness_mod._Simulation._drain
+
+        def drain_then_lose_a_receipt(self, base_step):
+            end = drain(self, base_step)
+            receipts = self.cluster[1].node.receipts
+            del receipts[next(iter(receipts))]
+            return end
+
+        monkeypatch.setattr(harness_mod._Simulation, "_drain",
+                            drain_then_lose_a_receipt)
+        result = run_sim(SimConfig(seed=3, steps=30))
+        assert any(v.startswith("conservation")
+                   for v in result.violations), result.violations
+
     def test_failure_report_prints_seed_and_schedule(self):
         result = SimResult(seed=99, steps=10, faults=("crash",), num_nodes=4)
         result.violations.append("safety: synthetic")
