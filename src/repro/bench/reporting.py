@@ -111,44 +111,3 @@ def format_sec64(metrics) -> str:
         rows,
         title="§6.4 — production ABS metrics",
     )
-
-
-def format_serving(summary: dict) -> str:
-    latency = summary["modeled_latency_s"]
-    total = sum(summary["requests_by_workload"].values()) or 1
-    rows = [
-        [
-            workload, str(count), f"{count / total * 100:5.1f}%",
-        ]
-        for workload, count in summary["requests_by_workload"].items()
-    ]
-    rows.append(["(total)", str(total), "100.0%"])
-    mix = format_table(
-        ["workload", "requests", "share"], rows,
-        title=(
-            f"Serving load — {summary['clients']} virtual-time clients, "
-            f"{summary['blocks']} blocks"
-        ),
-    )
-    outcome_rows = [
-        ["accepted", str(summary["accepted"])],
-        ["backpressure", str(summary["backpressure"])],
-        ["rate limited", str(summary["rate_limited"])],
-        ["duplicates", str(summary["duplicates"])],
-        ["errors", str(sum(summary["errors_by_kind"].values()))],
-        ["committed", str(summary["committed"])],
-        [
-            "modeled commit latency",
-            (
-                f"p50={latency['p50'] * 1000:.1f}ms "
-                f"p95={latency['p95'] * 1000:.1f}ms "
-                f"p99={latency['p99'] * 1000:.1f}ms"
-            ),
-        ],
-        [
-            "canary scans",
-            f"{summary['canary_scans']} ({summary['canary_hits']} hits)",
-        ],
-    ]
-    outcomes = format_table(["outcome", "value"], outcome_rows)
-    return mix + "\n\n" + outcomes

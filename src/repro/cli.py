@@ -24,9 +24,14 @@ Commands:
   tracer and write Chrome trace-event JSON (load in Perfetto or
   ``chrome://tracing``).
 - ``sim --seed S --steps N --faults drop,crash,partition,epc
-  [--storage lsm]`` — run the deterministic fault-injection simulator;
+  [--storage lsm] [--verify-determinism]`` — run the deterministic
+  fault-injection simulator, every node behind its serving gateway;
   exits non-zero (printing the seed and fault schedule) if any
-  safety/durability/confidentiality invariant is violated.
+  safety/durability/confidentiality/receipt-conservation invariant is
+  violated.  ``--verify-determinism`` runs twice and compares the event
+  log, fault schedule, final heights and final state roots.
+- ``serve [--port P] [--rate RPS --burst B]`` — run the JSON-RPC
+  serving gateway over one node (docs/serving.md).
 - ``db stats|verify|compact <dir>`` — inspect or maintain an LSM store
   directory (docs/storage.md).  Sealed stores need ``--seal-key`` (hex).
 """
@@ -359,14 +364,17 @@ def cmd_sim(args) -> int:
     if args.verify_determinism:
         second = run_sim(config)
         if (result.event_log_text != second.event_log_text
-                or result.final_state_roots != second.final_state_roots):
+                or result.fault_schedule != second.fault_schedule
+                or result.final_state_roots != second.final_state_roots
+                or result.final_heights != second.final_heights):
             print("DETERMINISM FAILURE: two runs with the same seed "
                   "diverged", file=sys.stderr)
             print(result.summary(), file=sys.stderr)
             print(second.summary(), file=sys.stderr)
             return 1
         print(f"determinism verified: two runs of seed {args.seed} produced "
-              f"byte-identical logs ({len(result.event_log)} events)")
+              f"byte-identical logs ({len(result.event_log)} events), "
+              "fault schedules, heights and state roots")
     if args.report:
         faults_spec = ",".join(sorted(config.faults)) or "none"
         with open(args.report, "w") as f:
@@ -503,9 +511,6 @@ def cmd_serve(args) -> int:
         burst=args.burst,
         block_interval_s=args.block_interval,
         max_block_bytes=args.max_block_bytes,
-        # The loadgen's provisioning/audit identities run as operator
-        # traffic, outside the per-client budget.
-        unlimited_clients=("setup", "auditor"),
     ))
     server = AsyncGatewayServer(gateway, args.host, args.port)
 
@@ -530,78 +535,6 @@ def cmd_serve(args) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
-    return 0
-
-
-def _parse_weights(text: str) -> dict[str, float]:
-    weights: dict[str, float] = {}
-    for part in text.split(","):
-        if not part.strip():
-            continue
-        name, _, value = part.partition("=")
-        weights[name.strip()] = float(value)
-    return weights
-
-
-def cmd_loadtest(args) -> int:
-    import json as _json
-
-    from repro.serve.loadgen import (
-        LoadConfig,
-        run_virtual_load,
-        write_bench,
-    )
-
-    config = LoadConfig(
-        clients=args.clients,
-        requests_per_client=args.requests,
-        seed=args.seed,
-        mode=args.mode,
-        arrival_rate_rps=args.arrival_rate,
-        think_time_s=args.think_time,
-        block_interval_s=args.block_interval,
-        max_block_bytes=args.max_block_bytes,
-        mempool_capacity=args.mempool_capacity,
-        rate_per_s=args.client_rate,
-        burst=args.burst,
-        **({"weights": _parse_weights(args.weights)} if args.weights else {}),
-    )
-    report = run_virtual_load(config)
-    if args.verify_determinism:
-        second = run_virtual_load(config)
-        first_text = _json.dumps(report.summary(), sort_keys=True)
-        second_text = _json.dumps(second.summary(), sort_keys=True)
-        if first_text != second_text:
-            print("DETERMINISM FAILURE: two load runs with seed "
-                  f"{config.seed} diverged", file=sys.stderr)
-            return 1
-        print(f"determinism verified: two load runs of seed "
-              f"{config.seed} produced byte-identical summaries")
-    if args.out:
-        write_bench(args.out, config, report)
-        print(f"wrote {args.out}")
-    if args.json:
-        print(_json.dumps(report.to_dict(include_timing=True), indent=2,
-                          sort_keys=True))
-    else:
-        from repro.bench.reporting import format_serving
-
-        print(format_serving(report.summary()))
-    if args.metrics:
-        from repro.obs.collect import collect_loadgen
-        from repro.obs.export import prometheus_text
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        collect_loadgen(registry, report)
-        print(prometheus_text(registry), end="")
-    if args.max_error_rate is not None:
-        errors = sum(report.errors_by_kind.values())
-        rate = errors / report.submitted if report.submitted else 0.0
-        if rate > args.max_error_rate:
-            print(f"error rate {rate:.4f} exceeds --max-error-rate "
-                  f"{args.max_error_rate}", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -704,7 +637,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="OUT",
                    help="write the event log + fault schedule to this file")
     p.add_argument("--verify-determinism", action="store_true",
-                   help="run twice and require byte-identical event logs")
+                   help="run twice and require identical event logs, "
+                        "fault schedules, final heights and state roots")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser(
@@ -775,48 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burst", type=float, default=20.0,
                    help="per-client token-bucket depth (default 20)")
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "loadtest",
-        help="seeded virtual-time mixed-workload load through the gateway",
-    )
-    p.add_argument("--clients", type=int, default=1000,
-                   help="concurrent simulated clients (default 1000)")
-    p.add_argument("--requests", type=int, default=3,
-                   help="business transactions per client (default 3)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="the run is a pure function of this")
-    p.add_argument("--mode", choices=("open", "closed"), default="open",
-                   help="arrival model: open loop (rate-driven) or "
-                        "closed loop (think-time)")
-    p.add_argument("--arrival-rate", type=float, default=2500.0,
-                   metavar="RPS", help="open-loop aggregate arrival rate")
-    p.add_argument("--think-time", type=float, default=0.4, metavar="S",
-                   help="closed-loop mean per-client think time")
-    p.add_argument("--block-interval", type=float, default=0.030,
-                   metavar="S")
-    p.add_argument("--max-block-bytes", type=int, default=1 << 14)
-    p.add_argument("--mempool-capacity", type=int, default=512,
-                   help="small by default so the run demonstrates "
-                        "backpressure (default 512)")
-    p.add_argument("--client-rate", type=float, default=0.0, metavar="RPS",
-                   help="gateway per-client rate limit (0 = off)")
-    p.add_argument("--burst", type=float, default=20.0)
-    p.add_argument("--weights", metavar="W",
-                   help="traffic mix, e.g. scf=0.1,abs=0.3,coldchain=0.6")
-    p.add_argument("--out", metavar="FILE",
-                   help="write BENCH_serving.json here")
-    p.add_argument("--json", action="store_true",
-                   help="print the full report (with timing) as JSON")
-    p.add_argument("--metrics", action="store_true",
-                   help="print confide_serve_load_* Prometheus metrics")
-    p.add_argument("--verify-determinism", action="store_true",
-                   help="run twice and require byte-identical summaries")
-    p.add_argument("--max-error-rate", type=float, default=None,
-                   metavar="FRAC",
-                   help="exit 1 if (non-backpressure) error responses "
-                        "exceed this fraction of submissions")
-    p.set_defaults(func=cmd_loadtest)
 
     p = sub.add_parser(
         "db", help="inspect or maintain an LSM storage directory"

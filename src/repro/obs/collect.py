@@ -86,12 +86,6 @@ SERVE_BLOCKS_PRODUCED = "confide_serve_blocks_produced_total"
 SERVE_TXS_COMMITTED = "confide_serve_txs_committed_total"
 SERVE_RECEIPTS_SERVED = "confide_serve_receipts_served_total"
 SERVE_RATELIMIT_CLIENTS = "confide_serve_ratelimit_clients"
-SERVE_LOAD_CLIENTS = "confide_serve_load_clients"
-SERVE_LOAD_REQUESTS = "confide_serve_load_requests_total"
-SERVE_LOAD_COMMITTED = "confide_serve_load_committed_total"
-SERVE_LOAD_BACKPRESSURE = "confide_serve_load_backpressure_total"
-SERVE_LOAD_ERRORS = "confide_serve_load_errors_total"
-SERVE_LOAD_LATENCY_SECONDS = "confide_serve_load_latency_seconds"
 
 
 def collect_operation_stats(registry: MetricsRegistry, stats,
@@ -424,36 +418,6 @@ def collect_gateway(registry: MetricsRegistry, gateway) -> None:
         SERVE_RATELIMIT_CLIENTS, "client buckets tracked by the rate limiter"
     ).set(len(gateway.limiter))
     collect_node(registry, gateway.node)
-
-
-def collect_loadgen(registry: MetricsRegistry, report) -> None:
-    """Absorb a :class:`~repro.serve.loadgen.LoadReport` summary."""
-    registry.gauge(
-        SERVE_LOAD_CLIENTS, "concurrent simulated clients"
-    ).set(report.clients)
-    requests = registry.counter(
-        SERVE_LOAD_REQUESTS, "load-generator requests by workload",
-        ("workload",),
-    )
-    for workload, count in sorted(report.requests_by_workload.items()):
-        requests.set_total(count, workload=workload)
-    registry.counter(
-        SERVE_LOAD_COMMITTED, "transactions committed with a receipt"
-    ).set_total(report.committed)
-    registry.counter(
-        SERVE_LOAD_BACKPRESSURE, "submissions answered with backpressure"
-    ).set_total(report.backpressure)
-    errors = registry.counter(
-        SERVE_LOAD_ERRORS, "error responses by kind", ("kind",),
-    )
-    for kind, count in sorted(report.errors_by_kind.items()):
-        errors.set_total(count, kind=kind)
-    latency = registry.gauge(
-        SERVE_LOAD_LATENCY_SECONDS,
-        "commit latency quantiles over virtual time", ("quantile",),
-    )
-    for quantile, value in sorted(report.modeled_latency_quantiles_s.items()):
-        latency.set(value, quantile=quantile)
 
 
 def collect_node(registry: MetricsRegistry, node) -> None:

@@ -1,11 +1,11 @@
-"""The serving front: JSON-RPC gateway, rate limiting, load generation.
+"""The serving front: JSON-RPC gateway and per-client rate limiting.
 
 This package is the node's client-facing door (docs/serving.md):
-:class:`Gateway` is the synchronous admission core,
-:class:`AsyncGatewayServer` puts it behind asyncio HTTP/1.1, and
-:mod:`repro.serve.loadgen` drives the gateway in process, on a
-seeded virtual clock, through sustained mixed SCF-AR/ABS/coldchain
-traffic.
+:class:`Gateway` is the synchronous admission core and
+:class:`AsyncGatewayServer` puts it behind asyncio HTTP/1.1.  The fault
+simulator (:mod:`repro.sim`) fronts every node with a :class:`Gateway`
+on its seeded virtual clock, so client admission, block production and
+receipt lookup run under crashes, message loss and partitions.
 """
 
 from repro.serve.gateway import AsyncGatewayServer, Gateway, GatewayConfig

@@ -56,10 +56,6 @@ class GatewayConfig:
     max_tx_bytes: int = 1 << 15  # one encoded transaction
     rate_per_s: float = 0.0  # per-client token refill; 0 disables
     burst: float = 20.0  # per-client bucket depth
-    # Operator identities (deployers, auditors) admitted outside the
-    # per-client budget — rate limiting is client admission control,
-    # not a brake on the consortium's own provisioning traffic.
-    unlimited_clients: tuple = ()
     block_interval_s: float = 0.030  # producer cadence (§6.4's 30 ms)
     max_block_bytes: int = DEFAULT_BLOCK_BYTES
     max_block_txs: int | None = None
@@ -219,8 +215,7 @@ class Gateway:
             )
             request_id = request["id"]
             method = request["method"]
-            if (client not in self.config.unlimited_clients
-                    and not self.limiter.allow(client or "anonymous")):
+            if not self.limiter.allow(client or "anonymous"):
                 raise RpcError(
                     jsonrpc.RATE_LIMITED,
                     data={"retry_after_s": round(1.0 / self.limiter.rate, 3)},

@@ -1,18 +1,19 @@
 """Mixed serving traffic: SCF-AR transfers, ABS ingestion, coldchain IoT.
 
-The serving load generator needs a client-side factory for the paper's
-three production workloads, weighted the way a consortium front door
-would see them: a trickle of heavyweight SCF-AR receivable transfers, a
-steady feed of ~1 KB ABS asset records, and a firehose of small
-coldchain sensor readings.
+Serving tests and the end-to-end benchmark need a client-side factory
+for the paper's three production workloads, weighted the way a
+consortium front door would see them: a trickle of heavyweight SCF-AR
+receivable transfers, a steady feed of ~1 KB ABS asset records, and a
+firehose of small coldchain sensor readings.
 
 Every business transaction is confidential (sealed under ``pk_tx``), and
 the ABS and coldchain streams carry **canary bytes** in their
 confidential arguments — the ABS debtor name and the coldchain sensor
 id, both of which land in sealed *state values*.  The canaries give the
-soak tests their teeth: a canary byte appearing in any gateway response
-body or in replicated storage is a confidentiality violation,
-mechanically detectable with the PR 3 byte-scan.
+serving tests their teeth: a canary byte appearing in any gateway
+response body or in replicated storage is a confidentiality violation,
+mechanically detectable with the byte-scan of
+:class:`~repro.sim.invariants.ConfidentialityChecker`.
 
 The SCF-AR stream deliberately carries no canary: its three input ids
 all flow into storage *keys* (``balance<id>``, ``cert.st<cert>``, ...),

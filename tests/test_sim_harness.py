@@ -109,3 +109,30 @@ class TestSimCli:
         from repro.cli import main
 
         assert main(["sim", "--seed", "1", "--faults", "meteor"]) == 1
+
+    @pytest.mark.parametrize("perturb", ["fault_schedule", "final_heights"])
+    def test_cli_verify_determinism_compares_schedule_and_heights(
+            self, monkeypatch, capsys, perturb):
+        """Two runs that agree on the event log and the roots but not on
+        the fault schedule or the final heights are not identical."""
+        import repro.sim as sim_mod
+        from repro.cli import main
+
+        real_run = sim_mod.run_sim
+        runs = []
+
+        def run_then_perturb_the_second(config):
+            result = real_run(config)
+            runs.append(result)
+            if len(runs) == 2:
+                if perturb == "fault_schedule":
+                    result.fault_schedule.append("step 99999: phantom")
+                else:
+                    result.final_heights[0] += 1
+            return result
+
+        monkeypatch.setattr(sim_mod, "run_sim", run_then_perturb_the_second)
+        code = main(["sim", "--seed", "1", "--steps", "20",
+                     "--faults", "drop", "--verify-determinism"])
+        assert code == 1
+        assert "DETERMINISM FAILURE" in capsys.readouterr().err
