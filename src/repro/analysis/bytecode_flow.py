@@ -15,7 +15,7 @@ sources
     ``//@confidential-keys`` directives, so the bytecode policy is
     seeded from the CCLe schema's confidential key classes (the
     ``ccle:`` prefix) plus explicit extras
-    (``EngineConfig.bytecode_confidential_prefixes`` / CLI flags).
+    (``repro analyze --confidential-prefix``).
 
 sinks
     ``storage_set`` under a key not provably confidential, ``log`` /

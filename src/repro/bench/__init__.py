@@ -8,7 +8,6 @@ from repro.bench.figures import (
     fig10_point,
     fig10_series,
     fig11_point,
-    fig11_series,
     fig12_series,
     sec64_metrics,
     table1_rows,
@@ -38,7 +37,6 @@ __all__ = [
     "fig10_point",
     "fig10_series",
     "fig11_point",
-    "fig11_series",
     "fig12_series",
     "reporting",
     "run_throughput",

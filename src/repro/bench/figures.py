@@ -117,20 +117,6 @@ def fig11_point(
     )
 
 
-def fig11_series(
-    node_counts: tuple[int, ...] = (4, 8, 12, 16, 20),
-    lane_settings: tuple[int, ...] = (1, 4, 6),
-    num_txs: int = 16,
-) -> list[ScalabilityPoint]:
-    points = []
-    for lanes in lane_settings:
-        for nodes in node_counts:
-            points.append(fig11_point(nodes, lanes, 1, num_txs))
-    for nodes in node_counts:
-        points.append(fig11_point(nodes, 1, 2, num_txs))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # Table 1 — SCF-AR operation breakdown
 # ---------------------------------------------------------------------------
@@ -143,15 +129,8 @@ class Table1Row:
     ratio: float
 
 
-def table1_rows(runs: int = 3, preverify: bool = False,
-                registry=None) -> list[Table1Row]:
-    """Execute SCF-AR asset transfers and average the operation stats.
-
-    Pass a :class:`~repro.obs.metrics.MetricsRegistry` to also absorb the
-    run's engine metrics into it (``confide_op_seconds_total`` et al.) —
-    the registry reads the same ledger the rows do, so the two views are
-    equal by construction (asserted in tests).
-    """
+def table1_rows(runs: int = 3, preverify: bool = False) -> list[Table1Row]:
+    """Execute SCF-AR asset transfers and average the operation stats."""
     from repro.core import ConfidentialEngine, bootstrap_founder
 
     suite = ScfSuite.compile("wasm")
@@ -203,10 +182,6 @@ def table1_rows(runs: int = 3, preverify: bool = False,
                 ratio=engine.stats.ratio(op),
             )
         )
-    if registry is not None:
-        from repro.obs.collect import collect_engine
-
-        collect_engine(registry, engine, label="confidential")
     return rows
 
 

@@ -60,33 +60,6 @@ def format_table1(rows) -> str:
     )
 
 
-def format_table1_crosscheck(rows, registry, runs: int) -> str:
-    """Table 1 rows next to the same operations as seen by the metrics
-    registry (``confide_op_seconds_total{engine=confidential,op=...}``).
-
-    The registry stores cumulative seconds across all ``runs``; the table
-    stores per-transfer milliseconds — the comparison re-derives one from
-    the other, so any drift between the bench tables and the registry
-    becomes visible in the output (and fails the equality test).
-    """
-    from repro.obs.collect import OP_SECONDS
-
-    samples = registry.sample_dict()
-    body = []
-    for r in rows:
-        key = f'{OP_SECONDS}{{engine="confidential",op="{r.method}"}}'
-        registry_ms = samples.get(key, 0.0) * 1000 / runs
-        body.append([
-            r.method, f"{r.duration_ms:8.3f}", f"{registry_ms:8.3f}",
-            "ok" if abs(registry_ms - r.duration_ms) < 1e-9 else "DRIFT",
-        ])
-    return format_table(
-        ["Method", "Table 1 (ms)", "Registry (ms)", "Agreement"],
-        body,
-        title="Observability crosscheck — Table 1 vs metrics registry",
-    )
-
-
 def format_fig12(series: list[tuple[str, float]]) -> str:
     base = series[0][1] if series else 1.0
     rows = [

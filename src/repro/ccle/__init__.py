@@ -2,7 +2,6 @@
 
 from repro.ccle.codec import decode, decode_table, encode, encode_table
 from repro.ccle.codegen_cws import generate_accessors
-from repro.ccle.codegen_py import generate_views, root_view
 from repro.ccle.confidential import (
     merge,
     secret_from_bytes,
@@ -23,10 +22,8 @@ __all__ = [
     "encode",
     "encode_table",
     "generate_accessors",
-    "generate_views",
     "merge",
     "parse_schema",
-    "root_view",
     "secret_from_bytes",
     "secret_to_bytes",
     "split",

@@ -8,7 +8,7 @@ The pool sits on the ingest hot path, so it never raises for expected
 conditions: a full pool or an oversized transaction is a *drop*,
 reported through the return value and surfaced as counters
 (``confide_txpool_rejected_total`` / ``confide_txpool_oversized_total``
-in the metrics registry).  All operations are thread-safe — the
+on the metrics page).  All operations are thread-safe — the
 serving gateway's request threads feed the unverified pool while the
 block producer pre-verifies and drafts from the pools.
 """
@@ -28,7 +28,7 @@ class TxPool:
         self._txs: OrderedDict[bytes, Transaction] = OrderedDict()
         self._capacity = capacity
         self._lock = threading.Lock()
-        # Cumulative counters (absorbed by repro.obs.collect).
+        # Cumulative counters (exported by repro.obs.metrics).
         self.rejected_full = 0
         self.dropped_oversized = 0
         self.accepted_total = 0

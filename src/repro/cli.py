@@ -17,9 +17,9 @@ Commands:
 - ``demo [--trace out.json]`` — run the quickstart flow (single
   confidential node), optionally writing a Chrome trace of it.
 - ``bench [--quick]`` — print the paper's tables/figures from a quick
-  run, including the Table 1 / metrics-registry crosscheck.
+  run.
 - ``metrics [--txs N]`` — run a small confidential flow on a full node
-  and print the metrics registry in Prometheus text exposition format.
+  and print its counters in Prometheus text exposition format.
 - ``trace [-o out.json] [--txs N]`` — run the same flow under the span
   tracer and write Chrome trace-event JSON (load in Perfetto or
   ``chrome://tracing``).
@@ -228,16 +228,13 @@ def _observed_flow(num_txs: int):
 
 
 def cmd_metrics(args) -> int:
-    from repro.obs.collect import collect_node, collect_tracer
     from repro.obs.export import prometheus_text
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import node_samples, tracer_samples
     from repro.obs.trace import get_tracer
 
     node = _observed_flow(args.txs)
-    registry = MetricsRegistry()
-    collect_node(registry, node)
-    collect_tracer(registry, get_tracer())
-    print(prometheus_text(registry), end="")
+    samples = [*node_samples(node), *tracer_samples(get_tracer())]
+    print(prometheus_text(samples), end="")
     return 0
 
 
@@ -265,8 +262,6 @@ def cmd_bench(args) -> int:
         table1_rows,
     )
     from repro.bench import reporting
-
-    from repro.obs.metrics import MetricsRegistry
 
     if args.storage:
         from repro.bench.harness import run_storage_bench
@@ -304,12 +299,7 @@ def cmd_bench(args) -> int:
               for n in (4, 12, 20)]
     print(reporting.format_fig11(points))
     print()
-    registry = MetricsRegistry()
-    table1_runs = 2
-    rows = table1_rows(runs=table1_runs, registry=registry)
-    print(reporting.format_table1(rows))
-    print()
-    print(reporting.format_table1_crosscheck(rows, registry, table1_runs))
+    print(reporting.format_table1(table1_rows(runs=2)))
     print()
     print(reporting.format_fig12(fig12_series(num_txs=num_txs)))
     print()
@@ -462,13 +452,10 @@ def cmd_fuzz(args) -> int:
             print(f"    {finding.detail}")
 
     if args.metrics:
-        from repro.obs.collect import collect_fuzz
         from repro.obs.export import prometheus_text
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.metrics import fuzz_samples
 
-        registry = MetricsRegistry()
-        collect_fuzz(registry, result)
-        print(prometheus_text(registry), end="")
+        print(prometheus_text(fuzz_samples(result)), end="")
 
     if args.expect:
         if any(f.kind == args.expect for f in result.findings):

@@ -33,17 +33,6 @@ class EngineConfig:
     use_memory_pool: bool = True
     use_preverification: bool = True
     use_instruction_fusion: bool = True
-    # Deploy-time static analysis (repro.analysis): structural
-    # verification of untrusted artifacts, and — when the deploy carries
-    # source — confidentiality taint analysis.
-    use_deploy_verification: bool = True
-    use_taint_analysis: bool = True
-    # Pass 3: bytecode-level confidentiality-flow analysis — runs on the
-    # artifact itself, so sourceless deploys still get leak analysis.
-    # Its policy is seeded from the bound CCLe schema's confidential key
-    # classes plus these extra key prefixes (bytes-decodable strings).
-    use_bytecode_flow: bool = True
-    bytecode_confidential_prefixes: tuple = ()
     code_cache_capacity: int = 64
     max_steps: int = DEFAULT_MAX_STEPS
     gas_limit: int = DEFAULT_GAS_LIMIT

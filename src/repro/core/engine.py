@@ -298,17 +298,15 @@ class _BaseEngine:
                 0.0,
             )
 
-        if self.config.use_deploy_verification:
-            started = time.perf_counter()
-            try:
-                verify_artifact(artifact)
-            except AnalysisError as exc:
-                reject(exc)
-                raise
-            finally:
-                self.stats.record(ARTIFACT_VERIFY,
-                                  time.perf_counter() - started)
-        if self.config.use_taint_analysis and source:
+        started = time.perf_counter()
+        try:
+            verify_artifact(artifact)
+        except AnalysisError as exc:
+            reject(exc)
+            raise
+        finally:
+            self.stats.record(ARTIFACT_VERIFY, time.perf_counter() - started)
+        if source:
             started = time.perf_counter()
             try:
                 try:
@@ -332,23 +330,15 @@ class _BaseEngine:
             finally:
                 self.stats.record(TAINT_ANALYZE,
                                   time.perf_counter() - started)
-        if self.config.use_bytecode_flow:
-            started = time.perf_counter()
-            try:
-                flow_verify_artifact(
-                    artifact,
-                    schema=schema,
-                    extra_confidential=(
-                        self.config.bytecode_confidential_prefixes
-                    ),
-                    public_outputs=self.receipts_public,
-                )
-            except AnalysisError as exc:
-                reject(exc)
-                raise
-            finally:
-                self.stats.record(BYTECODE_FLOW,
-                                  time.perf_counter() - started)
+        started = time.perf_counter()
+        try:
+            flow_verify_artifact(artifact, schema=schema,
+                                 public_outputs=self.receipts_public)
+        except AnalysisError as exc:
+            reject(exc)
+            raise
+        finally:
+            self.stats.record(BYTECODE_FLOW, time.perf_counter() - started)
         return mode
 
     def _upgrade(self, raw: RawTransaction, scope: _TxScope) -> bytes:

@@ -6,9 +6,9 @@ SetStorage, Transaction Verify, Transaction Decryption.
 
 ``record`` is safe under concurrent engine use (pre-verification lanes
 run off the execution path and may share a ledger), and
-:meth:`OperationStats.snapshot` hands the observability collectors a
-consistent copy — :mod:`repro.obs.collect` absorbs this ledger into the
-metrics registry without changing any call site.
+:meth:`OperationStats.snapshot` hands :mod:`repro.obs.metrics` a
+consistent copy to export as ``confide_op_seconds_total`` and
+``confide_op_count_total``.
 """
 
 from __future__ import annotations
@@ -71,13 +71,6 @@ class OperationStats:
             self.counts.clear()
 
     def snapshot(self) -> tuple[dict[str, float], dict[str, int]]:
-        """Consistent (durations, counts) copy for the collectors."""
+        """Consistent (durations, counts) copy for the metrics export."""
         with self._lock:
             return dict(self.durations), dict(self.counts)
-
-    def table_rows(self) -> list[tuple[str, float, int, float]]:
-        """(op, duration_ms, count, ratio) rows in the paper's order."""
-        return [
-            (op, self.duration_ms(op), self.count(op), self.ratio(op))
-            for op in TABLE1_ORDER
-        ]

@@ -46,11 +46,6 @@ def install_entropy(source: random.Random | None) -> random.Random | None:
     return previous
 
 
-def deterministic_mode() -> bool:
-    """True while a seeded source is installed."""
-    return _source is not None
-
-
 @contextmanager
 def deterministic_entropy(seed: int) -> Iterator[random.Random]:
     """Route all entropy through one seeded PRNG for the duration.

@@ -5,43 +5,30 @@ The subsystem the rest of the codebase reports through (see
 
 - :mod:`repro.obs.trace` — hierarchical span tracer (wall-clock +
   modeled cycles) buffered on the exit-less ring path;
-- :mod:`repro.obs.metrics` — thread-safe labeled counter/gauge/histogram
-  registry;
-- :mod:`repro.obs.collect` — shims absorbing the legacy stat sources
-  (OperationStats, CycleAccountant, EPC, code cache, mempool, ...);
+- :mod:`repro.obs.metrics` — readers that turn the counters each layer
+  keeps (OperationStats, CycleAccountant, EPC, code cache, pools, LSM
+  store, fuzz campaigns, ...) into metric samples at scrape time;
 - :mod:`repro.obs.export` — Prometheus text exposition and Chrome
   trace-event JSON;
 - :mod:`repro.obs.guard` — the allowlist that keeps application
   plaintext out of all of it.
 """
 
-from repro.obs import collect, export, guard
+from repro.obs import export, guard, metrics
 from repro.obs.guard import guard_field, guard_fields, guard_name
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
 from repro.obs.ring import RingBuffer
 from repro.obs.trace import NULL_SPAN, Span, Tracer, get_tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_SPAN",
     "RingBuffer",
     "Span",
     "Tracer",
-    "collect",
     "export",
-    "get_registry",
     "get_tracer",
     "guard",
     "guard_field",
     "guard_fields",
     "guard_name",
+    "metrics",
 ]

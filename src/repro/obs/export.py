@@ -1,9 +1,9 @@
 """Exporters: Prometheus text exposition and Chrome trace-event JSON.
 
-- :func:`prometheus_text` renders a :class:`MetricsRegistry` in the
-  text exposition format (``# HELP`` / ``# TYPE`` / samples), directly
-  scrapeable; :func:`parse_prometheus_text` is the matching minimal
-  parser used by tests and the CI smoke step.
+- :func:`prometheus_text` renders :mod:`repro.obs.metrics` samples in
+  the text exposition format (``# HELP`` / ``# TYPE`` / samples),
+  directly scrapeable; :func:`parse_prometheus_text` is the matching
+  minimal parser used by tests and the CI smoke step.
 - :func:`chrome_trace` renders drained spans as Chrome trace-event JSON
   (``traceEvents`` with complete ``X`` events), loadable in Perfetto /
   ``chrome://tracing``.  Each event's ``args`` carries the span's
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+from typing import Iterable
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.guard import guard_field, guard_name
+from repro.obs.metrics import Sample
 from repro.obs.trace import Span, Tracer
 
 # Reference CPU for converting modeled cycles into trace-arg µs (the
@@ -36,18 +38,35 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", r"\\").replace('"', r'\"').replace("\n", r"\n")
 
 
-def prometheus_text(registry: MetricsRegistry) -> str:
-    """Render the registry in the Prometheus text exposition format."""
+def prometheus_text(samples: Iterable[Sample]) -> str:
+    """Render samples in the Prometheus text exposition format.
+
+    Samples group into families by name; families print in name order,
+    each with its HELP and TYPE line, and a family's samples in the
+    order of their label values.  Every name and label passes the
+    confidentiality guard here, so a rejected label raises
+    :class:`~repro.errors.TelemetryError` before any text is produced.
+    """
+    families: dict[str, tuple[Sample, dict]] = {}
+    for sample in samples:
+        guard_name(sample.name)
+        labels = tuple(
+            (key, str(guard_field(key, value)))
+            for key, value in sample.labels.items()
+        )
+        _, series = families.setdefault(sample.name, (sample, {}))
+        series[tuple(value for _, value in labels)] = (labels, sample.value)
     lines: list[str] = []
-    for metric in registry.metrics():
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-        lines.append(f"# TYPE {metric.name} {metric.kind}")
-        for name, labels, value in metric.samples():
+    for name in sorted(families):
+        head, series = families[name]
+        lines.append(f"# HELP {name} {head.help}")
+        lines.append(f"# TYPE {name} {head.kind}")
+        for key in sorted(series):
+            labels, value = series[key]
             if labels:
                 body = ",".join(
-                    f'{key}="{_escape_label(str(val))}"'
-                    for key, val in sorted(labels.items())
+                    f'{label}="{_escape_label(text)}"'
+                    for label, text in sorted(labels)
                 )
                 lines.append(f"{name}{{{body}}} {_format_value(value)}")
             else:

@@ -3,8 +3,8 @@
 The paper's monitor rule is absolute: "The status information contains
 only error messages which are not related to any application data."
 Telemetry is the easiest covert channel out of a TEE, so everything the
-tracer or the metrics registry accepts passes through this allowlist
-first:
+tracer records or the metrics page renders passes through this
+allowlist first:
 
 - **names and field keys** must look like telemetry identifiers
   (``tee.ecall``, ``cycles``, ``key_bytes``);
@@ -17,9 +17,9 @@ first:
   legitimate reason for transaction plaintext, key material, or
   decrypted state to ride on a span or a metric label.
 
-Violations raise :class:`~repro.errors.TelemetryError` at the emission
-site, which keeps the mistake inside the enclave instead of letting it
-cross the boundary.
+Violations raise :class:`~repro.errors.TelemetryError` where a span is
+emitted or a metrics page is rendered, which keeps the mistake inside
+the enclave instead of letting it cross the boundary.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ ALLOWED_STR_FIELDS = frozenset(
         "engine",
         "error_kind",
         "kind",
-        "le",
         # analysis admission mode: "source+bytecode" / "bytecode-only"
         "mode",
         "method",
@@ -50,13 +49,9 @@ ALLOWED_STR_FIELDS = frozenset(
         "outcome",
         "phase",
         "pool",
-        # latency quantile labels on serving metrics: "p50" / "p95" / "p99"
-        "quantile",
         "target",
         "unit",
         "vm",
-        # traffic-mix component on serving metrics: "scf" / "abs" / ...
-        "workload",
     }
 )
 

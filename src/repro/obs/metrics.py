@@ -1,281 +1,267 @@
-"""Thread-safe registry of labeled counters, gauges and histograms.
+"""Metric samples read straight from the sources that keep them.
 
-This is the single sink the scattered instrumentation feeds into:
-``OperationStats`` (Table 1), ``CycleAccountant`` snapshots, EPC pager
-occupancy, wasm code-cache hit rates, mempool depth, pre-verification
-cache hits, analysis rejections — see :mod:`repro.obs.collect` for the
-pull-model bridges that absorb those legacy sources without changing
-their APIs.
+Every layer already keeps its own cumulative totals: ``OperationStats``
+(Table 1), the platform ``CycleAccountant`` and EPC pager, the wasm code
+cache, the SDM, the pre-processor, both transaction pools,
+``LsmKV.stats_snapshot()``, the tracer ring and a fuzz campaign's
+``TargetStats``.  The readers here turn those totals into
+:class:`Sample` rows at scrape time, and
+:func:`repro.obs.export.prometheus_text` renders them; nothing is copied
+into an intermediate store.
 
-Semantics follow Prometheus: a *counter* is monotonically increasing, a
-*gauge* is a point-in-time level, a *histogram* buckets observations and
-also tracks ``_sum``/``_count``.  Label names and values pass the
-confidentiality guard (:mod:`repro.obs.guard`), so a metric can never be
-labeled with payload bytes.
-
-Because most existing sources already keep their own cumulative totals,
-counters additionally support :meth:`Counter.set_total` — collection
-copies the source's running total instead of replaying increments.
+Semantics follow Prometheus: a *counter* is a running total, a *gauge* a
+point-in-time level.  Names, label names and label values pass the
+confidentiality guard (:mod:`repro.obs.guard`) when rendered, so a
+metric can never be labeled with payload bytes.
 """
 
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left
+from typing import Iterator, NamedTuple
 
-from repro.errors import TelemetryError
-from repro.obs.guard import guard_field, guard_name
-
-DEFAULT_BUCKETS = (
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
-)
-
-LabelValues = tuple
+COUNTER = "counter"
+GAUGE = "gauge"
 
 
-def _format_labels(labelnames: tuple[str, ...], values: LabelValues) -> str:
-    if not labelnames:
-        return ""
-    body = ",".join(
-        f'{name}="{value}"' for name, value in zip(labelnames, values)
+class Sample(NamedTuple):
+    """One exposition line, with its family's TYPE and HELP."""
+
+    name: str
+    kind: str
+    help: str
+    labels: dict
+    value: float
+
+
+def _counter(name: str, help: str, value, **labels) -> Sample:
+    return Sample(name, COUNTER, help, labels, value)
+
+
+def _gauge(name: str, help: str, value, **labels) -> Sample:
+    return Sample(name, GAUGE, help, labels, value)
+
+
+# CycleAccountant.snapshot() key -> (family, help); all counters.
+_ACCOUNTANT = {
+    "cycles": ("confide_tee_cycles_total", "modeled TEE cycles accrued"),
+    "seconds": ("confide_tee_modeled_seconds_total",
+                "modeled TEE overhead on the reference CPU"),
+    "ecalls": ("confide_tee_ecalls_total", "enclave entries"),
+    "ocalls": ("confide_tee_ocalls_total", "enclave exits"),
+    "bytes_copied": ("confide_tee_bytes_copied_total",
+                     "boundary marshalling bytes"),
+    "pages_swapped": ("confide_tee_pages_swapped_total",
+                      "EPC pages encrypted/evicted or paged back in"),
+    "allocations": ("confide_tee_allocations_total",
+                    "enclave heap allocations"),
+}
+
+# LsmKV.stats_snapshot() key -> (family, kind, help).
+_STORAGE = {
+    "wal_bytes_written": ("confide_storage_wal_bytes_total", COUNTER,
+                          "bytes framed into the write-ahead log"),
+    "wal_records_written": ("confide_storage_wal_records_total", COUNTER,
+                            "atomic batch records appended to the WAL"),
+    "wal_truncated_bytes": ("confide_storage_wal_truncated_bytes_total",
+                            COUNTER,
+                            "torn-tail bytes discarded during WAL recovery"),
+    "wal_fsyncs": ("confide_storage_wal_fsyncs_total", COUNTER,
+                   "WAL fsyncs issued (one per commit, plus rotation and "
+                   "close)"),
+    "flushes": ("confide_storage_flushes_total", COUNTER,
+                "memtable flushes into SSTable segments"),
+    "freezes": ("confide_storage_freezes_total", COUNTER,
+                "memtable freezes handed to the background worker"),
+    "flush_stall_seconds": ("confide_storage_flush_stall_seconds_total",
+                            COUNTER,
+                            "seconds commits stalled waiting for a busy "
+                            "flush slot"),
+    "flush_pending": ("confide_storage_flush_pending", GAUGE,
+                      "frozen memtables awaiting the background worker"),
+    "flush_bytes": ("confide_storage_flush_bytes_total", COUNTER,
+                    "segment bytes written by flushes"),
+    "compactions": ("confide_storage_compactions_total", COUNTER,
+                    "size-tiered compaction rounds"),
+    "compacted_bytes": ("confide_storage_compacted_bytes_total", COUNTER,
+                        "segment bytes consumed by compaction"),
+    "block_commits": ("confide_storage_block_commits_total", COUNTER,
+                      "atomic block batches committed"),
+    "cache_hits": ("confide_storage_block_cache_hits_total", COUNTER,
+                   "block cache hits"),
+    "cache_misses": ("confide_storage_block_cache_misses_total", COUNTER,
+                     "block cache misses"),
+    "cache_hit_rate": ("confide_storage_block_cache_hit_rate", GAUGE,
+                       "block cache hit fraction"),
+    "recovery_seconds": ("confide_storage_recovery_seconds", GAUGE,
+                         "seconds spent recovering the store on open"),
+    "segments_live": ("confide_storage_segments_live", GAUGE,
+                      "live SSTable segments"),
+    "manifest_epoch": ("confide_storage_manifest_epoch", GAUGE,
+                       "current sealed manifest epoch"),
+}
+
+
+def operation_samples(stats, engine: str) -> Iterator[Sample]:
+    """An :class:`~repro.core.stats.OperationStats` ledger, per op."""
+    durations, counts = stats.snapshot()
+    for op, total in durations.items():
+        yield _counter("confide_op_seconds_total",
+                       "accumulated wall-clock seconds per operation",
+                       total, engine=engine, op=op)
+    for op, count in counts.items():
+        yield _counter("confide_op_count_total",
+                       "operation invocation counts",
+                       count, engine=engine, op=op)
+
+
+def engine_samples(engine, label: str = "confidential") -> Iterator[Sample]:
+    """Everything one execution engine keeps, labeled ``engine=label``.
+
+    The platform, pre-processor and SDM exist only on the
+    Confidential-Engine.
+    """
+    # Imported here: the VM imports repro.obs before repro.core exists.
+    from repro.core.stats import (
+        DEPLOY_REJECT,
+        DEPLOY_REJECT_BYTECODE,
+        DEPLOY_REJECT_SOURCE,
     )
-    return "{" + body + "}"
+
+    yield from operation_samples(engine.stats, label)
+    cache = engine.code_cache
+    if cache is not None:
+        yield _counter("confide_code_cache_hits_total",
+                       "prepared-module cache hits",
+                       cache.stats.hits, engine=label)
+        yield _counter("confide_code_cache_misses_total",
+                       "prepared-module cache misses",
+                       cache.stats.misses, engine=label)
+        yield _counter("confide_code_cache_evictions_total",
+                       "prepared-module cache evictions",
+                       cache.stats.evictions, engine=label)
+        yield _gauge("confide_code_cache_entries",
+                     "prepared modules resident", len(cache), engine=label)
+    yield _counter("confide_analysis_rejections_total",
+                   "deploys refused by the static verifier",
+                   engine.stats.count(DEPLOY_REJECT), engine=label)
+    for mode, op in (("source+bytecode", DEPLOY_REJECT_SOURCE),
+                     ("bytecode-only", DEPLOY_REJECT_BYTECODE)):
+        yield _counter("confide_analysis_rejections_by_mode_total",
+                       "deploys refused by static analysis, split by "
+                       "admission mode",
+                       engine.stats.count(op), engine=label, mode=mode)
+    platform = getattr(engine, "platform", None)
+    if platform is not None:
+        snap = platform.accountant.snapshot()
+        for key, (name, help) in _ACCOUNTANT.items():
+            yield _counter(name, help, snap[key])
+        epc = platform.epc
+        yield _gauge("confide_epc_resident_pages",
+                     "4 KB pages currently resident in the EPC",
+                     epc.resident_pages)
+        yield _gauge("confide_epc_budget_pages",
+                     "usable EPC budget in pages", epc.budget_pages)
+        yield _gauge("confide_epc_pool_free_pages",
+                     "pages parked on the OPT1 memory-pool freelist",
+                     epc.pool_pages_free)
+    preprocessor = getattr(engine, "preprocessor", None)
+    if preprocessor is not None:
+        yield _counter("confide_preverify_cache_hits_total",
+                       "metadata-cache hits at execution time",
+                       preprocessor.cache_hits)
+        yield _counter("confide_preverify_cache_misses_total",
+                       "metadata-cache misses at execution time",
+                       preprocessor.cache_misses)
+        yield _counter("confide_preverified_total",
+                       "transactions admitted by pre-verification",
+                       preprocessor.preverified)
+        # Pre-verification runs off the execution path (§5.2) and keeps
+        # its own ledger; its own engine label keeps TX_VERIFY visible
+        # when the metadata cache absorbs it from the execution profile.
+        yield from operation_samples(preprocessor.off_path_stats,
+                                     f"{label}-preverify")
+    sdm = getattr(engine, "sdm", None)
+    if sdm is not None:
+        yield _counter("confide_sdm_cache_hits_total",
+                       "SDM state-cache hits", sdm.cache_hits)
+        yield _counter("confide_sdm_cache_misses_total",
+                       "SDM state-cache misses", sdm.cache_misses)
 
 
-class _Metric:
-    """Shared machinery: name, help, label family, per-metric lock."""
-
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: tuple[str, ...] = ()):
-        self.name = guard_name(name)
-        self.help = help
-        self.labelnames = tuple(guard_name(n) for n in labelnames)
-        self._lock = threading.Lock()
-        self._children: dict[LabelValues, dict] = {}
-
-    def _child(self, values: LabelValues) -> dict:
-        child = self._children.get(values)
-        if child is None:
-            child = self._children.setdefault(values, self._new_child())
-        return child
-
-    def _new_child(self) -> dict:
-        return {"value": 0.0}
-
-    def _resolve(self, labelvalues: dict) -> LabelValues:
-        if set(labelvalues) != set(self.labelnames):
-            raise TelemetryError(
-                f"metric '{self.name}' expects labels "
-                f"{list(self.labelnames)}, got {sorted(labelvalues)}"
-            )
-        # Label values are strings in the exposition format; numerics are
-        # stringified after guarding so children sort consistently.
-        return tuple(
-            str(guard_field(name, labelvalues[name]))
-            for name in self.labelnames
-        )
-
-    def _default(self) -> LabelValues:
-        if self.labelnames:
-            raise TelemetryError(
-                f"metric '{self.name}' is labeled; use labels(...)"
-            )
-        return ()
-
-    def samples(self) -> list[tuple[str, dict, float]]:
-        """(suffixed name, labels dict, value) rows for exposition."""
-        raise NotImplementedError
+def pool_samples(pool, name: str) -> Iterator[Sample]:
+    """One :class:`~repro.chain.mempool.TxPool`, labeled ``pool=name``."""
+    yield _gauge("confide_mempool_depth", "transactions waiting in a pool",
+                 len(pool), pool=name)
+    yield _counter("confide_txpool_rejected_total",
+                   "transactions dropped because the pool was full",
+                   pool.rejected_full, pool=name)
+    yield _counter("confide_txpool_oversized_total",
+                   "transactions dropped for exceeding the block byte "
+                   "budget alone",
+                   pool.dropped_oversized, pool=name)
+    yield _counter("confide_txpool_accepted_total",
+                   "transactions admitted into a pool",
+                   pool.accepted_total, pool=name)
+    yield _gauge("confide_mempool_depth_peak",
+                 "highest depth a pool has reached",
+                 pool.depth_peak, pool=name)
 
 
-class Counter(_Metric):
-    """Monotonically increasing total."""
-
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labelvalues) -> None:
-        if amount < 0:
-            raise TelemetryError("counters only go up")
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        with self._lock:
-            self._child(values)["value"] += amount
-
-    def set_total(self, total: float, **labelvalues) -> None:
-        """Absolute-set for pull-collection from a cumulative source."""
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        with self._lock:
-            self._child(values)["value"] = float(total)
-
-    def value(self, **labelvalues) -> float:
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        with self._lock:
-            return self._child(values)["value"]
-
-    def samples(self):
-        with self._lock:
-            return [
-                (self.name, dict(zip(self.labelnames, values)), child["value"])
-                for values, child in sorted(self._children.items())
-            ]
+def storage_samples(kv) -> Iterator[Sample]:
+    """An :class:`~repro.storage.lsm.LsmKV`'s engine counters; the
+    in-memory store keeps none."""
+    snapshot = getattr(kv, "stats_snapshot", None)
+    if snapshot is None:
+        return
+    snap = snapshot()
+    for key, (name, kind, help) in _STORAGE.items():
+        yield Sample(name, kind, help, {}, snap[key])
 
 
-class Gauge(_Metric):
-    """Point-in-time level (can go up and down)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labelvalues) -> None:
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        with self._lock:
-            self._child(values)["value"] = float(value)
-
-    def inc(self, amount: float = 1.0, **labelvalues) -> None:
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        with self._lock:
-            self._child(values)["value"] += amount
-
-    def dec(self, amount: float = 1.0, **labelvalues) -> None:
-        self.inc(-amount, **labelvalues)
-
-    def value(self, **labelvalues) -> float:
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        with self._lock:
-            return self._child(values)["value"]
-
-    def samples(self):
-        with self._lock:
-            return [
-                (self.name, dict(zip(self.labelnames, values)), child["value"])
-                for values, child in sorted(self._children.items())
-            ]
+def node_samples(node) -> Iterator[Sample]:
+    """A full node: both engines, both pools and the store."""
+    yield from engine_samples(node.confidential, "confidential")
+    yield from engine_samples(node.public, "public")
+    yield from pool_samples(node.unverified, "unverified")
+    yield from pool_samples(node.verified, "verified")
+    yield from storage_samples(node.kv)
 
 
-class Histogram(_Metric):
-    """Bucketed observations with cumulative buckets, sum and count."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help: str = "",
-                 labelnames: tuple[str, ...] = (),
-                 buckets: tuple[float, ...] = DEFAULT_BUCKETS):
-        super().__init__(name, help, labelnames)
-        self.buckets = tuple(sorted(buckets))
-        if not self.buckets:
-            raise TelemetryError("histogram needs at least one bucket")
-
-    def _new_child(self) -> dict:
-        return {
-            "counts": [0] * (len(self.buckets) + 1),  # +1 for +Inf
-            "sum": 0.0,
-            "count": 0,
-        }
-
-    def observe(self, value: float, **labelvalues) -> None:
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        index = bisect_left(self.buckets, value)
-        with self._lock:
-            child = self._child(values)
-            child["counts"][index] += 1
-            child["sum"] += value
-            child["count"] += 1
-
-    def snapshot(self, **labelvalues) -> dict:
-        values = self._resolve(labelvalues) if labelvalues else self._default()
-        with self._lock:
-            child = self._child(values)
-            return {
-                "count": child["count"],
-                "sum": child["sum"],
-                "counts": list(child["counts"]),
-            }
-
-    def samples(self):
-        rows = []
-        with self._lock:
-            for values, child in sorted(self._children.items()):
-                labels = dict(zip(self.labelnames, values))
-                cumulative = 0
-                for bound, count in zip(self.buckets, child["counts"]):
-                    cumulative += count
-                    rows.append(
-                        (self.name + "_bucket",
-                         {**labels, "le": repr(float(bound))}, cumulative)
-                    )
-                rows.append(
-                    (self.name + "_bucket",
-                     {**labels, "le": "+Inf"}, child["count"])
-                )
-                rows.append((self.name + "_sum", dict(labels), child["sum"]))
-                rows.append((self.name + "_count", dict(labels),
-                             child["count"]))
-        return rows
+def tracer_samples(tracer) -> Iterator[Sample]:
+    """The tracer's exit-less span ring."""
+    yield _counter("confide_trace_ring_dropped_total",
+                   "records overwritten in the exit-less trace ring",
+                   tracer.ring.dropped)
+    yield _gauge("confide_trace_spans_buffered",
+                 "finished spans awaiting drain", len(tracer.ring))
 
 
-class MetricsRegistry:
-    """Get-or-create registry; the unit every exporter works from."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._metrics: dict[str, _Metric] = {}
-
-    def _get_or_create(self, cls, name, help, labelnames, **kwargs):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = cls(name, help, tuple(labelnames), **kwargs)
-                self._metrics[name] = metric
-                return metric
-        if not isinstance(metric, cls):
-            raise TelemetryError(
-                f"metric '{name}' already registered as {metric.kind}"
-            )
-        if tuple(labelnames) != metric.labelnames:
-            raise TelemetryError(
-                f"metric '{name}' already registered with labels "
-                f"{list(metric.labelnames)}"
-            )
-        return metric
-
-    def counter(self, name: str, help: str = "",
-                labelnames: tuple[str, ...] = ()) -> Counter:
-        return self._get_or_create(Counter, name, help, labelnames)
-
-    def gauge(self, name: str, help: str = "",
-              labelnames: tuple[str, ...] = ()) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames)
-
-    def histogram(self, name: str, help: str = "",
-                  labelnames: tuple[str, ...] = (),
-                  buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get_or_create(Histogram, name, help, labelnames,
-                                   buckets=buckets)
-
-    def metrics(self) -> list[_Metric]:
-        with self._lock:
-            return sorted(self._metrics.values(), key=lambda m: m.name)
-
-    def sample_dict(self) -> dict[str, float]:
-        """Flat ``name{labels}`` → value mapping (drift-proof snapshots)."""
-        out: dict[str, float] = {}
-        for metric in self.metrics():
-            for name, labels, value in metric.samples():
-                ordered = tuple(sorted(labels.items()))
-                key = name + _format_labels(
-                    tuple(k for k, _ in ordered), tuple(v for _, v in ordered)
-                )
-                out[key] = value
-        return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
-
-_REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry."""
-    return _REGISTRY
+def fuzz_samples(result) -> Iterator[Sample]:
+    """A :class:`~repro.fuzz.harness.FuzzResult` campaign, per target."""
+    total_execs = 0
+    for name, stats in result.stats.items():
+        execs = stats.execs + stats.minimize_execs
+        total_execs += execs
+        yield _counter("confide_fuzz_execs_total",
+                       "differential executions performed",
+                       execs, target=name)
+        for vm, edges in (("wasm", stats.edges_wasm),
+                          ("evm", stats.edges_evm)):
+            yield _gauge("confide_fuzz_coverage_edges",
+                         "distinct branch edges covered",
+                         edges, target=name, vm=vm)
+        yield _gauge("confide_fuzz_corpus_entries",
+                     "sequences retained in the corpus",
+                     stats.corpus_entries, target=name)
+        yield _counter("confide_fuzz_solver_attempts_total",
+                       "constraint-solver candidate executions",
+                       stats.solver_attempts, target=name)
+        yield _counter("confide_fuzz_constraint_flips_total",
+                       "branches flipped by the solver",
+                       stats.constraint_flips, target=name)
+        for kind, count in stats.findings.items():
+            yield _counter("confide_fuzz_findings_total", "oracle findings",
+                           count, target=name, kind=kind)
+    if result.elapsed_s:
+        yield _gauge("confide_fuzz_execs_per_second", "campaign throughput",
+                     round(total_execs / result.elapsed_s, 1))

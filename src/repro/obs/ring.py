@@ -3,14 +3,13 @@
 This is the data structure behind the paper's §5.3 "improved enclave's
 monitor system": the enclave appends records into a ring living in
 untrusted memory and an untrusted poller drains it asynchronously, so
-emitting telemetry never pays an enclave transition.  It started life in
-:mod:`repro.tee.monitor` (which still re-exports it) and moved here so
-the span tracer can buffer on the same path without importing the TEE
-layer.
+emitting telemetry never pays an enclave transition.  It lives here,
+not in :mod:`repro.tee.monitor`, so the span tracer can buffer on the
+same path without importing the TEE layer.
 
 Single-producer/single-consumer; when the consumer falls behind, the
 oldest records are overwritten and counted in :attr:`RingBuffer.dropped`
-(surfaced as a metric by :mod:`repro.obs.collect`).
+(the tracer ring's count is exported by :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations

@@ -79,10 +79,9 @@ class Gateway:
         self._node_lock = threading.Lock()  # serializes block production
         self._inflight = 0
         self._idle = threading.Condition(self._state_lock)
-        # Cumulative counters (absorbed by repro.obs.collect).
+        # Cumulative counters (read by the benchmark and the tests).
         self._counter_lock = threading.Lock()
         self.requests_total: dict[tuple[str, str], int] = {}
-        self.request_seconds_total: dict[str, float] = {}
         self.backpressure_total = 0
         self.duplicates_total = 0
         self.invalid_total = 0
@@ -90,7 +89,6 @@ class Gateway:
         self.accepted_total = 0
         self.blocks_produced = 0
         self.txs_committed = 0
-        self.receipts_served = 0
         self._methods = {
             "submit_tx": self._rpc_submit_tx,
             "deploy": self._rpc_deploy,
@@ -202,7 +200,6 @@ class Gateway:
         Always returns an encoded JSON-RPC response; never raises and
         never lets a traceback or payload bytes into the response.
         """
-        started = time.perf_counter()
         request_id = None
         method = "unknown"
         try:
@@ -226,10 +223,10 @@ class Gateway:
                                f"unknown method '{method}'"
                                if method.isidentifier() else "unknown method")
             result = handler(request["params"], client)
-            self._count(method, "ok", started)
+            self._count(method, "ok")
             return jsonrpc.ok_response(request_id, result)
         except RpcError as exc:
-            self._count(method, self._outcome_for(exc.code), started)
+            self._count(method, self._outcome_for(exc.code))
             return jsonrpc.error_response(request_id, exc.code, exc.message,
                                           exc.data)
         except ReproError as exc:
@@ -237,7 +234,7 @@ class Gateway:
             # internal state; only the error class crosses the boundary.
             with self._counter_lock:
                 self.internal_errors_total += 1
-            self._count(method, "internal", started)
+            self._count(method, "internal")
             return jsonrpc.error_response(
                 request_id, jsonrpc.INTERNAL_ERROR, "internal error",
                 {"error_kind": type(exc).__name__},
@@ -245,7 +242,7 @@ class Gateway:
         except Exception:
             with self._counter_lock:
                 self.internal_errors_total += 1
-            self._count(method, "internal", started)
+            self._count(method, "internal")
             return jsonrpc.error_response(
                 request_id, jsonrpc.INTERNAL_ERROR, "internal error"
             )
@@ -263,14 +260,10 @@ class Gateway:
             self.invalid_total += 1
         return "invalid"
 
-    def _count(self, method: str, outcome: str, started: float) -> None:
-        elapsed = time.perf_counter() - started
+    def _count(self, method: str, outcome: str) -> None:
         with self._counter_lock:
             key = (method, outcome)
             self.requests_total[key] = self.requests_total.get(key, 0) + 1
-            self.request_seconds_total[method] = (
-                self.request_seconds_total.get(method, 0.0) + elapsed
-            )
 
     # -- RPC methods -------------------------------------------------------
 
@@ -343,8 +336,6 @@ class Gateway:
             pending = (tx_hash in self.node.unverified
                        or tx_hash in self.node.verified)
             return {"found": False, "pending": pending}
-        with self._counter_lock:
-            self.receipts_served += 1
         # Confidential receipts are sealed envelopes under k_tx; public
         # receipts are public by construction.  Either way the blob is
         # exactly what consensus committed — nothing is opened here.

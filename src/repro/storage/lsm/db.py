@@ -85,7 +85,7 @@ def _segment_path(directory: str, segment_id: int) -> str:
 
 @dataclass
 class LsmStats:
-    """Cumulative engine counters (absorbed by ``obs.collect``)."""
+    """Cumulative engine counters (exported by ``obs.metrics``)."""
 
     wal_bytes_written: int = 0
     wal_records_written: int = 0

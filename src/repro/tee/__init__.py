@@ -17,7 +17,7 @@ from repro.tee.attestation import (
 from repro.tee.edl import Direction, EdlInterface, EdlParam
 from repro.tee.enclave import Enclave, Measurement, Platform
 from repro.tee.epc import EPC_USABLE_BYTES, PAGE_SIZE, EpcAllocator, MemoryPool
-from repro.tee.monitor import EnclaveMonitor, RingBuffer
+from repro.tee.monitor import EnclaveMonitor
 from repro.tee.transitions import DEFAULT_COST_MODEL, CostModel, CycleAccountant
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "PAGE_SIZE",
     "Platform",
     "Quote",
-    "RingBuffer",
     "create_local_report",
     "create_quote",
     "verify_local_report",

@@ -18,10 +18,9 @@ Only error/status strings cross — never application data (paper: "The
 status information contains only error messages which are not related to
 any application data").  The ring buffer itself lives in
 :mod:`repro.obs.ring` so the span tracer shares the identical exit-less
-path; ``RingBuffer`` is re-exported here for backward compatibility, and
-``RingBuffer.dropped`` is surfaced as the
-``confide_monitor_ring_dropped_total`` metric by
-:func:`repro.obs.collect.collect_monitor_ring`.
+path.  ``ring.dropped`` counts status records the poller lost; no node
+owns a monitor, so it is not exported as a metric (the tracer ring's is,
+as ``confide_trace_ring_dropped_total``).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 from repro.obs.ring import RingBuffer
 from repro.tee.enclave import Enclave
 
-__all__ = ["EnclaveMonitor", "RingBuffer"]
+__all__ = ["EnclaveMonitor"]
 
 
 class EnclaveMonitor:

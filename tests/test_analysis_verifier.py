@@ -22,7 +22,6 @@ from repro.analysis import (
     verify_module,
 )
 from repro.core import PublicEngine
-from repro.core.config import EngineConfig
 from repro.core.stats import ARTIFACT_VERIFY, DEPLOY_REJECT, TAINT_ANALYZE
 from repro.errors import AnalysisError
 from repro.lang import compile_source
@@ -253,31 +252,6 @@ def test_engine_admits_annotated_coldchain_with_source(client):
     assert engine.stats.count(ARTIFACT_VERIFY) == 1
     assert engine.stats.count(TAINT_ANALYZE) == 1
     assert engine.stats.count(DEPLOY_REJECT) == 0
-
-
-def test_taint_analysis_toggle(client):
-    config = EngineConfig(use_taint_analysis=False)
-    engine = PublicEngine(MemoryKV(), config)
-    leaky = COLDCHAIN_CONTRACT.replace(
-        "declassify(temp < lo || temp > hi)", "temp < lo || temp > hi"
-    )
-    artifact = compile_source(leaky, "wasm")
-    raw, _ = client.deploy_raw(artifact, COLDCHAIN_SCHEMA_SOURCE, leaky)
-    assert engine.execute(Client.public(raw)).receipt.success
-
-
-def test_deploy_verification_toggle(wasm_artifact, client):
-    config = EngineConfig(use_deploy_verification=False,
-                          use_taint_analysis=False)
-    engine = PublicEngine(MemoryKV(), config)
-    bad = dataclasses.replace(
-        wasm_artifact, methods=wasm_artifact.methods + ("phantom",)
-    )
-    raw, _ = client.deploy_raw(bad)
-    # with verification off the bogus method table is admitted
-    # (calling "phantom" would still fail at execution time)
-    assert engine.execute(Client.public(raw)).receipt.success
-    assert engine.stats.count(ARTIFACT_VERIFY) == 0
 
 
 def test_upgrade_path_is_also_verified(wasm_artifact, client):

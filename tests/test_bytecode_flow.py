@@ -32,7 +32,6 @@ from repro.ccle import parse_schema
 from repro.cli import main as cli_main
 from repro.core import (
     ConfidentialEngine,
-    EngineConfig,
     PublicEngine,
     bootstrap_founder,
 )
@@ -58,9 +57,8 @@ def corpus_client():
     return Client.from_seed(b"bytecode-corpus")
 
 
-def _public_engine(**overrides):
-    return PublicEngine(MemoryKV(), EngineConfig(**overrides)) if overrides \
-        else PublicEngine(MemoryKV())
+def _public_engine():
+    return PublicEngine(MemoryKV())
 
 
 def _confidential_engine():
@@ -198,20 +196,6 @@ class TestDeployAdmission:
         receipt = engine.execute(Client.public(raw)).receipt
         assert receipt.success
         assert receipt.analysis_mode == ANALYSIS_SOURCE_BYTECODE
-
-    def test_config_toggle_disables_pass3(self, corpus_client):
-        builder, _ = CORPUS["wasm_secret_to_event"]
-        engine = _public_engine(use_bytecode_flow=False)
-        raw, _ = corpus_client.deploy_raw(builder(), SCHEMA_SOURCE)
-        assert engine.execute(Client.public(raw)).receipt.success
-
-    def test_engine_level_prefixes_arm_policy_without_schema(self, corpus_client):
-        builder, _ = CORPUS["wasm_secret_to_event"]
-        engine = _public_engine(bytecode_confidential_prefixes=("ccle:",))
-        raw, _ = corpus_client.deploy_raw(builder())  # no schema at all
-        receipt = engine.execute(Client.public(raw)).receipt
-        assert not receipt.success
-        assert receipt.kind == KIND_ANALYSIS
 
 
 class TestConfidentialSinkModel:
@@ -618,14 +602,12 @@ class TestRejectionModeSplit:
         assert public.stats.count(DEPLOY_REJECT_SOURCE) == 1
 
     def test_metrics_expose_rejections_by_mode(self, corpus_client):
-        from repro.obs.collect import ANALYSIS_REJECTIONS_BY_MODE, collect_engine
-        from repro.obs.export import prometheus_text
-        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.export import parse_prometheus_text, prometheus_text
+        from repro.obs.metrics import engine_samples
 
         public, _report = self._run_block(corpus_client)
-        registry = MetricsRegistry()
-        collect_engine(registry, public, label="public")
-        rendered = prometheus_text(registry)
-        assert ANALYSIS_REJECTIONS_BY_MODE in rendered
-        assert 'mode="bytecode-only"' in rendered
-        assert 'mode="source+bytecode"' in rendered
+        samples = parse_prometheus_text(
+            prometheus_text(engine_samples(public, label="public")))
+        family = "confide_analysis_rejections_by_mode_total"
+        assert samples[f'{family}{{engine="public",mode="bytecode-only"}}'] == 1
+        assert samples[f'{family}{{engine="public",mode="source+bytecode"}}'] == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ccle import decode, encode, parse_schema, root_view
+from repro.ccle import decode, encode, parse_schema
 from repro.errors import EncodingError
 
 SCHEMA = parse_schema("""
@@ -103,37 +103,6 @@ class TestErrors:
     def test_scalar_needs_int(self):
         with pytest.raises(EncodingError):
             encode(SCHEMA, {"count": "many"})
-
-
-class TestViews:
-    def test_lazy_field_access(self):
-        view = root_view(SCHEMA, encode(SCHEMA, FULL_VALUE))
-        assert view.name == "example"
-        assert view.flag is True
-        assert view.tiny == -5
-        assert view.big == (1 << 63) + 5
-        assert view.signed_val == -(1 << 40)
-
-    def test_vector_access(self):
-        view = root_view(SCHEMA, encode(SCHEMA, FULL_VALUE))
-        assert len(view.items) == 2
-        assert view.items[1].label == "second"
-        assert view.items[1].weight == 20
-
-    def test_map_access(self):
-        view = root_view(SCHEMA, encode(SCHEMA, FULL_VALUE))
-        assert view.lookup["beta"].value == -2
-        assert "alpha" in view.lookup
-        assert "ghost" not in view.lookup
-        with pytest.raises(KeyError):
-            view.lookup["ghost"]
-        assert sorted(view.lookup.keys()) == ["alpha", "beta"]
-
-    def test_defaults_through_views(self):
-        view = root_view(SCHEMA, encode(SCHEMA, {}))
-        assert view.name == ""
-        assert view.items == []
-        assert len(view.lookup) == 0
 
 
 _labels = st.text(

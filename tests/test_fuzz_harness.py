@@ -21,9 +21,8 @@ from repro.fuzz import (BUILTIN_TARGETS, CallStep, ContractAbi, Corpus,
                         load_target, replay, run_fuzz, solve_constraint,
                         target_names)
 from repro.fuzz.corpus import entry_name, parse_finding_file
-from repro.obs.collect import collect_fuzz
 from repro.obs.export import prometheus_text
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import fuzz_samples
 
 
 def small_config(**overrides) -> FuzzConfig:
@@ -404,9 +403,7 @@ class TestFuzzCli:
 class TestFuzzMetrics:
     def test_collect_fuzz_exports_counters(self):
         result = run_fuzz(small_config(max_execs=40))
-        registry = MetricsRegistry()
-        collect_fuzz(registry, result)
-        text = prometheus_text(registry)
+        text = prometheus_text(fuzz_samples(result))
         for name in ("confide_fuzz_execs_total",
                      "confide_fuzz_coverage_edges",
                      "confide_fuzz_corpus_entries",

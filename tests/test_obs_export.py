@@ -1,13 +1,9 @@
-"""Exporter tests: Prometheus exposition, Chrome trace JSON, and the
-bench-table/registry agreement the observability subsystem guarantees."""
+"""Exporter tests: Prometheus exposition and Chrome trace JSON."""
 
 import json
 
 import pytest
 
-from repro.bench.figures import table1_rows
-from repro.bench.reporting import format_table1_crosscheck
-from repro.obs.collect import OP_SECONDS, collect_node
 from repro.obs.export import (
     chrome_trace,
     drain_to_file,
@@ -16,7 +12,7 @@ from repro.obs.export import (
     span_to_event,
     write_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Sample
 from repro.obs.trace import Tracer
 
 
@@ -27,38 +23,30 @@ def tracer():
 
 class TestPrometheusText:
     def test_help_type_and_samples(self):
-        registry = MetricsRegistry()
-        registry.counter(
-            "confide_op_seconds_total", "seconds per op", ("engine", "op")
-        ).inc(1.5, engine="confidential", op="Contract Call")
-        registry.gauge("confide_mempool_depth", labelnames=("pool",)).set(
-            7, pool="verified"
-        )
-        text = prometheus_text(registry)
-        assert "# HELP confide_op_seconds_total seconds per op" in text
-        assert "# TYPE confide_op_seconds_total counter" in text
-        assert (
+        text = prometheus_text([
+            Sample("confide_op_seconds_total", "counter", "seconds per op",
+                   {"engine": "confidential", "op": "Contract Call"}, 1.5),
+            Sample("confide_mempool_depth", "gauge", "pool depth",
+                   {"pool": "verified"}, 7),
+            Sample("confide_mempool_depth", "gauge", "pool depth",
+                   {"pool": "unverified"}, 2),
+        ])
+        assert text == (
+            "# HELP confide_mempool_depth pool depth\n"
+            "# TYPE confide_mempool_depth gauge\n"
+            'confide_mempool_depth{pool="unverified"} 2\n'
+            'confide_mempool_depth{pool="verified"} 7\n'
+            "# HELP confide_op_seconds_total seconds per op\n"
+            "# TYPE confide_op_seconds_total counter\n"
             'confide_op_seconds_total{engine="confidential",'
-            'op="Contract Call"} 1.5'
-        ) in text
-        assert "# TYPE confide_mempool_depth gauge" in text
-        assert 'confide_mempool_depth{pool="verified"} 7' in text
-        assert text.endswith("\n")
-
-    def test_histogram_exposition(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("confide_lat_seconds", buckets=(0.01, 0.1))
-        h.observe(0.005)
-        text = prometheus_text(registry)
-        assert "# TYPE confide_lat_seconds histogram" in text
-        assert 'confide_lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "confide_lat_seconds_count 1" in text
+            'op="Contract Call"} 1.5\n'
+        )
 
     def test_round_trip_parse(self):
-        registry = MetricsRegistry()
-        registry.counter("confide_a_total").inc(3)
-        registry.gauge("confide_b", labelnames=("op",)).set(2.5, op="call")
-        samples = parse_prometheus_text(prometheus_text(registry))
+        samples = parse_prometheus_text(prometheus_text([
+            Sample("confide_a_total", "counter", "a", {}, 3),
+            Sample("confide_b", "gauge", "b", {"op": "call"}, 2.5),
+        ]))
         assert samples["confide_a_total"] == 3.0
         assert samples['confide_b{op="call"}'] == 2.5
 
@@ -131,43 +119,3 @@ class TestChromeTrace:
         for p in (path, path2):
             document = json.loads(p.read_text())
             assert document["traceEvents"]
-
-
-class TestNodeRegistry:
-    def test_collect_node_carries_engine_metrics(self):
-        from repro.chain.node import Node
-        from repro.core import bootstrap_founder
-
-        node = Node(0)
-        bootstrap_founder(node.confidential.km)
-        node.confidential.provision_from_km()
-        node.apply_transactions([])
-        registry = MetricsRegistry()
-        collect_node(registry, node)
-        metrics = registry.sample_dict()
-        assert metrics["confide_epc_budget_pages"] > 0
-        assert any(key.startswith("confide_tee_") for key in metrics)
-
-
-class TestTable1RegistryAgreement:
-    @pytest.fixture(scope="class")
-    def bench(self):
-        registry = MetricsRegistry()
-        rows = table1_rows(runs=1, registry=registry)
-        return rows, registry
-
-    def test_registry_equals_table1(self, bench):
-        rows, registry = bench
-        samples = registry.sample_dict()
-        for row in rows:
-            key = f'{OP_SECONDS}{{engine="confidential",op="{row.method}"}}'
-            registry_ms = samples.get(key, 0.0) * 1000
-            assert registry_ms == pytest.approx(row.duration_ms, rel=1e-12), (
-                row.method
-            )
-
-    def test_crosscheck_table_reports_ok(self, bench):
-        rows, registry = bench
-        text = format_table1_crosscheck(rows, registry, runs=1)
-        assert "DRIFT" not in text
-        assert text.count("ok") >= len(rows)

@@ -1,5 +1,6 @@
-"""Metrics registry tests, plus the collectors that absorb the legacy
-stat sources (OperationStats, CycleAccountant, EPC, monitor ring)."""
+"""Metric readers: the samples :mod:`repro.obs.metrics` reads from each
+source (OperationStats, the tracer ring, a node), and the thread safety
+of the OperationStats ledger they read."""
 
 import threading
 
@@ -7,104 +8,31 @@ import pytest
 
 from repro.core.stats import CONTRACT_CALL, GET_STORAGE, OperationStats
 from repro.errors import TelemetryError
-from repro.obs.collect import (
-    MONITOR_RING_DROPPED,
-    OP_COUNT,
-    OP_SECONDS,
-    collect_monitor_ring,
-    collect_operation_stats,
+from repro.obs.export import parse_prometheus_text, prometheus_text
+from repro.obs.metrics import (
+    Sample,
+    node_samples,
+    operation_samples,
+    tracer_samples,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.ring import RingBuffer
+from repro.obs.trace import Tracer
 
 
-@pytest.fixture
-def registry():
-    return MetricsRegistry()
+def _page(samples) -> dict[str, float]:
+    return parse_prometheus_text(prometheus_text(samples))
 
 
 class TestCounter:
-    def test_inc_and_value(self, registry):
-        c = registry.counter("confide_test_total")
-        c.inc()
-        c.inc(2.5)
-        assert c.value() == 3.5
-
-    def test_negative_increment_rejected(self, registry):
-        with pytest.raises(TelemetryError, match="only go up"):
-            registry.counter("confide_test_total").inc(-1)
-
-    def test_set_total_for_pull_collection(self, registry):
-        c = registry.counter("confide_test_total", labelnames=("op",))
-        c.set_total(41.0, op="Contract Call")
-        c.set_total(42.0, op="Contract Call")
-        assert c.value(op="Contract Call") == 42.0
-
-    def test_label_family_enforced(self, registry):
-        c = registry.counter("confide_test_total", labelnames=("op",))
-        with pytest.raises(TelemetryError, match="expects labels"):
-            c.inc(op="x", extra="y")
-        with pytest.raises(TelemetryError, match="is labeled"):
-            c.inc()
-
-    def test_label_values_guarded(self, registry):
-        c = registry.counter("confide_test_total", labelnames=("op",))
-        with pytest.raises(TelemetryError):
-            c.inc(op=b"payload")
-
-
-class TestGauge:
-    def test_set_inc_dec(self, registry):
-        g = registry.gauge("confide_depth")
-        g.set(10)
-        g.inc(5)
-        g.dec(2)
-        assert g.value() == 13
-
-
-class TestHistogram:
-    def test_observe_and_snapshot(self, registry):
-        h = registry.histogram("confide_latency_seconds",
-                               buckets=(0.01, 0.1, 1.0))
-        for v in (0.005, 0.05, 0.5, 5.0):
-            h.observe(v)
-        snap = h.snapshot()
-        assert snap["count"] == 4
-        assert snap["sum"] == pytest.approx(5.555)
-        assert snap["counts"] == [1, 1, 1, 1]
-
-    def test_samples_are_cumulative_with_inf(self, registry):
-        h = registry.histogram("confide_latency_seconds", buckets=(0.01, 0.1))
-        h.observe(0.005)
-        h.observe(0.05)
-        rows = {(name, labels.get("le")): value
-                for name, labels, value in h.samples()}
-        assert rows[("confide_latency_seconds_bucket", "0.01")] == 1
-        assert rows[("confide_latency_seconds_bucket", "0.1")] == 2
-        assert rows[("confide_latency_seconds_bucket", "+Inf")] == 2
-        assert rows[("confide_latency_seconds_count", None)] == 2
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_metric(self, registry):
-        assert registry.counter("confide_x_total") is registry.counter(
-            "confide_x_total"
-        )
-
-    def test_kind_conflict_rejected(self, registry):
-        registry.counter("confide_x_total")
-        with pytest.raises(TelemetryError, match="already registered"):
-            registry.gauge("confide_x_total")
-
-    def test_labelname_conflict_rejected(self, registry):
-        registry.counter("confide_x_total", labelnames=("op",))
-        with pytest.raises(TelemetryError, match="already registered"):
-            registry.counter("confide_x_total", labelnames=("engine",))
-
-    def test_sample_dict_keys(self, registry):
-        registry.counter("confide_x_total", labelnames=("op",)).inc(op="call")
-        samples = registry.sample_dict()
-        assert samples == {'confide_x_total{op="call"}': 1.0}
+    def test_label_values_guarded(self):
+        payload = Sample("confide_test_total", "counter", "test",
+                         {"op": b"payload"}, 1)
+        with pytest.raises(TelemetryError, match="payload bytes"):
+            prometheus_text([payload])
+        # A string on a label the guard does not allowlist is refused too.
+        named = Sample("confide_test_total", "counter", "test",
+                       {"account": "alice"}, 1)
+        with pytest.raises(TelemetryError, match="may not carry a string"):
+            prometheus_text([named])
 
 
 class TestOperationStatsThreadSafety:
@@ -154,43 +82,60 @@ class TestOperationStatsThreadSafety:
 
 
 class TestCollectors:
-    def test_operation_stats_absorbed(self, registry):
+    def test_operation_stats_absorbed(self):
         stats = OperationStats()
         stats.record(CONTRACT_CALL, 0.25)
         stats.record(CONTRACT_CALL, 0.25)
-        collect_operation_stats(registry, stats, engine="confidential")
-        seconds = registry.counter(OP_SECONDS, labelnames=("engine", "op"))
-        counts = registry.counter(OP_COUNT, labelnames=("engine", "op"))
-        assert seconds.value(engine="confidential", op=CONTRACT_CALL) == 0.5
-        assert counts.value(engine="confidential", op=CONTRACT_CALL) == 2
+        stats.record(GET_STORAGE, 0.125)
+        page = _page(operation_samples(stats, "confidential"))
+        assert page == {
+            'confide_op_seconds_total{engine="confidential",'
+            'op="Contract Call"}': 0.5,
+            'confide_op_seconds_total{engine="confidential",'
+            'op="GetStorage"}': 0.125,
+            'confide_op_count_total{engine="confidential",'
+            'op="Contract Call"}': 2,
+            'confide_op_count_total{engine="confidential",'
+            'op="GetStorage"}': 1,
+        }
 
-    def test_collection_is_idempotent(self, registry):
+    def test_collection_is_idempotent(self):
         stats = OperationStats()
         stats.record(CONTRACT_CALL, 0.25)
-        collect_operation_stats(registry, stats, engine="confidential")
-        collect_operation_stats(registry, stats, engine="confidential")
-        counts = registry.counter(OP_COUNT, labelnames=("engine", "op"))
-        assert counts.value(engine="confidential", op=CONTRACT_CALL) == 1
+        first = prometheus_text(operation_samples(stats, "confidential"))
+        assert prometheus_text(operation_samples(stats, "confidential")) \
+            == first
+        stats.record(CONTRACT_CALL, 0.25)
+        page = _page(operation_samples(stats, "confidential"))
+        assert page['confide_op_count_total{engine="confidential",'
+                    'op="Contract Call"}'] == 2
 
-    def test_monitor_ring_dropped_surfaced(self, registry):
-        ring = RingBuffer(2)
+    def test_trace_ring_dropped_surfaced(self):
+        tracer = Tracer(capacity=2, enabled=True)
         for i in range(5):
-            ring.put(f"status {i}")
-        collect_monitor_ring(registry, ring)
-        dropped = registry.counter(MONITOR_RING_DROPPED)
-        assert dropped.value() == 3
-
-    def test_monitor_ring_dropped_from_live_monitor(self, registry):
-        from repro.tee.enclave import Enclave, Platform
-        from repro.tee.monitor import EnclaveMonitor
-
-        enclave = Enclave(Platform(), "mon-test")
-        monitor = EnclaveMonitor(enclave, capacity=4)
-        for i in range(10):
-            monitor.emit_exitless(f"status {i}")
-        collect_monitor_ring(registry, monitor.ring)
-        assert registry.counter(MONITOR_RING_DROPPED).value() == 6
+            tracer.instant("test.event", index=i)
+        page = _page(tracer_samples(tracer))
+        assert page["confide_trace_ring_dropped_total"] == 3
+        assert page["confide_trace_spans_buffered"] == 2
         # Draining keeps the cumulative drop count.
-        monitor.poll()
-        collect_monitor_ring(registry, monitor.ring)
-        assert registry.counter(MONITOR_RING_DROPPED).value() == 6
+        tracer.drain()
+        page = _page(tracer_samples(tracer))
+        assert page["confide_trace_ring_dropped_total"] == 3
+        assert page["confide_trace_spans_buffered"] == 0
+
+
+class TestNodeSamples:
+    def test_node_samples_carry_engine_metrics(self):
+        from repro.chain.node import Node
+        from repro.core import bootstrap_founder
+
+        node = Node(0)
+        bootstrap_founder(node.confidential.km)
+        node.confidential.provision_from_km()
+        node.apply_transactions([])
+        page = _page(node_samples(node))
+        assert page["confide_epc_budget_pages"] > 0
+        assert any(key.startswith("confide_tee_") for key in page)
+        assert page['confide_mempool_depth{pool="verified"}'] == 0
+        # The in-memory store keeps no engine counters.
+        assert not any(key.startswith("confide_storage_") for key in page)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.tee import Enclave, EnclaveMonitor, Platform, RingBuffer
+from repro.obs.ring import RingBuffer
+from repro.tee import Enclave, EnclaveMonitor, Platform
 
 
 class Noisy(Enclave):
