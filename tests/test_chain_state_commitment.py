@@ -142,37 +142,44 @@ class TestBlockWriteSet:
         assert writes.puts == {b"k": b"v"}
 
     def test_a_store_that_knows_nothing_of_recording_is_recorded(self):
-        """The base class records, so a new store (or a test fake) that
-        only implements the interface cannot hand the node an empty
-        write set, and a write that raised is not reported."""
+        """A store implements three primitives — read a committed key,
+        scan the committed state, commit one batch — and KVStore does
+        the staging, so a new store (or a test fake) cannot hand the
+        node an empty or partial write set."""
 
         class PlainKV(KVStore):
             def __init__(self):
+                super().__init__()
                 self.data = {}
+                self.commits = []
 
-            def get(self, key):
+            def _read(self, key):
                 return self.data.get(key)
 
-            def put(self, key, value):
-                if key == b"bad":
-                    raise StorageError("refused")
-                self.data[key] = value
-
-            def delete(self, key):
-                self.data.pop(key, None)
-
-            def items(self):
+            def _scan(self):
                 return iter(list(self.data.items()))
+
+            def _commit(self, puts, deletes):
+                self.commits.append((dict(puts), set(deletes)))
+                for key in deletes:
+                    self.data.pop(key, None)
+                self.data.update(puts)
 
         kv = PlainKV()
         kv.put(b"old", b"0")
         with kv.block_batch() as writes:
             kv.put(b"a", b"1")
             kv.write_batch({b"b": b"2"}, {b"old"})
-            with pytest.raises(StorageError):
-                kv.put(b"bad", b"x")
+            assert kv.get(b"a") == b"1" and kv.get(b"old") is None
+            assert len(kv.commits) == 1  # nothing of the block yet
         assert writes.puts == {b"a": b"1", b"b": b"2"}
         assert writes.deletes == {b"old"}
+        assert kv.commits[1:] == [(writes.puts, writes.deletes)]
+        with pytest.raises(RuntimeError):
+            with kv.block_batch():
+                kv.put(b"aborted", b"x")
+                raise RuntimeError("abort")
+        assert len(kv.commits) == 2 and kv.get(b"aborted") is None
         kv.put(b"after", b"scope")  # outside a scope: nothing recorded
         assert b"after" not in writes.puts
 
@@ -306,8 +313,9 @@ class TestAbortedBlock:
     @pytest.mark.parametrize("backend,point", [
         ("memory", "before_execute"),
         ("lsm", "before_execute"),
-        # B executed and staged its writes, then the scope aborted: the
-        # LSM store discards them, so the commitment must too.
+        # B executed and staged its writes, then the scope aborted:
+        # every store discards them, so the commitment must too.
+        ("memory", "block_write"),
         ("lsm", "block_write"),
     ])
     def test_replica_that_never_saw_b_accepts_c(
@@ -335,23 +343,25 @@ class TestAbortedBlock:
         assert replica.state_root() == leader.state_root()
         world.close()
 
-    def test_memory_store_keeps_an_aborted_blocks_writes_and_the_root_follows(
+    def test_memory_store_discards_an_aborted_blocks_writes(
             self, tmp_path, monkeypatch, counter_artifact):
-        # MemoryKV applies writes as they happen, so a block aborted
-        # after execution leaves them in the store.  The commitment
-        # follows the store: re-seeded by one scan, it commits to them.
+        # MemoryKV stages a block like every store: a block aborted
+        # after execution leaves nothing in the store, and the root
+        # after the abort is the root before it.
         world = _World(tmp_path, "memory", counter_artifact)
         node = world.leader
         world.commit(world.calls())
-        before = node.state_root()
+        before, stored = node.state_root(), dict(node.kv.items())
         doomed = world.draft(world.calls())
         with monkeypatch.context() as patch:
             _fail_block(patch, node, "block_write")
             with pytest.raises(StorageError):
                 node.apply_transactions(doomed)
-        assert node.state_root() != before  # B's writes are in the store
+        assert dict(node.kv.items()) == stored
+        assert node.state_root() == before
+        _restart_enclave(node)  # B's effects live on in its cache
         calls = _count_items_calls(node.kv)
-        applied = node.apply_transactions(world.draft(world.calls()))
+        applied = node.apply_transactions(doomed)
         assert calls[0] == 1  # the re-seed
         assert applied.block.header.state_root == state_root(
             consensus_state(node.kv))

@@ -164,6 +164,15 @@ def test_fuzz_page(golden):
     _assert_page(parse_page(fuzz_page()), golden["fuzz"])
 
 
+def test_fuzz_metrics_stdout_is_the_page_alone():
+    # ``repro fuzz --metrics > page.prom`` must leave a scrapeable page:
+    # the campaign summary goes to stderr, so the whole stdout parses.
+    from repro.obs.export import parse_prometheus_text
+
+    samples = parse_prometheus_text(fuzz_page())
+    assert any(key.startswith("confide_fuzz_execs_total") for key in samples)
+
+
 def test_every_family_is_a_counter_or_gauge(golden):
     for page in golden.values():
         for name, entry in page.items():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ChainError, StorageError
+from repro.storage import MemoryKV
 from repro.storage.lsm import (
     BlockCache,
     CounterFreshness,
@@ -1223,13 +1224,16 @@ class TestDurableBeforeVisible:
         assert kv.get(b"k") == b"block-2"
         kv.close()
 
-    def test_open_block_is_invisible_to_other_threads(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["memory", "lsm"])
+    def test_open_block_is_invisible_to_other_threads(self, tmp_path,
+                                                      backend):
         # The executing thread reads its own staged writes; a reader on
         # another thread (the gateway's query_state) sees only committed
-        # blocks, never one that may still abort.
+        # blocks, never one that may still abort — on every store.
         import threading as _threading
 
-        kv = LsmKV(str(tmp_path / "db"))
+        kv = (MemoryKV() if backend == "memory"
+              else LsmKV(str(tmp_path / "db")))
         kv.put(b"k", b"block-1")
         staged = _threading.Event()
         release = _threading.Event()
@@ -1254,7 +1258,7 @@ class TestDurableBeforeVisible:
             executor.join(timeout=10)
         assert not executor.is_alive()
         assert kv.get(b"k") == b"block-2"
-        kv.close()
+        getattr(kv, "close", lambda: None)()
 
     def test_other_threads_write_survives_an_aborted_block(self, tmp_path):
         # A write from a thread that does not own the open block waits
