@@ -26,16 +26,16 @@ Ordering rules for the background pipeline:
   publishing a manifest, leaving the directory exactly as the last
   committed WAL record/manifest epoch wrote it.
 
-Read path: the open block's staged writes (only on the thread executing
-that block) → memtable → frozen memtable → segments newest-to-oldest
-(bloom filter, then block index, through the shared thread-safe block
-cache).
+Read path (:meth:`_read`, under :class:`KVStore`'s staged writes):
+memtable → frozen memtable → segments newest-to-oldest (bloom filter,
+then block index, through the shared thread-safe block cache).
 
-**Atomic block commits** (:meth:`block_batch`): everything a node writes
-while applying one block — every SDM ``kv_set`` ocall, the engine's
-scope commits, the block body and receipts — is buffered and lands in
-*one* WAL record.  Recovery therefore always lands exactly on a block
-boundary: a torn tail can lose the last block(s), never half of one.
+**Atomic block commits**: :class:`KVStore` stages everything a node
+writes while applying one block — every SDM ``kv_set`` ocall, the
+engine's scope commits, the block body and receipts — and commits it
+through :meth:`_commit` as *one* WAL record.  Recovery therefore always
+lands exactly on a block boundary: a torn tail can lose the last
+block(s), never half of one.
 
 Everything on disk can be sealed (see :mod:`repro.storage.lsm.seal`)
 and the manifest enforces freshness + segment-set integrity (see
@@ -49,12 +49,11 @@ import os
 import re
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import StorageError
-from repro.storage.kv import BlockWrites, KVStore
+from repro.storage.kv import KVStats, KVStore
 from repro.storage.lsm.cache import BlockCache
 from repro.storage.lsm.compaction import merge_entries, plan_compaction
 from repro.storage.lsm.manifest import (
@@ -84,7 +83,7 @@ def _segment_path(directory: str, segment_id: int) -> str:
 
 
 @dataclass
-class LsmStats:
+class LsmStats(KVStats):
     """Cumulative engine counters (exported by ``obs.metrics``)."""
 
     wal_bytes_written: int = 0
@@ -99,12 +98,6 @@ class LsmStats:
     compactions: int = 0
     compacted_bytes: int = 0
     recovery_seconds: float = 0.0
-    gets: int = 0
-    puts: int = 0
-    block_commits: int = 0
-
-    def snapshot(self) -> dict[str, float]:
-        return dict(self.__dict__)
 
 
 class LsmKV(KVStore):
@@ -123,6 +116,7 @@ class LsmKV(KVStore):
         compaction_fanin: int = 4,
         auto_compact: bool = True,
     ):
+        super().__init__()
         self.directory = directory
         self._sealer = sealer
         self._freshness = freshness
@@ -135,15 +129,7 @@ class LsmKV(KVStore):
         self.cache = BlockCache(cache_bytes)
         self._lock = threading.RLock()
         self._bg_cond = threading.Condition(self._lock)
-        # The one committer: held from a batch's WAL append to its
-        # memtable apply, and by flush/close so no rotation lands between.
-        self._writer_lock = threading.Lock()
         self._memtable = Memtable()
-        self._buffer: BlockWrites | None = None
-        self._buffer_owner: int | None = None  # thread that opened it
-        # Signalled when the open block commits or aborts: other
-        # threads' writes wait on it rather than join the block.
-        self._block_closed = threading.Condition(self._lock)
         self._closed = False
         # Background flush/compaction worker state.
         self._frozen: Memtable | None = None
@@ -258,19 +244,11 @@ class LsmKV(KVStore):
                 f"background flush/compaction failed: {self._bg_error}"
             ) from self._bg_error
 
-    # -- KVStore interface -----------------------------------------------
+    # -- KVStore primitives ----------------------------------------------
 
-    def get(self, key: bytes) -> bytes | None:
+    def _read(self, key: bytes) -> bytes | None:
         with self._lock:
             self._require_open()
-            self.stats.gets += 1
-            key = bytes(key)
-            staged = self._staged()
-            if staged is not None:
-                if key in staged.puts:
-                    return staged.puts[key]
-                if key in staged.deletes:
-                    return None
             present, value = self._memtable.get(key)
             if present:
                 return value if value is not TOMBSTONE else None
@@ -286,19 +264,7 @@ class LsmKV(KVStore):
                     return value
             return None
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._write({bytes(key): bytes(value)}, set())
-
-    def delete(self, key: bytes) -> None:
-        self._write({}, {bytes(key)})
-
-    def write_batch(self, puts: dict[bytes, bytes], deletes: set[bytes] = frozenset()) -> None:
-        self._write(
-            {bytes(k): bytes(v) for k, v in puts.items()},
-            {bytes(k) for k in deletes},
-        )
-
-    def items(self) -> Iterator[tuple[bytes, bytes]]:
+    def _scan(self) -> list[tuple[bytes, bytes]]:
         with self._lock:
             self._require_open()
             merged: dict[bytes, bytes | None] = {}
@@ -310,83 +276,12 @@ class LsmKV(KVStore):
                     merged[key] = value
             for key, value in self._memtable.items():
                 merged[key] = value
-            staged = self._staged()
-            if staged is not None:
-                for key in staged.deletes:
-                    merged[key] = None
-                for key, value in staged.puts.items():
-                    merged[key] = value
-            return iter([
-                (k, v) for k, v in merged.items() if v is not None
-            ])
+            return [(k, v) for k, v in merged.items() if v is not None]
 
     def __len__(self) -> int:
         return sum(1 for _ in self.items())
 
-    def _staged(self) -> BlockWrites | None:
-        """The open block's staged writes, visible only to the thread
-        executing that block: no other reader may see a block before it
-        is committed and durable."""
-        if self._buffer_owner == threading.get_ident():
-            return self._buffer
-        return None
-
-    # -- atomic block commits --------------------------------------------
-
-    @contextmanager
-    def block_batch(self):
-        """Stage every write until exit, then commit them as ONE WAL
-        record; on exception nothing is committed (see module doc).
-        Yields the staging buffer itself — the block's write set (so the
-        base class's recording scope is never open on this store)."""
-        # The writer lock orders the block against standalone writes:
-        # each either commits before the block opens or stages into it.
-        with self._writer_lock, self._lock:
-            self._require_open()
-            if self._buffer is not None:
-                raise StorageError("block_batch does not nest")
-            writes = self._buffer = BlockWrites()
-            self._buffer_owner = threading.get_ident()
-        try:
-            yield writes
-        except BaseException:
-            with self._lock:
-                self._buffer = None
-                self._block_closed.notify_all()
-            raise
-        else:
-            with self._writer_lock:
-                with self._lock:
-                    self._buffer = None
-                    self._block_closed.notify_all()
-                if writes.puts or writes.deletes:
-                    self._commit(writes.puts, writes.deletes)
-                    with self._lock:
-                        self.stats.block_commits += 1
-
     # -- write machinery -------------------------------------------------
-
-    def _write(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
-        """Stage into this thread's open block, or commit as a batch of
-        its own.  Another thread's open block is waited out, never
-        joined: its abort must not discard a write that returned."""
-        me = threading.get_ident()
-        while True:
-            with self._lock:
-                while self._buffer is not None and self._buffer_owner != me:
-                    self._require_open()
-                    self._block_closed.wait()
-            with self._writer_lock:
-                with self._lock:
-                    self._require_open()
-                    if self._buffer is not None and self._buffer_owner != me:
-                        continue  # another block opened meanwhile
-                    self.stats.puts += len(puts)
-                    if self._buffer is not None:
-                        self._buffer.stage_batch(puts, deletes)
-                        return
-                self._commit(puts, deletes)
-                return
 
     def _commit(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
         """The whole commit path (caller holds the writer lock): append
@@ -642,7 +537,7 @@ class LsmKV(KVStore):
             with self._bg_cond:
                 if self._closed:
                     return
-                if self._buffer is not None:
+                if self._own_block() is not None:
                     raise StorageError("cannot close inside a block_batch")
             self._flush()
             with self._bg_cond:
@@ -669,9 +564,7 @@ class LsmKV(KVStore):
             self._crashed = True
             self._closed = True
             self._bg_stop = True
-            self._buffer = None
             self._bg_cond.notify_all()
-            self._block_closed.notify_all()
             thread = self._bg_thread
         if thread is not None:
             thread.join()
