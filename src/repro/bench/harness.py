@@ -233,9 +233,9 @@ def run_storage_bench(
         with tempfile.TemporaryDirectory(prefix="repro-bench-") as root:
             data_dir = os.path.join(root, "node-0")
             # A small memtable forces the LSM through its whole lifecycle
-            # inside the bench window — freezes, background flushes and
-            # compaction — instead of serving everything from one
-            # never-frozen memtable.
+            # inside the bench window — freezes, flushes and compaction,
+            # all on the committing thread — instead of serving
+            # everything from one never-frozen memtable.
             config = EngineConfig(storage_backend=backend, storage_sync=sync,
                                   storage_memtable_bytes=16 * 1024)
             nodes, _ = build_consortium(1, config=config, data_dirs=[data_dir])

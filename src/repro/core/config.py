@@ -43,8 +43,8 @@ class EngineConfig:
     storage_backend: str = "memory"  # "memory" | "lsm"
     storage_sync: bool = False  # fsync every commit (bench realism)
     # LSM memtable freeze threshold; small values force frequent
-    # background flushes (the sim uses this to exercise crash-during-
-    # background-flush recovery).
+    # flushes on the committing thread (the sim uses this to exercise
+    # crash-after-flush recovery).
     storage_memtable_bytes: int = 256 * 1024
 
     def without_optimizations(self) -> "EngineConfig":

@@ -71,13 +71,7 @@ _STORAGE = {
     "flushes": ("confide_storage_flushes_total", COUNTER,
                 "memtable flushes into SSTable segments"),
     "freezes": ("confide_storage_freezes_total", COUNTER,
-                "memtable freezes handed to the background worker"),
-    "flush_stall_seconds": ("confide_storage_flush_stall_seconds_total",
-                            COUNTER,
-                            "seconds commits stalled waiting for a busy "
-                            "flush slot"),
-    "flush_pending": ("confide_storage_flush_pending", GAUGE,
-                      "frozen memtables awaiting the background worker"),
+                "memtable freezes (WAL rotations) flushed by the committer"),
     "flush_bytes": ("confide_storage_flush_bytes_total", COUNTER,
                     "segment bytes written by flushes"),
     "compactions": ("confide_storage_compactions_total", COUNTER,

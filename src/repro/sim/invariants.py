@@ -131,11 +131,11 @@ class ConfidentialityChecker:
                 with open(path, "rb") as f:
                     blob = f.read()
             except FileNotFoundError:
-                # A live node's background flusher works in this
-                # directory: since the listing it renamed a `.tmp` into
-                # place (or dropped a merged segment).  Nothing is
-                # hidden — a renamed file is read under its new name by
-                # this scan or the next, a deleted one is off the disk.
+                # Another process may work in this directory: since the
+                # listing it renamed a `.tmp` into place (or dropped a
+                # merged segment).  Nothing is hidden — a renamed file
+                # is read under its new name by this scan or the next,
+                # a deleted one is off the disk.
                 continue
             needle = self._hit(blob)
             if needle is not None:

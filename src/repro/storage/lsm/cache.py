@@ -6,9 +6,9 @@ decode.  The budget is expressed in (approximate plaintext) bytes, the
 same way RocksDB's block cache is sized.
 
 The cache is shared by every :class:`SSTableReader` of a store and is
-hit concurrently — the serve gateway's request pool and the LSM
-background flush/compaction worker — so all
-LRU mutation happens under one lock.  Loads run outside the lock (an
+hit concurrently — the serve gateway's request threads and the
+committing thread, whose flushes and compactions read segments — so
+all LRU mutation happens under one lock.  Loads run outside the lock (an
 unseal is milliseconds; serializing it would make the cache a reader
 bottleneck), which means two racing readers may both load the same
 block; the second insert simply wins, costing a duplicate load but

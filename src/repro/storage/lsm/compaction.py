@@ -18,9 +18,10 @@ Tombstones are dropped only when the run starts at the oldest live
 segment (nothing older can hold a value the tombstone still needs to
 shadow).
 
-Compaction runs opportunistically, piggybacked on flush commits — there
-is no background thread, so the store stays deterministic for the fault
-simulator while the amortized behavior matches a background compactor.
+Compaction runs piggybacked on flushes, on the thread that commits —
+there is no background thread, so which files exist after a commit is a
+function of the commits, and the store stays deterministic for the
+fault simulator.
 """
 
 from __future__ import annotations

@@ -1,30 +1,28 @@
 """The LSM key-value store behind the :class:`KVStore` interface.
 
-Write path: WAL append → WAL fsync → memtable, as one sequence under
-the store's single writer lock (see :meth:`LsmKV._commit`).  A batch
-becomes readable only after it is durable, and a batch whose fsync
-failed never becomes readable.  When the memtable passes its threshold
-it is **frozen**: the store swaps in a fresh memtable + a fresh WAL
-generation and hands the frozen one to a background worker, so commits
-never stall behind an SSTable seal or a compaction merge.  The worker
-writes the segment, commits a manifest epoch naming it (+ the new WAL
-generation), deletes superseded WAL files, and runs size-tiered
-compaction — all off the commit path.
+Write path (:meth:`LsmKV._commit`, under :class:`KVStore`'s writer
+lock): WAL append → WAL fsync → memtable apply.  A batch becomes
+readable only after it is durable, and a batch whose fsync failed
+never becomes readable.  When the apply leaves the memtable over its
+threshold, the committing thread flushes it before it returns:
 
-Ordering rules for the background pipeline:
+1. **rotate** under the store lock: close the live WAL generation
+   (final fsync), freeze the memtable, open a fresh memtable and WAL
+   generation;
+2. **write** the frozen memtable's SSTable outside the store lock, so
+   readers on other threads keep reading the frozen memtable;
+3. **publish** a manifest epoch naming the segment (and the new WAL
+   generation) under the store lock, then delete the WAL generations
+   it covers;
+4. run size-tiered **compaction** rounds the same way: merge outside
+   the store lock, publish under it.
 
-- at most ONE frozen memtable exists; a commit that needs to freeze
-  while a flush is in flight blocks (natural backpressure, counted in
-  ``flush_stall_seconds``);
-- the frozen WAL generation stays on disk until the manifest epoch that
-  covers its contents lands, so a crash at ANY point replays the
-  contiguous run of WAL generations ``>= manifest.wal_seq`` in order —
-  recovery still lands exactly on a block boundary;
-- a background failure is sticky and **fail-closed**: the error is
-  re-raised by the next commit/flush/close, never swallowed;
-- a simulated :meth:`crash` drains the worker, which aborts *before*
-  publishing a manifest, leaving the directory exactly as the last
-  committed WAL record/manifest epoch wrote it.
+A crash at any step leaves the frozen WAL generation on disk until the
+manifest that covers it lands, so reopen replays the contiguous run of
+generations ``>= manifest.wal_seq`` and lands on a block boundary; a
+segment no manifest names is deleted.  A flush or compaction failure
+is sticky and **fail-closed**: the commit that triggered it is already
+durable and returns, and every later write, flush and close raises.
 
 Read path (:meth:`_read`, under :class:`KVStore`'s staged writes):
 memtable → frozen memtable → segments newest-to-oldest (bloom filter,
@@ -66,7 +64,7 @@ from repro.storage.lsm.manifest import (
 )
 from repro.storage.lsm.memtable import TOMBSTONE, Memtable
 from repro.storage.lsm.seal import StorageSealer
-from repro.storage.lsm.sstable import SSTableReader, write_sstable
+from repro.storage.lsm.sstable import SegmentMeta, SSTableReader, write_sstable
 from repro.storage.lsm.wal import WriteAheadLog, replay_file
 
 _WAL_PATTERN = "wal-*.log"
@@ -94,7 +92,6 @@ class LsmStats(KVStats):
     flushes: int = 0
     flush_bytes: int = 0
     freezes: int = 0
-    flush_stall_seconds: float = 0.0
     compactions: int = 0
     compacted_bytes: int = 0
     recovery_seconds: float = 0.0
@@ -111,9 +108,6 @@ class LsmKV(KVStore):
         freshness=None,
         sync: bool = False,
         memtable_bytes: int = 256 * 1024,
-        block_bytes: int = 4096,
-        cache_bytes: int = 1 << 20,
-        compaction_fanin: int = 4,
         auto_compact: bool = True,
     ):
         super().__init__()
@@ -122,23 +116,14 @@ class LsmKV(KVStore):
         self._freshness = freshness
         self._sync = sync
         self._memtable_bytes = memtable_bytes
-        self._block_bytes = block_bytes
-        self._compaction_fanin = compaction_fanin
         self._auto_compact = auto_compact
         self.stats = LsmStats()
-        self.cache = BlockCache(cache_bytes)
-        self._lock = threading.RLock()
-        self._bg_cond = threading.Condition(self._lock)
+        self.cache = BlockCache()
+        self._lock = threading.RLock()  # the store lock readers take
         self._memtable = Memtable()
+        self._frozen: Memtable | None = None  # while its SSTable is written
+        self._error: BaseException | None = None  # sticky flush failure
         self._closed = False
-        # Background flush/compaction worker state.
-        self._frozen: Memtable | None = None
-        self._frozen_wal: WriteAheadLog | None = None
-        self._bg_thread: threading.Thread | None = None
-        self._bg_busy = False
-        self._bg_stop = False
-        self._bg_error: BaseException | None = None
-        self._crashed = False
         self._retired_wal_fsyncs = 0
         os.makedirs(directory, exist_ok=True)
 
@@ -159,8 +144,8 @@ class LsmKV(KVStore):
             (r.segment_id for r in manifest.segments), default=0
         )
         # Stray segment files not named by the manifest are leftovers of a
-        # crash between a background SSTable write and its manifest commit
-        # (or between a compaction commit and the old-file unlink).
+        # crash between an SSTable write and its manifest commit (or
+        # between a compaction commit and the old-file unlink).
         live_files = {record.filename for record in manifest.segments}
         for stray in glob.glob(os.path.join(directory, _SEG_PATTERN)):
             if os.path.basename(stray) not in live_files:
@@ -238,11 +223,12 @@ class LsmKV(KVStore):
         if self._closed:
             raise StorageError("LSM store is closed")
 
-    def _raise_bg_error(self) -> None:
-        if self._bg_error is not None:
+    def _require_writable(self) -> None:
+        self._require_open()
+        if self._error is not None:
             raise StorageError(
-                f"background flush/compaction failed: {self._bg_error}"
-            ) from self._bg_error
+                f"flush/compaction failed: {self._error}"
+            ) from self._error
 
     # -- KVStore primitives ----------------------------------------------
 
@@ -288,10 +274,10 @@ class LsmKV(KVStore):
         under the store lock, fsync outside it so no reader waits on the
         disk, then apply under it.  Readers see the batch only once it
         is durable; a failed fsync poisons the WAL and the batch is
-        never applied."""
+        never applied.  A memtable left over its threshold is flushed
+        here, before the commit returns."""
         with self._lock:
-            self._require_open()
-            self._raise_bg_error()
+            self._require_writable()
             wal = self._wal
             nbytes = wal.append(puts, deletes)
             self.stats.wal_bytes_written += nbytes
@@ -299,192 +285,95 @@ class LsmKV(KVStore):
         wal.sync()
         with self._lock:
             self._memtable.apply(puts, deletes)
-            if self._memtable.approximate_bytes >= self._memtable_bytes:
-                self._freeze_locked()
+            full = self._memtable.approximate_bytes >= self._memtable_bytes
+        if full:
+            self._flush()
 
-    def _freeze_locked(self) -> None:
-        """Swap the memtable + WAL generation and hand the frozen pair to
-        the background worker.  Blocks while a previous flush is still in
-        flight (single-slot backpressure)."""
-        if not len(self._memtable):
-            return
-        stall_started = None
-        while (self._frozen is not None and self._bg_error is None
-               and not self._crashed and not self._closed):
-            if stall_started is None:
-                stall_started = time.perf_counter()
-            self._bg_cond.wait()
-        if stall_started is not None:
-            self.stats.flush_stall_seconds += (
-                time.perf_counter() - stall_started
-            )
-        self._require_open()
-        self._raise_bg_error()
-        old_wal = self._wal
-        old_wal.close()  # final fsync (when sync): frozen records durable
-        self._frozen = self._memtable
-        self._frozen_wal = old_wal
-        self._memtable = Memtable()
-        new_seq = old_wal.seq + 1
-        self._wal = WriteAheadLog(
-            _wal_path(self.directory, new_seq),
-            seq=new_seq, sync=self._sync, sealer=self._sealer,
-        )
-        self.stats.freezes += 1
-        self._ensure_bg_thread()
-        self._bg_cond.notify_all()
-
-    def _ensure_bg_thread(self) -> None:
-        if self._bg_thread is None or not self._bg_thread.is_alive():
-            self._bg_thread = threading.Thread(
-                target=self._bg_loop,
-                name=f"lsm-bg-{os.path.basename(self.directory)}",
-                daemon=True,
-            )
-            self._bg_thread.start()
-
-    def _bg_loop(self) -> None:
-        while True:
-            with self._bg_cond:
-                while (self._frozen is None and not self._bg_stop
-                       and not self._crashed):
-                    self._bg_cond.wait()
-                if self._crashed or self._frozen is None:
-                    self._bg_busy = False
-                    self._bg_cond.notify_all()
-                    return
-                self._bg_busy = True
-                frozen = self._frozen
-                frozen_wal = self._frozen_wal
-                segment_id = self._next_segment_id
-                self._next_segment_id += 1
-            error: BaseException | None = None
-            try:
-                published = self._bg_flush(frozen, frozen_wal, segment_id)
-                if published and self._auto_compact:
-                    self._bg_compact()
-            except BaseException as exc:  # noqa: BLE001 - sticky fail-closed
-                error = exc
-            with self._bg_cond:
-                self._bg_busy = False
-                if error is not None and not self._crashed:
-                    self._bg_error = error
-                self._bg_cond.notify_all()
-
-    def _bg_flush(
-        self, frozen: Memtable, frozen_wal: WriteAheadLog, segment_id: int
-    ) -> bool:
-        """Worker half of a flush: seal the segment OUTSIDE the lock,
-        publish the manifest under it.  Returns False on crash-abort."""
-        path = _segment_path(self.directory, segment_id)
-        meta = write_sstable(
-            path, segment_id, frozen.items_sorted(),
-            self._sealer, self._block_bytes, sync=self._sync,
-        )
-        with self._bg_cond:
-            if self._crashed:
-                # Never publish past a simulated crash: the directory must
-                # look exactly as the committed WAL/manifest left it.
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-                return False
-            segments = tuple(self._manifest.segments) + (
-                SegmentRecord.from_meta(meta),
-            )
-            self._publish_manifest(segments, frozen_wal.seq + 1)
-            self._retired_wal_fsyncs += frozen_wal.fsyncs
-            self._readers[segment_id] = SSTableReader(
-                path, self._sealer, self.cache,
-            )
-            self._frozen = None
-            self._frozen_wal = None
-            self.stats.flushes += 1
-            self.stats.flush_bytes += meta.size
-            self._bg_cond.notify_all()
+    def _flush(self) -> bool:
+        """Rotate, write, publish and compact on this thread (caller holds
+        the writer lock).  A failure is kept and fails every later
+        write, flush and close.  Returns whether a memtable was flushed."""
+        try:
+            with self._lock:
+                if not len(self._memtable):
+                    return False
+                old_wal = self._wal
+                old_wal.close()  # final fsync (when sync): frozen records durable
+                self._retired_wal_fsyncs += old_wal.fsyncs
+                self._frozen, self._memtable = self._memtable, Memtable()
+                self._wal = WriteAheadLog(
+                    _wal_path(self.directory, old_wal.seq + 1),
+                    seq=old_wal.seq + 1, sync=self._sync, sealer=self._sealer,
+                )
+                self.stats.freezes += 1
+            meta, reader = self._write_segment(self._frozen.items_sorted())
+            with self._lock:
+                self._publish_manifest(
+                    self._manifest.segments + (SegmentRecord.from_meta(meta),),
+                    self._wal.seq,
+                )
+                self._readers[meta.segment_id] = reader
+                self._frozen = None
+                self.stats.flushes += 1
+                self.stats.flush_bytes += meta.size
+            if self._auto_compact:
+                self._compact()
+        except BaseException as exc:  # noqa: BLE001 - sticky, fail-closed
+            self._error = exc
+            if not isinstance(exc, Exception):
+                raise
         return True
 
-    def _bg_compact(self) -> None:
-        """Size-tiered compaction rounds, merge work outside the lock.
+    def _write_segment(self, entries) -> tuple[SegmentMeta, SSTableReader]:
+        """Write the next segment outside the store lock (caller holds the
+        writer lock, which orders segment ids)."""
+        segment_id = self._next_segment_id
+        self._next_segment_id += 1
+        path = _segment_path(self.directory, segment_id)
+        meta = write_sstable(path, segment_id, entries, self._sealer,
+                             sync=self._sync)
+        return meta, SSTableReader(path, self._sealer, self.cache)
 
-        Only the background worker mutates the segment set, so the plan
-        taken under the lock stays valid across the unlocked merge."""
+    def _compact(self) -> None:
+        """Size-tiered compaction rounds (caller holds the writer lock, so
+        the plan stays valid across the merge outside the store lock)."""
         while True:
-            with self._bg_cond:
-                if (self._crashed or self._closed
-                        or self._bg_error is not None):
-                    return
-                plan = plan_compaction(
-                    list(self._manifest.segments), self._memtable_bytes,
-                    self._compaction_fanin,
-                )
-                if plan is None:
-                    return
-                chosen = {
-                    chosen_id: self._readers[chosen_id]
-                    for chosen_id in plan.segment_ids
-                }
-                segment_id = self._next_segment_id
-                self._next_segment_id += 1
-                merged_bytes = sum(r.size for r in chosen.values())
-            readers = [
-                (rank, chosen[chosen_id].items())
-                for rank, chosen_id in enumerate(plan.segment_ids)
-            ]
-            path = _segment_path(self.directory, segment_id)
-            meta = write_sstable(
-                path, segment_id,
-                merge_entries(readers, plan.drop_tombstones),
-                self._sealer, self._block_bytes, sync=self._sync,
+            plan = plan_compaction(
+                list(self._manifest.segments), self._memtable_bytes,
             )
-            with self._bg_cond:
-                if self._crashed:
-                    try:
-                        os.remove(path)
-                    except OSError:
-                        pass
-                    return
+            if plan is None:
+                return
+            chosen = [self._readers[i] for i in plan.segment_ids]
+            meta, reader = self._write_segment(merge_entries(
+                [(rank, r.items()) for rank, r in enumerate(chosen)],
+                plan.drop_tombstones,
+            ))
+            with self._lock:
                 # The merged output takes the run's slot in the manifest
                 # order, keeping the list sorted oldest-to-newest.
                 old = self._manifest.segments
-                survivors = (
-                    old[:plan.position]
-                    + (SegmentRecord.from_meta(meta),)
-                    + old[plan.position + len(plan.segment_ids):]
+                end = plan.position + len(plan.segment_ids)
+                self._publish_manifest(
+                    old[:plan.position] + (SegmentRecord.from_meta(meta),)
+                    + old[end:],
+                    self._manifest.wal_seq,
                 )
-                self._publish_manifest(survivors, self._manifest.wal_seq)
                 for stale_id in plan.segment_ids:
                     self._readers.pop(stale_id)
                     self.cache.drop_segment(stale_id)
                     os.remove(_segment_path(self.directory, stale_id))
-                self._readers[segment_id] = SSTableReader(
-                    path, self._sealer, self.cache,
-                )
+                self._readers[meta.segment_id] = reader
                 self.stats.compactions += 1
-                self.stats.compacted_bytes += merged_bytes
+                self.stats.compacted_bytes += sum(r.size for r in chosen)
 
     def flush(self) -> bool:
-        """Freeze the memtable and wait for the background worker to land
-        it (and any follow-on compaction).  Synchronous from the caller's
-        point of view, exactly like the historical inline flush."""
+        """Flush the memtable into a segment (and compact); returns
+        whether there was anything to flush."""
         with self._writer_lock:
-            return self._flush()
-
-    def _flush(self) -> bool:
-        with self._bg_cond:
-            self._require_open()
-            self._raise_bg_error()
-            pending = self._frozen is not None or self._bg_busy
-            froze = False
-            if len(self._memtable):
-                self._freeze_locked()
-                froze = True
-            while ((self._frozen is not None or self._bg_busy)
-                   and self._bg_error is None and not self._crashed):
-                self._bg_cond.wait()
-            self._raise_bg_error()
-            return froze or pending
+            self._require_writable()
+            flushed = self._flush()
+            self._require_writable()
+            return flushed
 
     def _publish_manifest(self, segments: tuple[SegmentRecord, ...],
                           wal_seq: int) -> None:
@@ -519,13 +408,10 @@ class LsmKV(KVStore):
 
     def compact(self) -> bool:
         """Run compaction to quiescence; returns True if anything merged."""
-        with self._bg_cond:
-            self._require_open()
-            self._raise_bg_error()
+        with self._writer_lock:
+            self._require_writable()
             before = self.stats.compactions
-        self._bg_compact()
-        with self._bg_cond:
-            self._raise_bg_error()
+            self._compact()
             return self.stats.compactions > before
 
     # -- lifecycle -------------------------------------------------------
@@ -534,44 +420,28 @@ class LsmKV(KVStore):
         """Clean shutdown: flush the memtable so reopen skips WAL replay,
         then release every handle."""
         with self._writer_lock:
-            with self._bg_cond:
-                if self._closed:
-                    return
-                if self._own_block() is not None:
-                    raise StorageError("cannot close inside a block_batch")
+            if self._closed:
+                return
+            if self._own_block() is not None:
+                raise StorageError("cannot close inside a block_batch")
+            self._require_writable()
             self._flush()
-            with self._bg_cond:
-                self._bg_stop = True
-                self._bg_cond.notify_all()
-                thread = self._bg_thread
-            if thread is not None:
-                thread.join()
-            with self._bg_cond:
-                self._raise_bg_error()
+            self._require_writable()
+            with self._lock:
                 self._wal.close()
                 self._closed = True
 
     def crash(self) -> None:
         """Simulated process death: drop handles, flush *nothing*.
 
-        The directory is left exactly as the last committed WAL record /
-        manifest epoch wrote it: the background worker is drained and
-        aborts before any manifest publish; a segment file it was mid-way
-        through writing is removed.  A fresh :class:`LsmKV` recovers from
+        A commit or flush in flight on another thread finishes first, so
+        the directory is left exactly as the last committed WAL record /
+        manifest epoch wrote it.  A fresh :class:`LsmKV` recovers from
         the directory (replaying every surviving WAL generation).
         """
-        with self._bg_cond:
-            self._crashed = True
+        with self._writer_lock, self._lock:
             self._closed = True
-            self._bg_stop = True
-            self._bg_cond.notify_all()
-            thread = self._bg_thread
-        if thread is not None:
-            thread.join()
-        with self._bg_cond:
             self._wal.crash()
-            if self._frozen_wal is not None:
-                self._frozen_wal.crash()
 
     def __enter__(self) -> "LsmKV":
         return self
@@ -602,11 +472,8 @@ class LsmKV(KVStore):
     def stats_snapshot(self) -> dict[str, float]:
         with self._lock:
             snap = self.stats.snapshot()
-            fsyncs = self._retired_wal_fsyncs + self._wal.fsyncs
-            if self._frozen_wal is not None:
-                fsyncs += self._frozen_wal.fsyncs
             snap.update({
-                "wal_fsyncs": fsyncs,
+                "wal_fsyncs": self._retired_wal_fsyncs + self._wal.fsyncs,
                 "manifest_epoch": self._manifest.epoch,
                 "segments_live": len(self._readers),
                 "segment_bytes": sum(
@@ -614,7 +481,6 @@ class LsmKV(KVStore):
                 ),
                 "memtable_bytes": self._memtable.approximate_bytes,
                 "memtable_entries": len(self._memtable),
-                "flush_pending": int(self._frozen is not None),
                 "cache_hits": self.cache.hits,
                 "cache_misses": self.cache.misses,
                 "cache_evictions": self.cache.evictions,

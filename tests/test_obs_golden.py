@@ -156,7 +156,7 @@ def test_memory_node_page(golden):
 def test_lsm_node_page(golden, tmp_path):
     page = parse_page(lsm_page(str(tmp_path)))
     storage = [name for name in page if name.startswith("confide_storage_")]
-    assert len(storage) == 18
+    assert len(storage) == 16
     _assert_page(page, golden["lsm"])
 
 

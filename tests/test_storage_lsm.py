@@ -353,8 +353,7 @@ class TestLsmKV:
     def test_tombstone_not_resurrected_across_tiers(self, tmp_path):
         """Tombstone GC soundness: a tier-0 merge must keep a tombstone
         whose deleted value still lives in an older tier-1 segment."""
-        kv = LsmKV(str(tmp_path), memtable_bytes=1000,
-                   compaction_fanin=4, auto_compact=False)
+        kv = LsmKV(str(tmp_path), memtable_bytes=1000, auto_compact=False)
         kv.put(b"filler0", b"x")
         kv.flush()                       # tier-0 segment, oldest
         kv.put(b"big", b"v" * 3000)      # auto-flushes into tier 1
@@ -374,8 +373,7 @@ class TestLsmKV:
     def test_compaction_output_does_not_shadow_newer_segment(self, tmp_path):
         """A merge output carries a fresh segment id but OLD content; it
         must not outrank an unmerged newer segment on reads."""
-        kv = LsmKV(str(tmp_path), memtable_bytes=1 << 20,
-                   compaction_fanin=4, auto_compact=False)
+        kv = LsmKV(str(tmp_path), memtable_bytes=1 << 20, auto_compact=False)
         kv.put(b"k", b"old")
         kv.flush()
         for i in range(3):
@@ -853,12 +851,11 @@ class TestSimOnLsm:
         assert first.event_log_text == second.event_log_text
         assert first.final_state_roots == second.final_state_roots
 
-    def test_background_flush_under_sim_faults(self):
-        # A tiny memtable makes every node freeze + background-flush
-        # constantly, so the crash/torn faults land inside (or right
-        # after) in-flight flushes.  Convergence and determinism must
-        # survive: crash() drains the worker before the directory is
-        # attacked, and recovery replays the surviving generations.
+    def test_flush_under_sim_faults(self):
+        # A tiny memtable makes every node freeze + flush constantly,
+        # so the crash/torn faults land right after flushes and
+        # compactions.  Convergence and determinism must survive:
+        # recovery replays the surviving generations.
         from dataclasses import replace as dc_replace
 
         from repro.core.config import DEFAULT_CONFIG
@@ -932,10 +929,45 @@ class TestBlockCacheConcurrency:
         assert cache.used_bytes == 32
 
 
-class TestLsmBackgroundFlush:
+class _Crash(Exception):
+    """The process dies at a patched storage step."""
+
+
+def _die_at(monkeypatch, step: str, call: int, after: bool) -> list:
+    """Make the `call`-th call of ``db.<step>`` (from now on) die, before
+    it runs or right after; returns a list that is non-empty once it has."""
+    import repro.storage.lsm.db as db_mod
+
+    real = getattr(db_mod, step)
+    calls, died = [], []
+
+    def dying(*args, **kwargs):
+        calls.append(step)
+        if len(calls) == call and not after:
+            died.append(step)
+            raise _Crash(step)
+        result = real(*args, **kwargs)
+        if len(calls) == call:
+            died.append(step)
+            raise _Crash(step)
+        return result
+
+    monkeypatch.setattr(db_mod, step, dying)
+    return died
+
+
+def _dir_bytes(directory: str) -> dict[str, bytes]:
+    files = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as f:
+            files[name] = f.read()
+    return files
+
+
+class TestLsmInlineFlush:
     def test_concurrent_reads_during_freezes(self, tmp_path):
-        # Readers race commits that freeze + background-flush; every
-        # read must return either "not yet written" or the exact value
+        # Readers race commits that freeze + flush; every read must
+        # return either "not yet written" or the exact value
         # written for that key — never a torn or stale-after-write one.
         import threading as _threading
 
@@ -974,39 +1006,7 @@ class TestLsmBackgroundFlush:
             assert kv.get(key) == value
         kv.close()
 
-    def test_commits_do_not_wait_for_flush(self, tmp_path, monkeypatch):
-        # The tentpole claim: a commit that freezes hands off to the
-        # worker and returns while the SSTable seal is still running.
-        import threading as _threading
-
-        import repro.storage.lsm.db as db_mod
-
-        real_write = db_mod.write_sstable
-        flushing = _threading.Event()
-        release = _threading.Event()
-
-        def slow_write(*args, **kwargs):
-            flushing.set()
-            assert release.wait(timeout=10)
-            return real_write(*args, **kwargs)
-
-        monkeypatch.setattr(db_mod, "write_sstable", slow_write)
-        kv = LsmKV(str(tmp_path / "db"), memtable_bytes=512)
-        for i in range(40):
-            kv.put(b"k%02d" % i, b"x" * 64)
-            if flushing.wait(timeout=0.02):
-                break
-        assert flushing.is_set(), "no freeze triggered"
-        # The flush is in flight (blocked); commits must still land.
-        kv.put(b"during-flush", b"ok")
-        assert kv.get(b"during-flush") == b"ok"
-        release.set()
-        kv.close()
-        reopened = LsmKV(str(tmp_path / "db"))
-        assert reopened.get(b"during-flush") == b"ok"
-        reopened.close()
-
-    def test_background_failure_is_sticky_and_fail_closed(
+    def test_flush_failure_is_sticky_and_fail_closed(
             self, tmp_path, monkeypatch):
         import repro.storage.lsm.db as db_mod
 
@@ -1014,22 +1014,59 @@ class TestLsmBackgroundFlush:
             raise OSError("disk on fire")
 
         monkeypatch.setattr(db_mod, "write_sstable", explode)
-        kv = LsmKV(str(tmp_path / "db"), memtable_bytes=256)
-        with pytest.raises(StorageError, match="background"):
-            for i in range(200):
-                kv.put(b"k%03d" % i, b"x" * 64)
-            kv.flush()  # at the latest, the explicit flush must raise
-        # ... and the error is sticky: later commits refuse too.
-        with pytest.raises(StorageError, match="background"):
+        directory = str(tmp_path / "db")
+        kv = LsmKV(directory, memtable_bytes=256)
+        written: dict[bytes, bytes] = {}
+        while not kv.stats.freezes:
+            key = b"k%03d" % len(written)
+            # The commit that triggers the flush is durable and applied
+            # before the flush fails, so it returns normally.
+            kv.put(key, b"x" * 64)
+            written[key] = b"x" * 64
+        assert kv.get(key) == b"x" * 64
+        # The failure is sticky: every later write, flush and close
+        # refuses.
+        with pytest.raises(StorageError, match="disk on fire"):
             kv.put(b"after", b"y")
+        with pytest.raises(StorageError, match="disk on fire"):
+            kv.flush()
+        with pytest.raises(StorageError, match="disk on fire"):
+            kv.close()
+        assert kv.get(b"after") is None
+        kv.crash()
+        monkeypatch.undo()
+        reopened = LsmKV(directory)
+        assert dict(reopened.items()) == written
+        reopened.close()
+
+    def test_same_batches_give_byte_identical_directories(self, tmp_path):
+        # On-disk bytes are a pure function of logical content: with the
+        # flush on the committing thread, which files exist after a
+        # commit is a function of the commits too.
+        sealer = StorageSealer(b"k" * 16, identity=b"t")
+        dirs = [str(tmp_path / name) for name in ("a", "b")]
+        stores = [LsmKV(d, sealer=sealer, sync=True, memtable_bytes=512)
+                  for d in dirs]
+        for block in range(60):
+            for kv in stores:
+                with kv.block_batch():
+                    for i in range(4):
+                        key = b"k%02d" % ((block * 7 + i) % 50)
+                        kv.put(key, b"%03d" % block * 12)
+                    kv.delete(b"k%02d" % (block * 3 % 50))
+            assert _dir_bytes(dirs[0]) == _dir_bytes(dirs[1]), block
+        assert stores[0].stats.compactions > 0
+        for kv in stores:
+            kv.close()
+        assert _dir_bytes(dirs[0]) == _dir_bytes(dirs[1])
 
 
-class TestCrashDuringBackgroundFlush:
+class TestCrashDuringFlush:
     def test_crash_races_inflight_flushes_never_loses_commits(
             self, tmp_path):
-        # Nondeterministic race on purpose: crash() lands at whatever
-        # point the worker happens to be.  Whatever that point was, every
-        # committed block batch must survive recovery in full.
+        # crash() lands after whatever flushes and compactions the
+        # commits triggered: every committed block batch must survive
+        # recovery in full.
         for round_no in range(3):
             directory = str(tmp_path / f"db{round_no}")
             kv = LsmKV(directory, sync=True, memtable_bytes=1024)
@@ -1047,83 +1084,57 @@ class TestCrashDuringBackgroundFlush:
                 assert reopened.get(key) == value, key
             reopened.close()
 
-    def test_crash_while_worker_blocked_recovers_from_wal_generations(
-            self, tmp_path, monkeypatch):
-        # Deterministic version: freeze happened (WAL rotated), the
-        # worker is mid-SSTable-write, and the process dies.  Nothing
-        # was published, so recovery must replay BOTH generations —
-        # the frozen one and the live one — in order.
-        import threading as _threading
-
-        import repro.storage.lsm.db as db_mod
-
-        real_write = db_mod.write_sstable
-        flushing = _threading.Event()
-        release = _threading.Event()
-
-        def slow_write(*args, **kwargs):
-            flushing.set()
-            assert release.wait(timeout=10)
-            return real_write(*args, **kwargs)
-
-        monkeypatch.setattr(db_mod, "write_sstable", slow_write)
+    @pytest.mark.parametrize("step,call,after,stray", [
+        ("write_sstable", 1, False, False),  # after the WAL rotation
+        ("write_sstable", 1, True, True),  # after the SSTable is written
+        # after the manifest is written, before the old WAL is deleted
+        ("write_manifest", 1, True, True),
+        # inside a compaction round: output written, or published with
+        # its inputs not yet deleted
+        ("write_sstable", 5, True, True),
+        ("write_manifest", 5, True, True),
+    ])
+    def test_crash_at_each_step_of_the_flush(
+            self, tmp_path, monkeypatch, step, call, after, stray):
         directory = str(tmp_path / "db")
         kv = LsmKV(directory, sync=True, memtable_bytes=512)
-        with kv.block_batch():
-            for i in range(20):
-                kv.put(b"frozen-%02d" % i, b"x" * 64)
-        assert flushing.wait(timeout=10), "no freeze triggered"
-        with kv.block_batch():
-            kv.put(b"live", b"after-rotation")
+        died = _die_at(monkeypatch, step, call, after)
+        committed: dict[bytes, bytes] = {}
+        block = 0
+        while not died:
+            assert block < 100, "the crash point was never reached"
+            with kv.block_batch():
+                for i in range(4):
+                    key = b"b%03d-%d" % (block, i)
+                    kv.put(key, b"v" * 48)
+                    committed[key] = b"v" * 48
+            block += 1
+        if call == 5:  # the fifth segment write is the first merge
+            assert (kv.stats.flushes, kv.stats.compactions) == (4, 0)
+        kv.crash()
+        monkeypatch.undo()
+        before = set(os.listdir(directory))
 
-        crasher = _threading.Thread(target=kv.crash)
-        crasher.start()
-        while not kv._crashed:  # crash flags land before the join
-            pass
-        release.set()  # worker resumes, sees the crash, aborts publish
-        crasher.join(timeout=10)
-        assert not crasher.is_alive()
-
-        wals = sorted(os.listdir(directory))
-        assert [n for n in wals if n.startswith("wal-")] == [
-            "wal-00000000.log", "wal-00000001.log"
-        ]
-        assert not [n for n in wals if n.startswith("seg-")], (
-            "aborted flush must not leave a segment file")
         reopened = LsmKV(directory, sync=True)
-        for i in range(20):
-            assert reopened.get(b"frozen-%02d" % i) == b"x" * 64
-        assert reopened.get(b"live") == b"after-rotation"
-        assert reopened.stats.wal_recovered_batches == 2
+        assert dict(reopened.items()) == committed
+        manifest = read_manifest(directory, None, None)
+        names = set(os.listdir(directory))
+        assert {n for n in names if n.startswith("seg-")} == {
+            r.filename for r in manifest.segments}
+        assert all(int(n[4:12]) >= manifest.wal_seq
+                   for n in names if n.startswith("wal-"))
+        assert bool(before - names) == stray
         reopened.close()
 
     def test_wal_generation_gap_refused(self, tmp_path, monkeypatch):
-        import threading as _threading
-
-        import repro.storage.lsm.db as db_mod
-
-        real_write = db_mod.write_sstable
-        flushing = _threading.Event()
-        release = _threading.Event()
-
-        def slow_write(*args, **kwargs):
-            flushing.set()
-            assert release.wait(timeout=10)
-            return real_write(*args, **kwargs)
-
-        monkeypatch.setattr(db_mod, "write_sstable", slow_write)
         directory = str(tmp_path / "db")
         kv = LsmKV(directory, sync=True, memtable_bytes=512)
+        died = _die_at(monkeypatch, "write_sstable", 1, after=False)
         with kv.block_batch():
             for i in range(20):
                 kv.put(b"g%02d" % i, b"y" * 64)
-        assert flushing.wait(timeout=10)
-        crasher = _threading.Thread(target=kv.crash)
-        crasher.start()
-        while not kv._crashed:
-            pass
-        release.set()
-        crasher.join(timeout=10)
+        assert died  # the WAL rotated, then the process died
+        kv.crash()
         generations = sorted(
             n for n in os.listdir(directory) if n.startswith("wal-")
         )
@@ -1135,34 +1146,14 @@ class TestCrashDuringBackgroundFlush:
             LsmKV(directory, sync=True)
 
     def test_torn_interior_generation_refused(self, tmp_path, monkeypatch):
-        import threading as _threading
-
-        import repro.storage.lsm.db as db_mod
-
-        real_write = db_mod.write_sstable
-        flushing = _threading.Event()
-        release = _threading.Event()
-
-        def slow_write(*args, **kwargs):
-            flushing.set()
-            assert release.wait(timeout=10)
-            return real_write(*args, **kwargs)
-
-        monkeypatch.setattr(db_mod, "write_sstable", slow_write)
         directory = str(tmp_path / "db")
         kv = LsmKV(directory, sync=True, memtable_bytes=512)
+        died = _die_at(monkeypatch, "write_sstable", 1, after=False)
         with kv.block_batch():
             for i in range(20):
                 kv.put(b"frozen-%02d" % i, b"x" * 64)
-        assert flushing.wait(timeout=10)
-        with kv.block_batch():
-            kv.put(b"live", b"tail")
-        crasher = _threading.Thread(target=kv.crash)
-        crasher.start()
-        while not kv._crashed:
-            pass
-        release.set()
-        crasher.join(timeout=10)
+        assert died
+        kv.crash()
         # Tear the INTERIOR (frozen) generation: a torn tail there means
         # records between the generations went missing — that is data
         # loss, not a crash tail, and recovery must refuse it.
