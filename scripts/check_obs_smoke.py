@@ -3,8 +3,9 @@
 Validates the artifacts produced by ``repro demo --trace`` /
 ``repro trace`` (Chrome trace-event JSON with complete spans carrying
 modeled cycles), ``repro metrics`` and ``repro fuzz --metrics``
-(scrapeable Prometheus text: every sample's family has a ``# HELP`` and
-a ``# TYPE`` line, and every TYPE is ``counter`` or ``gauge``).
+(scrapeable Prometheus text: the whole file parses as one page, every
+sample's family has a ``# HELP`` and a ``# TYPE`` line, and every TYPE
+is ``counter`` or ``gauge``).
 
 A fuzz page must carry ``confide_fuzz_execs_total``; a node page must
 carry the operation, EPC and pool families.
@@ -40,15 +41,15 @@ FUZZ_REQUIRED = ("confide_fuzz_execs_total",)
 
 def check_metrics(path: str) -> None:
     with open(path) as f:
-        lines = f.read().splitlines()
-    # ``repro fuzz --metrics`` prints its campaign summary first; the
-    # exposition page starts at the first HELP line.
-    start = next((i for i, line in enumerate(lines)
-                  if line.startswith("# HELP ")), None)
-    if start is None:
+        text = f.read()
+    # The whole file must be the page: a scraper reads all of it.
+    try:
+        samples = parse_prometheus_text(text)
+    except ValueError as exc:
+        raise SystemExit(f"{path}: not an exposition page: {exc}")
+    if not samples:
         raise SystemExit(f"{path}: no exposition page")
-    page = lines[start:]
-    samples = parse_prometheus_text("\n".join(page))
+    page = text.splitlines()
     helps, types = set(), {}
     for line in page:
         if line.startswith("# HELP "):

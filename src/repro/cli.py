@@ -419,6 +419,8 @@ def cmd_fuzz(args) -> int:
         solver=not args.no_solver,
     )
     result = run_fuzz(config)
+    # With --metrics, stdout carries the exposition page and nothing else.
+    out = sys.stderr if args.metrics else sys.stdout
     if args.verify_determinism:
         second = run_fuzz(config)
         first_text = _json.dumps(result.to_dict(), sort_keys=True)
@@ -428,17 +430,17 @@ def cmd_fuzz(args) -> int:
                   f"{config.seed} diverged", file=sys.stderr)
             return 1
         print(f"determinism verified: two campaigns of seed {config.seed} "
-              "produced byte-identical reports")
+              "produced byte-identical reports", file=out)
 
     if args.report:
         with open(args.report, "w") as f:
             _json.dump(result.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
-        print(f"wrote finding report to {args.report}")
+        print(f"wrote finding report to {args.report}", file=out)
 
     if args.json:
         print(_json.dumps(result.to_dict(include_timing=True), indent=2,
-                          sort_keys=True))
+                          sort_keys=True), file=out)
     else:
         for name, stats in sorted(result.stats.items()):
             hits = {k: v for k, v in stats.findings.items() if v}
@@ -446,10 +448,11 @@ def cmd_fuzz(args) -> int:
                   f"edges(wasm/evm)={stats.edges_wasm}/{stats.edges_evm} "
                   f"corpus={stats.corpus_entries} "
                   f"flips={stats.constraint_flips} "
-                  f"findings={hits or 'none'}")
+                  f"findings={hits or 'none'}", file=out)
         for finding in result.findings:
-            print(f"  {finding.kind} @{finding.target}: {finding.line()}")
-            print(f"    {finding.detail}")
+            print(f"  {finding.kind} @{finding.target}: {finding.line()}",
+                  file=out)
+            print(f"    {finding.detail}", file=out)
 
     if args.metrics:
         from repro.obs.export import prometheus_text
@@ -459,7 +462,8 @@ def cmd_fuzz(args) -> int:
 
     if args.expect:
         if any(f.kind == args.expect for f in result.findings):
-            print(f"expected finding kind '{args.expect}': detected")
+            print(f"expected finding kind '{args.expect}': detected",
+                  file=out)
             return 0
         print(f"expected finding kind '{args.expect}' NOT detected",
               file=sys.stderr)
@@ -663,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the full report (with timing) as JSON")
     p.add_argument("--metrics", action="store_true",
-                   help="print confide_fuzz_* Prometheus metrics")
+                   help="print confide_fuzz_* Prometheus metrics on stdout "
+                        "(everything else goes to stderr)")
     p.add_argument("--verify-determinism", action="store_true",
                    help="run the campaign twice and require "
                         "byte-identical reports")
