@@ -315,13 +315,12 @@ class Node:
             block = Block(header, list(transactions))
 
             write_started = time.perf_counter()
-            # Persist the header (hash-indexed) plus the full block body
-            # and its receipt blobs (height-indexed) so a restarted node
-            # can recover its chain position from storage alone.  Bodies
-            # hold sealed envelopes and sealed receipts — never plaintext.
+            # Persist the block (header and body) and its receipt blobs,
+            # height-indexed, so a restarted node can recover its chain
+            # position from storage alone.  Bodies hold sealed envelopes
+            # and sealed receipts — never plaintext.
             self.kv.write_batch(
                 {
-                    b"blk:" + header.block_hash: header.encode(),
                     _height_key(_BLOCK_DATA_PREFIX, header.height): block.encode(),
                     _height_key(_RECEIPTS_DATA_PREFIX, header.height):
                         rlp.encode(receipt_blobs),
@@ -479,7 +478,6 @@ class Node:
                 receipt_blobs = peer.receipt_blobs_at(height)
                 self._adopt_block(block, receipt_blobs)
                 self.kv.write_batch({
-                    b"blk:" + block.block_hash: block.header.encode(),
                     _height_key(_BLOCK_DATA_PREFIX, height): block.encode(),
                     _height_key(_RECEIPTS_DATA_PREFIX, height):
                         rlp.encode(receipt_blobs),

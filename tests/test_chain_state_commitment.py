@@ -276,7 +276,7 @@ def _fail_block(monkeypatch, node, point: str):
         inner = node.kv.write_batch
 
         def write_batch(puts, deletes=frozenset()):
-            if any(key.startswith(b"blk:") for key in puts):
+            if any(key.startswith(b"blkdata:") for key in puts):
                 raise StorageError("injected block-write failure")
             return inner(puts, deletes)
         monkeypatch.setattr(node.kv, "write_batch", write_batch)
