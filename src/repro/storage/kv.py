@@ -36,20 +36,13 @@ class BlockWrites:
     puts: dict[bytes, bytes] = field(default_factory=dict)
     deletes: set[bytes] = field(default_factory=set)
 
-    def stage_put(self, key: bytes, value: bytes) -> None:
-        self.deletes.discard(key)
-        self.puts[bytes(key)] = bytes(value)
-
-    def stage_delete(self, key: bytes) -> None:
-        self.puts.pop(key, None)
-        self.deletes.add(bytes(key))
-
-    def stage_batch(self, puts: dict[bytes, bytes],
-                    deletes: set[bytes] = frozenset()) -> None:
+    def stage(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
         for key in deletes:
-            self.stage_delete(key)
+            self.puts.pop(key, None)
+            self.deletes.add(key)
         for key, value in puts.items():
-            self.stage_put(key, value)
+            self.deletes.discard(key)
+            self.puts[key] = value
 
 
 @dataclass
@@ -134,14 +127,13 @@ class KVStore(ABC):
     def _write(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
         """Stage into this thread's open block, or commit as a batch of
         its own once no other thread's block is open."""
+        self.stats.puts += len(puts)
         block = self._own_block()
         if block is not None:
-            self.stats.puts += len(puts)
-            block.stage_batch(puts, deletes)
+            block.stage(puts, deletes)
             return
         with self._writer_lock:
             self._commit(puts, deletes)
-            self.stats.puts += len(puts)
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate all (key, value) pairs in unspecified order."""

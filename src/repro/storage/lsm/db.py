@@ -48,14 +48,12 @@ import re
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import StorageError
 from repro.storage.kv import KVStats, KVStore
 from repro.storage.lsm.cache import BlockCache
 from repro.storage.lsm.compaction import merge_entries, plan_compaction
 from repro.storage.lsm.manifest import (
-    MANIFEST_NAME,
     RootManifest,
     SegmentRecord,
     read_manifest,
