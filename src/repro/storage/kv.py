@@ -71,6 +71,7 @@ class KVStore(ABC):
 
     def __init__(self):
         self.stats = KVStats()
+        self._gets_lock = threading.Lock()  # readers count from any thread
         # The one committer: held for a whole block and for each
         # standalone write's commit.
         self._writer_lock = threading.RLock()
@@ -102,7 +103,8 @@ class KVStore(ABC):
     def get(self, key: bytes) -> bytes | None:
         """Return the value for key, or None if absent."""
         key = bytes(key)
-        self.stats.gets += 1
+        with self._gets_lock:
+            self.stats.gets += 1
         block = self._own_block()
         if block is not None:
             if key in block.puts:
@@ -127,13 +129,13 @@ class KVStore(ABC):
     def _write(self, puts: dict[bytes, bytes], deletes: set[bytes]) -> None:
         """Stage into this thread's open block, or commit as a batch of
         its own once no other thread's block is open."""
-        self.stats.puts += len(puts)
-        block = self._own_block()
-        if block is not None:
-            block.stage(puts, deletes)
-            return
         with self._writer_lock:
-            self._commit(puts, deletes)
+            self.stats.puts += len(puts)
+            block = self._own_block()
+            if block is not None:
+                block.stage(puts, deletes)
+            else:
+                self._commit(puts, deletes)
 
     def items(self) -> Iterator[tuple[bytes, bytes]]:
         """Iterate all (key, value) pairs in unspecified order."""

@@ -71,3 +71,58 @@ class TestModelBased:
                 kv.delete(key)
                 model.pop(key, None)
         assert dict(kv.items()) == model
+
+
+class TestMemoryKVThreads:
+    def test_readers_see_whole_blocks_and_every_get_is_counted(self):
+        # A committer writes blocks that set every key to the block's
+        # number; readers on other threads, switching every few
+        # microseconds, must never see two keys disagree (a block lands
+        # whole), and the shared get counter must lose no update.
+        import sys
+        import threading
+
+        kv = MemoryKV()
+        keys = [b"k%02d" % i for i in range(32)]
+        kv.write_batch({key: b"0" for key in keys})
+        blocks = 300
+        done = threading.Event()
+        reads: list[int] = []
+        errors: list[BaseException] = []
+
+        def read():
+            count = 0
+            try:
+                while not done.is_set():
+                    assert len(set(dict(kv.items()).values())) == 1
+                    kv.get(keys[0])
+                    count += 1
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+            reads.append(count)
+
+        def commit():
+            try:
+                for i in range(1, blocks + 1):
+                    with kv.block_batch():
+                        for key in keys:
+                            kv.put(key, b"%d" % i)
+            finally:
+                done.set()
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            threads.append(threading.Thread(target=commit))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert {kv.get(key) for key in keys} == {b"%d" % blocks}
+        assert kv.stats.gets == sum(reads) + len(keys)
+        assert kv.stats.block_commits == blocks
