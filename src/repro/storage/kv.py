@@ -206,6 +206,3 @@ class MemoryKV(KVStore):
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def snapshot(self) -> dict[bytes, bytes]:
-        return dict(self._data)

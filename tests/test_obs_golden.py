@@ -48,9 +48,9 @@ def _wall_clock(family: str) -> bool:
 def parse_page(text: str) -> dict:
     """Exposition text → {family: {type, help, samples: {labels: value}}}.
 
-    Lines that are neither comments nor ``confide_*`` samples (the fuzz
-    command's campaign summary) are skipped.  Wall-clock values are
-    replaced by None so only their label sets are compared.
+    Lines that are neither comments nor ``confide_*`` samples are
+    skipped.  Wall-clock values are replaced by None so only their label
+    sets are compared.
     """
     families: dict[str, dict] = {}
 
