@@ -14,6 +14,11 @@ them at deploy admission — that is exactly what they pin down:
 - ``evm_leak_via_jump_table``        -> ``flow_log`` (the leak sits in a
   subroutine reached through push-return-label jump-table dispatch, so
   detection requires value-set JUMP resolution)
+- ``wasm_secret_as_storage_key``     -> ``flow_storage_set`` (a constant
+  value written under a key made of the secret bytes: storage keys sit
+  in plaintext in the host store)
+- ``evm_secret_as_storage_key``      -> ``flow_storage_set`` (the same
+  key-byte leak through ``HOSTCALL``)
 
 The encoded artifacts are checked in under
 ``tests/fixtures/analysis/bytecode/`` so CI can drive
@@ -62,6 +67,8 @@ _KEY_PTR = 64  # secret key bytes live here (data segment)
 _PUB_PTR = 96  # public mirror key bytes
 _BUF_PTR = 160  # storage_get destination buffer
 _BUF_CAP = 32
+_VAL_PTR = 224  # a constant (zeroed) value buffer
+_VAL_LEN = 8
 
 
 def _wasm_artifact(code, nlocals=0, method="leak", extra_data=()):
@@ -104,6 +111,20 @@ def wasm_secret_to_public_storage() -> ContractArtifact:
     return _wasm_artifact(
         code, extra_data=(DataSegment(offset=_PUB_PTR, data=PUBLIC_KEY),)
     )
+
+
+def wasm_secret_as_storage_key() -> ContractArtifact:
+    """A constant value written under a key made of the secret bytes."""
+    code = [
+        *_get_secret(),
+        (op.CONST, _BUF_PTR, 0),
+        (op.CONST, _BUF_CAP, 0),
+        (op.CONST, _VAL_PTR, 0),
+        (op.CONST, _VAL_LEN, 0),
+        (op.CALL_HOST, HOST_INDEX["storage_set"], 0),
+        (op.RETURN, 0, 0),
+    ]
+    return _wasm_artifact(code)
 
 
 def wasm_secret_to_event() -> ContractArtifact:
@@ -249,6 +270,36 @@ def evm_leak_via_jump_table() -> ContractArtifact:
     )
 
 
+def evm_secret_as_storage_key() -> ContractArtifact:
+    """The EVM twin of :func:`wasm_secret_as_storage_key`: the secret
+    read into memory becomes the key of a ``storage_set`` whose value is
+    a constant."""
+    prog = [
+        ("push", SECRET_KEY.ljust(32, b"\x00")),  # mem[0:32] = secret key
+        ("push", b"\x00"),
+        evm_op.MSTORE,
+        ("push", b"\x00"),  # storage_get(key=0, klen, dst=64, cap=32)
+        ("push", bytes([len(SECRET_KEY)])),
+        ("push", bytes([64])),
+        ("push", bytes([32])),
+        ("push", bytes([HOST_INDEX["storage_get"]])),
+        evm_op.HOSTCALL,
+        evm_op.POP,
+        ("push", bytes([64])),  # storage_set(key=64, 32, val=128, 8)
+        ("push", bytes([32])),
+        ("push", bytes([128])),
+        ("push", bytes([8])),
+        ("push", bytes([HOST_INDEX["storage_set"]])),
+        evm_op.HOSTCALL,
+        evm_op.STOP,
+    ]
+    code, _labels = _evm_assemble(prog)
+    entries = {"leak": 0}
+    return ContractArtifact(
+        target="evm", code=code, methods=tuple(entries), entries=entries
+    )
+
+
 #: fixture stem -> (builder, expected deploy-blocking finding kind)
 CORPUS = {
     "wasm_secret_to_public_storage": (wasm_secret_to_public_storage, "flow_storage_set"),
@@ -256,6 +307,8 @@ CORPUS = {
     "wasm_secret_to_revert_payload": (wasm_secret_to_revert_payload, "flow_revert"),
     "wasm_leak_via_superinstruction": (wasm_leak_via_superinstruction, "flow_log"),
     "evm_leak_via_jump_table": (evm_leak_via_jump_table, "flow_log"),
+    "wasm_secret_as_storage_key": (wasm_secret_as_storage_key, "flow_storage_set"),
+    "evm_secret_as_storage_key": (evm_secret_as_storage_key, "flow_storage_set"),
 }
 
 
