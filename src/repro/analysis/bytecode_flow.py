@@ -3,11 +3,17 @@
 Pass 1 (``repro.analysis.taint``) needs CWScript *source*; a byzantine
 peer gossiping a sourceless artifact used to get only the structural
 checks of Pass 2.  This pass closes that hole: an abstract interpreter
-over both deployable artifact formats — CONFIDE-VM modules (analyzed in
-their *fused* OPT4 form, superinstructions included, because that is
-what executes) and EVM bytecode — tracks a confidentiality lattice
+over both deployable artifact formats tracks a confidentiality lattice
 through the operand stack, locals, linear memory and storage/host-call
 effects.
+
+It is one abstract machine (:class:`_Machine`: state, join, worklist
+fixpoint, memory transfer functions, the host-call model over
+``vm.host.HOST_TABLE`` and the branch recorder) with two front ends
+that only decode their ISA and give each opcode its semantics:
+CONFIDE-VM modules, analyzed in their *fused* OPT4 form
+(superinstructions included, because that is what executes), and EVM
+bytecode.
 
 sources
     ``storage_get`` under a key whose statically-resolved byte prefix
@@ -18,10 +24,11 @@ sources
     (``repro analyze --confidential-prefix``).
 
 sinks
-    ``storage_set`` under a key not provably confidential, ``log`` /
-    ``LOG0`` (the public event stream), ``output`` / ``RETURN`` (return
-    data), ``abort`` / ``REVERT`` (revert payloads), and
-    ``call_contract`` arguments.  Unlike the source pass, return data
+    ``storage_set`` under a key not provably confidential (the value
+    bytes and the key bytes, which the host stores in plaintext),
+    ``log`` / ``LOG0`` (the public event stream), ``output`` /
+    ``RETURN`` (return data), ``abort`` / ``REVERT`` (revert payloads),
+    and ``call_contract`` arguments.  Unlike the source pass, return data
     and revert payloads *are* sinks here: a sourceless artifact may be
     deployed to the Public-Engine, where receipts travel in plaintext.
 
@@ -55,6 +62,7 @@ Documented imprecision (mirrors Pass 1's spirit):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.analysis.report import (
@@ -413,9 +421,6 @@ class AbsMemory:
                 self.taint[addr + i] = self.taint.get(addr + i, _EMPTY) | taint
             else:
                 self.taint.pop(addr + i, None)
-        if self.havoc:
-            # absent known entries are already "unknown"; nothing else to do
-            pass
 
     def write_unknown_addr(self, taint: frozenset) -> None:
         """Store through an address the analyzer cannot resolve."""
@@ -444,14 +449,23 @@ class AbsMemory:
     def join(a: "AbsMemory", b: "AbsMemory") -> "AbsMemory":
         out = AbsMemory()
         out.havoc = a.havoc or b.havoc
-        for addr in set(a.known) | set(b.known):
-            va, vb = a.read_byte(addr), b.read_byte(addr)
-            if va is not None and va == vb:
-                out.known[addr] = va
-        for addr in set(a.taint) | set(b.taint):
-            merged = a.taint.get(addr, _EMPTY) | b.taint.get(addr, _EMPTY)
-            if merged:
-                out.taint[addr] = merged
+        if a.known == b.known:
+            out.known = dict(a.known)
+        else:
+            # an absent byte reads as zero until memory is havocked
+            a_absent = None if a.havoc else 0
+            b_absent = None if b.havoc else 0
+            for addr in a.known.keys() | b.known.keys():
+                va = a.known.get(addr, a_absent)
+                if va is not None and va == b.known.get(addr, b_absent):
+                    out.known[addr] = va
+        if a.taint == b.taint:
+            out.taint = dict(a.taint)
+        else:
+            for addr in a.taint.keys() | b.taint.keys():
+                merged = a.taint.get(addr, _EMPTY) | b.taint.get(addr, _EMPTY)
+                if merged:
+                    out.taint[addr] = merged
         out.blanket = a.blanket | b.blanket
         out.regions = [r for r in a.regions if r in b.regions]
         return out
@@ -502,7 +516,9 @@ class _Ctx:
         self.has_loops[label] = True
 
     def sink(self, kind: str, message: str, function: str, pc: int,
-             window: str, detail: str, taint: frozenset) -> None:
+             window, taint: frozenset) -> None:
+        """Record a finding; ``window`` renders the disassembly context
+        and is called only when the finding is new."""
         if not taint:
             return
         if kind in (FLOW_OUTPUT, FLOW_REVERT) and not self.public_outputs:
@@ -513,7 +529,7 @@ class _Ctx:
             return
         self.findings[key] = Finding(
             kind=kind, message=message, function=function,
-            detail=detail or tags, pc=pc, window=window,
+            detail=tags, pc=pc, window=window(),
         )
 
     def declassify(self, function: str, pc: int) -> None:
@@ -540,16 +556,286 @@ class _Ctx:
         return out
 
 
-def _classify(policy: Policy, tag: bytes | None) -> str:
-    return policy.classify_key(tag)
+# ---------------------------------------------------------------------------
+# The abstract machine both front ends share
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _State:
+    """Operand stack, locals (empty on EVM), memory and branch taint."""
+
+    stack: list
+    locals: list
+    mem: AbsMemory
+    pc_taint: frozenset
+
+    def copy(self) -> "_State":
+        return _State(list(self.stack), list(self.locals),
+                      self.mem.copy(), self.pc_taint)
 
 
-def _tag_str(tag: bytes) -> str:
-    return tag.decode("latin-1")
+def _join_states(a: _State, b: _State) -> _State | None:
+    if len(a.stack) != len(b.stack):
+        return None  # structurally invalid; Pass 2 reports it
+    return _State(
+        [_join_val(x, y) for x, y in zip(a.stack, b.stack)],
+        [_join_val(x, y) for x, y in zip(a.locals, b.locals)],
+        AbsMemory.join(a.mem, b.mem),
+        a.pc_taint | b.pc_taint,
+    )
+
+
+def _states_eq(a: _State, b: _State) -> bool:
+    return (a.stack == b.stack and a.locals == b.locals
+            and a.mem == b.mem and a.pc_taint == b.pc_taint)
+
+
+def _bytes_taint(mem: AbsMemory, ptr: AbsVal, length: AbsVal) -> frozenset:
+    """Taint of ``length`` bytes at ``ptr``, the operands' own included;
+    all of memory when the range is not static."""
+    ptrc, lenc = ptr.const(), length.const()
+    if ptrc is None or lenc is None or lenc < 0:
+        return ptr.taint | length.taint | mem.all_taint()
+    return ptr.taint | length.taint | mem.read_taint(ptrc, lenc)
+
+
+_UNPROVEN_KEY = ("confidential data written under a storage key the "
+                 "analyzer cannot prove confidential")
+
+#: host calls whose only effect is publishing a (ptr, len) region
+_REGION_SINKS = {
+    "log": (FLOW_LOG, "confidential data reaches the public event stream"),
+    "output": (FLOW_OUTPUT, "confidential data reaches the return data"),
+    "abort": (FLOW_REVERT, "confidential data reaches the revert payload"),
+}
+
+
+class _Machine:
+    """The abstract machine: one worklist fixpoint, the memory transfer
+    functions, the canonical host-call model and the branch recorder.
+    Front ends decode their ISA and give each opcode its semantics in
+    ``_step(pc, state)``, which returns the ``[(successor pc, state)]``
+    list (empty where the path ends)."""
+
+    #: high-water charged for an access through an unknown address
+    memory_bytes = 0
+
+    def __init__(self, ctx: _Ctx):
+        self.ctx = ctx
+
+    def _fixpoint(self, label: str, entry: int, state: _State, size: int,
+                  step) -> None:
+        ctx = self.ctx
+        states: dict[int, _State] = {entry: state}
+        visits: dict[int, int] = {}
+        work = [entry]
+        while work:
+            pc = work.pop()
+            if pc >= size or not ctx.budget_ok():
+                continue
+            visits[pc] = visits.get(pc, 0) + 1
+            if visits[pc] > _MAX_VISITS:
+                continue  # widened away: stop exploring this pc
+            state = states[pc].copy()
+            ctx.note_stack(label, len(state.stack))
+            for succ, succ_state in step(pc, state):
+                if succ >= size:
+                    continue
+                if succ <= pc:
+                    ctx.note_loop(label)
+                known = states.get(succ)
+                if known is None:
+                    states[succ] = succ_state
+                    work.append(succ)
+                else:
+                    joined = _join_states(known, succ_state)
+                    if joined is not None and not _states_eq(joined, known):
+                        states[succ] = joined
+                        work.append(succ)
+
+    # -- memory ----------------------------------------------------------
+
+    def _load(self, label: str, mem: AbsMemory, addr: AbsVal, offset: int,
+              width: int) -> AbsVal:
+        base = addr.const()
+        if base is None:
+            self.ctx.note_mem(label, self.memory_bytes)
+            return AbsVal(taint=addr.taint | mem.all_taint())
+        location = base + offset
+        self.ctx.note_mem(label, location + width)
+        taint = mem.read_taint(location, width) | addr.taint
+        sym = mem.region_sym(location, width)
+        raw = mem.read_bytes(location, width)
+        consts = None
+        if raw is not None:
+            value = int.from_bytes(raw, "big")
+            consts = frozenset([value])
+            if sym is None:
+                sym = ("const", value)
+        return AbsVal(taint=taint, consts=consts, sym=sym)
+
+    def _store(self, label: str, state: _State, addr: AbsVal, offset: int,
+               width: int, value: AbsVal) -> None:
+        mem = state.mem
+        taint = value.taint | addr.taint | state.pc_taint
+        base = addr.const()
+        if base is None:
+            mem.write_unknown_addr(taint)
+            self.ctx.note_mem(label, self.memory_bytes)
+            return
+        location = base + offset
+        self.ctx.note_mem(label, location + width)
+        known = value.const()
+        if known is not None:
+            mem.write_bytes(location, (known & ((1 << (8 * width)) - 1))
+                            .to_bytes(width, "big"), taint)
+        else:
+            mem.write_unknown(location, width, taint)
+            if value.sym is not None and value.sym[0] == "input":
+                mem.add_region("input", location, value.sym[1], width)
+
+    def _host_write(self, label: str, mem: AbsMemory, dst: int | None,
+                    length: int | None, taint: frozenset) -> bool:
+        """The host fills ``length`` unknown bytes at ``dst``; False (and
+        memory havocked) when the range is not static."""
+        if dst is not None and length is not None and length >= 0:
+            self.ctx.note_mem(label, dst + length)
+            mem.write_unknown(dst, length, taint)
+            return True
+        mem.write_unknown_addr(taint)
+        return False
+
+    def _copy_input(self, label: str, mem: AbsMemory, dst: AbsVal,
+                    off: AbsVal, length: AbsVal) -> None:
+        dstc, offc, lenc = dst.const(), off.const(), length.const()
+        if self._host_write(label, mem, dstc, lenc, _EMPTY) and offc is not None:
+            mem.add_region("input", dstc, offc, lenc)
+
+    def _region_taint(self, label: str, mem: AbsMemory, ptr: AbsVal,
+                      length: AbsVal) -> frozenset:
+        """:func:`_bytes_taint` of a region the host reads, charged to
+        the memory high-water."""
+        ptrc, lenc = ptr.const(), length.const()
+        if ptrc is not None and lenc is not None and lenc >= 0:
+            self.ctx.note_mem(label, ptrc + lenc)
+        return _bytes_taint(mem, ptr, length)
+
+    # -- host transfer ---------------------------------------------------
+
+    def _region_sink(self, name: str, label: str, pc: int, state: _State,
+                     ptr: AbsVal, length: AbsVal, window) -> None:
+        kind, message = _REGION_SINKS[name]
+        taint = self._region_taint(label, state.mem, ptr, length)
+        self.ctx.sink(kind, message, label, pc, window,
+                      taint | state.pc_taint)
+
+    def _host_call(self, label: str, pc: int, name: str, nresults: int,
+                   args: list, state: _State, window) -> bool:
+        """One call into the canonical host table (``vm.host``); False
+        when the call never returns."""
+        ctx = self.ctx
+        mem = state.mem
+        push = state.stack.append
+        if name == "input_size":
+            push(AbsVal(sym=("input_size",)))
+            return True
+        if name == "input_read":
+            self._copy_input(label, mem, *args)
+            push(AbsVal(sym=("input_size",)))
+            return True
+        if name in ("storage_get", "storage_set"):
+            kp, kl = args[0].const(), args[1].const()
+            tag = (mem.read_prefix(kp, kl)
+                   if kp is not None and kl is not None and kl >= 0 else b"")
+            classification = ctx.policy.classify_key(tag or None)
+        if name == "storage_get":
+            dstc, capc = args[2].const(), args[3].const()
+            if classification == KEY_CONFIDENTIAL:
+                tag_s = tag.decode("latin-1")
+                ctx.sources.add(tag_s)
+                taint = frozenset([tag_s])
+                if self._host_write(label, mem, dstc, capc, taint):
+                    mem.add_region("storage", dstc, tag_s, capc)
+                push(AbsVal(taint=taint, sym=("storage_len", tag_s)))
+            else:
+                self._host_write(label, mem, dstc, capc, _EMPTY)
+                push(_UNKNOWN)
+            return True
+        if name == "storage_set":
+            if classification != KEY_CONFIDENTIAL:
+                # the key bytes themselves are stored in plaintext
+                taint = (self._region_taint(label, mem, args[2], args[3])
+                         | _bytes_taint(mem, args[0], args[1])
+                         | state.pc_taint)
+                message = (_UNPROVEN_KEY if classification != KEY_PUBLIC
+                           else "confidential data written under public "
+                                f"storage key '{tag.decode('latin-1')}'")
+                ctx.sink(FLOW_STORAGE_SET, message, label, pc, window, taint)
+            return True
+        if name in _REGION_SINKS:
+            self._region_sink(name, label, pc, state, args[0], args[1],
+                              window)
+            return name != "abort"
+        if name == "call_contract":
+            taint = set(state.pc_taint)
+            for i in (0, 2, 4):
+                taint |= self._region_taint(label, mem, args[i], args[i + 1])
+            taint |= args[6].taint | args[7].taint
+            ctx.sink(
+                FLOW_CALL_CONTRACT,
+                "confidential data escapes via call_contract arguments",
+                label, pc, window, frozenset(taint),
+            )
+            dstc, capc = args[6].const(), args[7].const()
+            if dstc is not None and capc is not None and capc >= 0:
+                mem.write_unknown(dstc, capc, _EMPTY)
+            else:
+                mem.write_unknown_addr(_EMPTY)
+            push(_UNKNOWN)
+            return True
+        if name in ("sha256", "keccak256"):
+            taint = self._region_taint(label, mem, args[0], args[1])
+            self._host_write(label, mem, args[2].const(), 32, taint)
+            return True
+        if name == "caller":
+            self._host_write(label, mem, args[0].const(), 20, _EMPTY)
+            return True
+        if name == "declassify":
+            ptrc, lenc = args[0].const(), args[1].const()
+            if ptrc is not None and lenc is not None and lenc >= 0:
+                mem.clear_taint(ptrc, lenc)
+            ctx.declassify(label, pc)
+            return True
+        # unknown host import: Pass 2 rejects it; havoc and continue
+        mem.write_unknown_addr(_EMPTY)
+        if nresults:
+            push(_UNKNOWN)
+        return True
+
+    # -- branches --------------------------------------------------------
+
+    def _branch_constraint(self, label: str, pc: int, cond: AbsVal,
+                           taken: int, fallthrough: int,
+                           invert: bool = False) -> None:
+        """Record the comparison guarding the taken edge; ``invert``
+        for branches taken when ``cond`` is false."""
+        sym = cond.sym
+        if sym is not None and sym[0] == "cmp":
+            kind, lhs_sym, rhs_sym = sym[1], sym[2], sym[3]
+        else:
+            kind, lhs_sym, rhs_sym = "truthy", sym, ("const", 0)
+        if invert:
+            kind = _CMP_INVERT_NAMES.get(kind, kind)
+        self.ctx.constraint(PathConstraint(
+            function=label, pc=pc, kind=kind,
+            lhs=render_sym(lhs_sym), rhs=render_sym(rhs_sym),
+            taken=taken, fallthrough=fallthrough,
+            lhs_sym=lhs_sym, rhs_sym=rhs_sym,
+        ))
 
 
 # ---------------------------------------------------------------------------
-# CONFIDE-VM (wasm) abstract interpreter
+# CONFIDE-VM (wasm) front end
 # ---------------------------------------------------------------------------
 
 _WASM_BIN_OPS = {
@@ -573,54 +859,25 @@ _LOAD_WIDTHS = {op.LOAD8_U: 1, op.LOAD16_U: 2, op.LOAD32_U: 4, op.LOAD64: 8}
 _STORE_WIDTHS = {op.STORE8: 1, op.STORE16: 2, op.STORE32: 4, op.STORE64: 8}
 
 
-@dataclass
-class _WasmState:
-    stack: list
-    locals: list
-    mem: AbsMemory
-    pc_taint: frozenset
-
-    def copy(self) -> "_WasmState":
-        return _WasmState(list(self.stack), list(self.locals),
-                          self.mem.copy(), self.pc_taint)
+def _add(x, y):
+    return x + y
 
 
-def _join_wasm_states(a: _WasmState, b: _WasmState) -> _WasmState | None:
-    if len(a.stack) != len(b.stack):
-        return None  # structurally invalid; Pass 2 reports it
-    return _WasmState(
-        [_join_val(x, y) for x, y in zip(a.stack, b.stack)],
-        [_join_val(x, y) for x, y in zip(a.locals, b.locals)],
-        AbsMemory.join(a.mem, b.mem),
-        a.pc_taint | b.pc_taint,
-    )
-
-
-def _wasm_states_eq(a: _WasmState, b: _WasmState) -> bool:
-    return (a.stack == b.stack and a.locals == b.locals
-            and a.mem == b.mem and a.pc_taint == b.pc_taint)
-
-
-class _WasmAnalyzer:
+class _WasmAnalyzer(_Machine):
     def __init__(self, module: Module, ctx: _Ctx):
+        super().__init__(ctx)
         self.module = module
-        self.ctx = ctx
-        self.labels = {}
+        self.memory_bytes = module.memory_bytes
         exports = {idx: name for name, idx in module.exports.items()}
-        for fidx in range(len(module.functions)):
-            self.labels[fidx] = exports.get(fidx, f"func_{fidx}")
-
-    # -- entry ----------------------------------------------------------
+        self.labels = {fidx: exports.get(fidx, f"func_{fidx}")
+                       for fidx in range(len(module.functions))}
 
     def analyze_export(self, fidx: int) -> None:
         mem = AbsMemory()
         for seg in self.module.data:
             mem.write_bytes(seg.offset, seg.data, _EMPTY)
-        func = self.module.functions[fidx]
-        args = [_cv(0)] * func.nparams
+        args = [_cv(0)] * self.module.functions[fidx].nparams
         self._run_function(fidx, args, mem, _EMPTY, 0)
-
-    # -- one function instance ------------------------------------------
 
     def _run_function(self, fidx: int, args, mem: AbsMemory,
                       pc_taint: frozenset, depth: int):
@@ -628,209 +885,152 @@ class _WasmAnalyzer:
         joined over all RETURN sites."""
         func = self.module.functions[fidx]
         label = self.labels[fidx]
+        has_result = bool(func.nresults)
         if depth > _MAX_INLINE_DEPTH:
             self.ctx.note_loop(label)
             out = mem.copy()
             out.write_unknown_addr(
                 frozenset().union(*(a.taint for a in args)) if args else _EMPTY
             )
-            return (_UNKNOWN if func.nresults else None), out
-        nvars = func.nparams + func.nlocals
-        locals0 = list(args) + [_cv(0)] * (nvars - len(args))
-        entry = _WasmState([], locals0, mem.copy(), pc_taint)
-        states: dict[int, _WasmState] = {0: entry}
-        visits: dict[int, int] = {}
-        work = [0]
+            return (_UNKNOWN if has_result else None), out
+        locals0 = list(args) + [_cv(0)] * (func.nparams + func.nlocals
+                                          - len(args))
+        exits: list[tuple] = []  # (result, memory) per RETURN visit
+        code = func.code
+        self._fixpoint(
+            label, 0, _State([], locals0, mem.copy(), pc_taint), len(code),
+            functools.partial(self._step, fidx, label, code, depth, exits),
+        )
         exit_val: AbsVal | None = None
         exit_mem: AbsMemory | None = None
-        has_result = bool(func.nresults)
-        code = func.code
-        size = len(code)
-        while work:
-            pc = work.pop()
-            if pc >= size or not self.ctx.budget_ok():
-                continue
-            visits[pc] = visits.get(pc, 0) + 1
-            if visits[pc] > _MAX_VISITS:
-                continue  # widened away: stop exploring this pc
-            state = states[pc].copy()
-            self.ctx.note_stack(label, len(state.stack))
-            result = self._step(fidx, label, pc, code, state, depth)
-            if result is None:
-                continue
-            kind, payload = result
-            if kind == "return":
-                value, rmem = payload
-                if has_result:
-                    exit_val = (value if exit_val is None
-                                else _join_val(exit_val, value))
-                exit_mem = (rmem if exit_mem is None
-                            else AbsMemory.join(exit_mem, rmem))
-                continue
-            for succ, succ_state in payload:
-                if succ >= size:
-                    continue
-                if succ <= pc:
-                    self.ctx.note_loop(label)
-                known = states.get(succ)
-                if known is None:
-                    states[succ] = succ_state
-                    work.append(succ)
-                else:
-                    joined = _join_wasm_states(known, succ_state)
-                    if joined is not None and not _wasm_states_eq(joined, known):
-                        states[succ] = joined
-                        work.append(succ)
+        for value, rmem in exits:
+            if has_result:
+                exit_val = (value if exit_val is None
+                            else _join_val(exit_val, value))
+            exit_mem = (rmem if exit_mem is None
+                        else AbsMemory.join(exit_mem, rmem))
         if exit_mem is None:
             exit_mem = mem.copy()  # no RETURN reached (abort-only paths)
         if has_result and exit_val is None:
             exit_val = _UNKNOWN
         return exit_val, exit_mem
 
-    # -- single instruction ---------------------------------------------
-
-    def _step(self, fidx, label, pc, code, state, depth):
-        """Returns ("return", (val, mem)) | ("next", [(succ, state)...])
-        | None (terminal/trap)."""
+    def _step(self, fidx, label, code, depth, exits, pc, state):
         opcode, a, b = code[pc]
         stack = state.stack
+        locals_ = state.locals
         mem = state.mem
+        push = stack.append
 
         def pop() -> AbsVal:
             return stack.pop() if stack else _UNKNOWN
 
-        def push(value: AbsVal) -> None:
-            stack.append(value)
+        def local(index: int) -> AbsVal:
+            return locals_[index] if index < len(locals_) else _UNKNOWN
 
-        cost = 1
-        if opcode in (op.CALL_HOST,):
-            cost = _OCALL
-        self.ctx.note_cost(label, (fidx << 20) | pc, cost)
-
-        window = lambda: wasm_instruction_window(code, pc)  # noqa: E731
+        self.ctx.note_cost(label, (fidx << 20) | pc,
+                           _OCALL if opcode == op.CALL_HOST else 1)
 
         if opcode == op.RETURN:
-            value = pop() if self.module.functions[fidx].nresults else None
-            return ("return", (value, mem))
-        if opcode == op.UNREACHABLE:
-            return None
-        if opcode == op.NOP:
-            return ("next", [(pc + 1, state)])
-        if opcode == op.CONST:
+            exits.append(
+                (pop() if self.module.functions[fidx].nresults else None, mem))
+            return []
+        if opcode == op.JMP:
+            return [(a, state)]
+        if opcode in (op.JMP_IF, op.JMP_IFZ):
+            cond = pop()
+            self._branch_constraint(label, pc, cond, a, pc + 1,
+                                    invert=opcode == op.JMP_IFZ)
+            if cond.taint:
+                state.pc_taint = state.pc_taint | cond.taint
+            taken = cond.const()
+            if taken is not None:
+                truthy = bool(taken) != (opcode == op.JMP_IFZ)
+                return [(a if truthy else pc + 1, state)]
+            return [(a, state), (pc + 1, state.copy())]
+        if opcode == op.CMP_BR:
+            rhs = pop()
+            lhs = pop()
+            kind = _CMP_KIND_NAMES.get(b, "truthy")
+            self._branch_constraint(
+                label, pc, AbsVal(sym=("cmp", kind, lhs.sym, rhs.sym)),
+                a, pc + 1)
+            if lhs.taint or rhs.taint:
+                state.pc_taint = state.pc_taint | lhs.taint | rhs.taint
+            return [(a, state), (pc + 1, state.copy())]
+        if opcode == op.CALL_HOST:
+            if a >= len(self.module.hosts):
+                return []
+            imp = self.module.hosts[a]
+            args = [pop() for _ in range(imp.nparams)]
+            args.reverse()
+            window = lambda: wasm_instruction_window(code, pc)  # noqa: E731
+            if not self._host_call(label, pc, imp.name, imp.nresults, args,
+                                   state, window):
+                return []
+        elif opcode == op.NOP:
+            pass
+        elif opcode == op.CONST:
             push(_cv(a & _M64))
-            return ("next", [(pc + 1, state)])
-        if opcode == op.DROP:
+        elif opcode == op.DROP:
             pop()
-            return ("next", [(pc + 1, state)])
-        if opcode == op.LOCAL_GET:
-            push(state.locals[a] if a < len(state.locals) else _UNKNOWN)
-            return ("next", [(pc + 1, state)])
-        if opcode == op.LOCAL_SET:
+        elif opcode == op.LOCAL_GET:
+            push(local(a))
+        elif opcode == op.LOCAL_SET:
             value = pop()
-            if a < len(state.locals):
-                state.locals[a] = value
-            return ("next", [(pc + 1, state)])
-        if opcode == op.LOCAL_TEE:
-            if stack and a < len(state.locals):
-                state.locals[a] = stack[-1]
-            return ("next", [(pc + 1, state)])
-        if opcode == op.SELECT:
+            if a < len(locals_):
+                locals_[a] = value
+        elif opcode == op.LOCAL_TEE:
+            if stack and a < len(locals_):
+                locals_[a] = stack[-1]
+        elif opcode == op.SELECT:
             cond = pop()
             if_false = pop()
             if_true = pop()
             merged = _join_val(if_true, if_false)
             push(AbsVal(taint=merged.taint | cond.taint,
                         consts=merged.consts, sym=None))
-            return ("next", [(pc + 1, state)])
-        if opcode == op.JMP:
-            return ("next", [(a, state)])
-        if opcode in (op.JMP_IF, op.JMP_IFZ):
-            cond = pop()
-            self._branch_constraint(label, pc, opcode, cond, a, pc + 1)
-            if cond.taint:
-                state.pc_taint = state.pc_taint | cond.taint
-            taken = cond.const()
-            if taken is not None:
-                truthy = bool(taken)
-                if opcode == op.JMP_IFZ:
-                    truthy = not truthy
-                return ("next", [(a if truthy else pc + 1, state)])
-            return ("next", [(a, state), (pc + 1, state.copy())])
-        if opcode == op.CMP_BR:
-            rhs = pop()
-            lhs = pop()
-            kind = _CMP_KIND_NAMES.get(b, "truthy")
-            self.ctx.constraint(PathConstraint(
-                function=label, pc=pc, kind=kind,
-                lhs=render_sym(lhs.sym), rhs=render_sym(rhs.sym),
-                taken=a, fallthrough=pc + 1,
-                lhs_sym=lhs.sym, rhs_sym=rhs.sym,
-            ))
-            if lhs.taint or rhs.taint:
-                state.pc_taint = state.pc_taint | lhs.taint | rhs.taint
-            return ("next", [(a, state), (pc + 1, state.copy())])
-        if opcode == op.CALL:
+        elif opcode == op.CALL:
             callee = self.module.functions[a]
-            nargs = callee.nparams
-            args = [pop() for _ in range(nargs)]
+            args = [pop() for _ in range(callee.nparams)]
             args.reverse()
-            value, new_mem = self._run_function(
+            value, state.mem = self._run_function(
                 a, args, mem, state.pc_taint, depth + 1
             )
-            state.mem = new_mem
             if callee.nresults:
                 push(value if value is not None else _UNKNOWN)
-            return ("next", [(pc + 1, state)])
-        if opcode == op.CALL_HOST:
-            if a >= len(self.module.hosts):
-                return None
-            imp = self.module.hosts[a]
-            args = [pop() for _ in range(imp.nparams)]
-            args.reverse()
-            return self._host_call(fidx, label, pc, code, imp.name,
-                                   imp.nresults, args, state, window)
-        if opcode in _WASM_BIN_OPS:
+        elif opcode in _WASM_BIN_OPS:
             name, fn = _WASM_BIN_OPS[opcode]
             rhs = pop()
             lhs = pop()
             push(_binop(name, lhs, rhs, fn, _M64))
-            return ("next", [(pc + 1, state)])
-        if opcode in (op.DIV_S, op.DIV_U, op.REM_S, op.REM_U, op.SHR_S):
+        elif opcode in (op.DIV_S, op.DIV_U, op.REM_S, op.REM_U, op.SHR_S):
             rhs = pop()
             lhs = pop()
             push(AbsVal(taint=lhs.taint | rhs.taint))
-            return ("next", [(pc + 1, state)])
-        if opcode in _WASM_CMP_OPS:
+        elif opcode in _WASM_CMP_OPS:
             rhs = pop()
             lhs = pop()
             sym = None
             if lhs.sym is not None and rhs.sym is not None:
                 sym = ("cmp", _WASM_CMP_OPS[opcode], lhs.sym, rhs.sym)
             push(AbsVal(taint=lhs.taint | rhs.taint, sym=sym))
-            return ("next", [(pc + 1, state)])
-        if opcode == op.EQZ:
+        elif opcode == op.EQZ:
             value = pop()
             sym = None
             if value.sym is not None:
                 sym = ("cmp", "eq", value.sym, ("const", 0))
             push(AbsVal(taint=value.taint, sym=sym))
-            return ("next", [(pc + 1, state)])
-        if opcode in _LOAD_WIDTHS:
-            addr = pop()
-            self._load(state, addr, a, _LOAD_WIDTHS[opcode], label, push)
-            return ("next", [(pc + 1, state)])
-        if opcode in _STORE_WIDTHS:
+        elif opcode in _LOAD_WIDTHS:
+            push(self._load(label, mem, pop(), a, _LOAD_WIDTHS[opcode]))
+        elif opcode in _STORE_WIDTHS:
             value = pop()
-            addr = pop()
-            self._store(state, addr, a, _STORE_WIDTHS[opcode], value, label)
-            return ("next", [(pc + 1, state)])
-        if opcode == op.MEMCOPY:
+            self._store(label, state, pop(), a, _STORE_WIDTHS[opcode], value)
+        elif opcode == op.MEMCOPY:
             length = pop()
             src = pop()
-            dst = pop()
-            self._memcopy(state, dst, src, length, label)
-            return ("next", [(pc + 1, state)])
-        if opcode == op.MEMFILL:
+            self._memcopy(label, state, pop(), src, length)
+        elif opcode == op.MEMFILL:
             length = pop()
             byte = pop()
             dst = pop()
@@ -844,97 +1044,41 @@ class _WasmAnalyzer:
                     mem.write_unknown(dstc, lenc, taint)
             else:
                 mem.write_unknown_addr(taint)
-            return ("next", [(pc + 1, state)])
-        if opcode == op.MEMSIZE:
-            push(_cv(self.module.memory_bytes))
-            return ("next", [(pc + 1, state)])
+        elif opcode == op.MEMSIZE:
+            push(_cv(self.memory_bytes))
         # superinstructions ------------------------------------------------
-        if opcode == op.GETGET:
-            push(state.locals[a] if a < len(state.locals) else _UNKNOWN)
-            push(state.locals[b] if b < len(state.locals) else _UNKNOWN)
-            return ("next", [(pc + 1, state)])
-        if opcode == op.GETCONST:
-            push(state.locals[a] if a < len(state.locals) else _UNKNOWN)
+        elif opcode == op.GETGET:
+            push(local(a))
+            push(local(b))
+        elif opcode == op.GETCONST:
+            push(local(a))
             push(_cv(b & _M64))
-            return ("next", [(pc + 1, state)])
-        if opcode == op.ADDI:
-            value = pop()
-            push(_binop("add", value, _cv(a & _M64), lambda x, y: x + y, _M64))
-            return ("next", [(pc + 1, state)])
-        if opcode == op.INCL:
-            if a < len(state.locals):
-                state.locals[a] = _binop(
-                    "add", state.locals[a], _cv(b & _M64),
-                    lambda x, y: x + y, _M64,
-                )
-            return ("next", [(pc + 1, state)])
-        if opcode == op.GETADD:
-            value = pop()
-            local = state.locals[a] if a < len(state.locals) else _UNKNOWN
-            push(_binop("add", value, local, lambda x, y: x + y, _M64))
-            return ("next", [(pc + 1, state)])
-        if opcode == op.MOVL:
-            if a < len(state.locals) and b < len(state.locals):
-                state.locals[b] = state.locals[a]
-            return ("next", [(pc + 1, state)])
-        if opcode == op.LOAD8_LOCAL:
-            base = state.locals[a] if a < len(state.locals) else _UNKNOWN
-            self._load(state, base, b, 1, label, push)
-            return ("next", [(pc + 1, state)])
-        # unknown opcode: Pass 2 reports it; stop the path here
-        return None
-
-    # -- memory helpers --------------------------------------------------
-
-    def _load(self, state, addr: AbsVal, offset: int, width: int,
-              label: str, push) -> None:
-        mem = state.mem
-        base = addr.const()
-        if base is None:
-            push(AbsVal(taint=addr.taint | mem.all_taint()))
-            self.ctx.note_mem(label, self.module.memory_bytes)
-            return
-        location = base + offset
-        self.ctx.note_mem(label, location + width)
-        taint = mem.read_taint(location, width) | addr.taint
-        sym = mem.region_sym(location, width)
-        raw = mem.read_bytes(location, width)
-        consts = None
-        if raw is not None:
-            value = int.from_bytes(raw, "big")
-            consts = frozenset([value])
-            if sym is None:
-                sym = ("const", value)
-        push(AbsVal(taint=taint, consts=consts, sym=sym))
-
-    def _store(self, state, addr: AbsVal, offset: int, width: int,
-               value: AbsVal, label: str) -> None:
-        mem = state.mem
-        taint = value.taint | addr.taint | state.pc_taint
-        base = addr.const()
-        if base is None:
-            mem.write_unknown_addr(taint)
-            self.ctx.note_mem(label, self.module.memory_bytes)
-            return
-        location = base + offset
-        self.ctx.note_mem(label, location + width)
-        known = value.const()
-        if known is not None:
-            mem.write_bytes(location, (known & ((1 << (8 * width)) - 1))
-                            .to_bytes(width, "big"), taint)
+        elif opcode == op.ADDI:
+            push(_binop("add", pop(), _cv(a & _M64), _add, _M64))
+        elif opcode == op.INCL:
+            if a < len(locals_):
+                locals_[a] = _binop("add", locals_[a], _cv(b & _M64),
+                                    _add, _M64)
+        elif opcode == op.GETADD:
+            push(_binop("add", pop(), local(a), _add, _M64))
+        elif opcode == op.MOVL:
+            if a < len(locals_) and b < len(locals_):
+                locals_[b] = locals_[a]
+        elif opcode == op.LOAD8_LOCAL:
+            push(self._load(label, mem, local(a), b, 1))
         else:
-            mem.write_unknown(location, width, taint)
-            if value.sym is not None and value.sym[0] == "input":
-                mem.add_region("input", location, value.sym[1], width)
+            # UNREACHABLE, or an unknown opcode Pass 2 reports: path ends
+            return []
+        return [(pc + 1, state)]
 
-    def _memcopy(self, state, dst: AbsVal, src: AbsVal, length: AbsVal,
-                 label: str) -> None:
+    def _memcopy(self, label: str, state: _State, dst: AbsVal, src: AbsVal,
+                 length: AbsVal) -> None:
         mem = state.mem
         dstc, srcc, lenc = dst.const(), src.const(), length.const()
         extra = dst.taint | src.taint | length.taint | state.pc_taint
         if dstc is None or lenc is None or lenc < 0:
             mem.write_unknown_addr(extra | mem.all_taint())
-            self.ctx.note_mem(label, self.module.memory_bytes)
+            self.ctx.note_mem(label, self.memory_bytes)
             return
         self.ctx.note_mem(label, dstc + lenc)
         if srcc is None:
@@ -950,179 +1094,9 @@ class _WasmAnalyzer:
         if sym is not None and sym[0] == "input":
             mem.add_region("input", dstc, sym[1], lenc)
 
-    # -- host transfer ---------------------------------------------------
-
-    def _host_call(self, fidx, label, pc, code, name, nresults, args,
-                   state, window):
-        mem = state.mem
-        policy = self.ctx.policy
-
-        def region_taint(ptr: AbsVal, length: AbsVal) -> frozenset:
-            ptrc, lenc = ptr.const(), length.const()
-            base = ptr.taint | length.taint
-            if ptrc is None or lenc is None or lenc < 0:
-                return base | mem.all_taint()
-            self.ctx.note_mem(label, ptrc + lenc)
-            return base | mem.read_taint(ptrc, lenc)
-
-        next_state = ("next", [(pc + 1, state)])
-
-        if name == "input_size":
-            state.stack.append(AbsVal(sym=("input_size",)))
-            return next_state
-        if name == "input_read":
-            dst, off, length = args[0], args[1], args[2]
-            dstc, offc, lenc = dst.const(), off.const(), length.const()
-            if dstc is not None and lenc is not None and lenc >= 0:
-                self.ctx.note_mem(label, dstc + lenc)
-                mem.write_unknown(dstc, lenc, _EMPTY)
-                if offc is not None:
-                    mem.add_region("input", dstc, offc, lenc)
-            else:
-                mem.write_unknown_addr(_EMPTY)
-            state.stack.append(AbsVal(sym=("input_size",)))
-            return next_state
-        if name == "storage_get":
-            key_ptr, key_len, dst, cap = args
-            kp, kl = key_ptr.const(), key_len.const()
-            tag = mem.read_prefix(kp, kl) if (kp is not None and kl is not None
-                                              and kl >= 0) else b""
-            classification = _classify(policy, tag if tag else None)
-            dstc, capc = dst.const(), cap.const()
-            if classification == KEY_CONFIDENTIAL:
-                tag_s = _tag_str(tag)
-                self.ctx.sources.add(tag_s)
-                taint = frozenset([tag_s])
-                if dstc is not None and capc is not None and capc >= 0:
-                    self.ctx.note_mem(label, dstc + capc)
-                    mem.write_unknown(dstc, capc, taint)
-                    mem.add_region("storage", dstc, tag_s, capc)
-                else:
-                    mem.write_unknown_addr(taint)
-                state.stack.append(AbsVal(taint=taint,
-                                          sym=("storage_len", tag_s)))
-            else:
-                if dstc is not None and capc is not None and capc >= 0:
-                    self.ctx.note_mem(label, dstc + capc)
-                    mem.write_unknown(dstc, capc, _EMPTY)
-                else:
-                    mem.write_unknown_addr(_EMPTY)
-                state.stack.append(_UNKNOWN)
-            return next_state
-        if name == "storage_set":
-            key_ptr, key_len, val_ptr, val_len = args
-            kp, kl = key_ptr.const(), key_len.const()
-            tag = mem.read_prefix(kp, kl) if (kp is not None and kl is not None
-                                              and kl >= 0) else b""
-            classification = _classify(policy, tag if tag else None)
-            if classification != KEY_CONFIDENTIAL:
-                taint = (region_taint(val_ptr, val_len)
-                         | key_ptr.taint | key_len.taint
-                         | ((mem.read_taint(kp, kl) if kp is not None
-                             and kl is not None and kl >= 0
-                             else mem.all_taint()))
-                         | state.pc_taint)
-                if classification == KEY_PUBLIC:
-                    message = ("confidential data written under public "
-                               f"storage key '{_tag_str(tag)}'")
-                else:
-                    message = ("confidential data written under a storage "
-                               "key the analyzer cannot prove confidential")
-                self.ctx.sink(FLOW_STORAGE_SET, message, label, pc, window(),
-                              "", taint)
-            return next_state
-        if name == "log":
-            taint = region_taint(args[0], args[1]) | state.pc_taint
-            self.ctx.sink(
-                FLOW_LOG,
-                "confidential data reaches the public event stream",
-                label, pc, window(), "", taint,
-            )
-            return next_state
-        if name == "output":
-            taint = region_taint(args[0], args[1]) | state.pc_taint
-            self.ctx.sink(
-                FLOW_OUTPUT,
-                "confidential data reaches the return data",
-                label, pc, window(), "", taint,
-            )
-            return next_state
-        if name == "abort":
-            taint = region_taint(args[0], args[1]) | state.pc_taint
-            self.ctx.sink(
-                FLOW_REVERT,
-                "confidential data reaches the revert payload",
-                label, pc, window(), "", taint,
-            )
-            return None  # abort never returns
-        if name == "call_contract":
-            taint = set(state.pc_taint)
-            for i in (0, 2, 4):
-                taint |= region_taint(args[i], args[i + 1])
-            taint |= args[6].taint | args[7].taint
-            self.ctx.sink(
-                FLOW_CALL_CONTRACT,
-                "confidential data escapes via call_contract arguments",
-                label, pc, window(), "", frozenset(taint),
-            )
-            dstc, capc = args[6].const(), args[7].const()
-            if dstc is not None and capc is not None and capc >= 0:
-                mem.write_unknown(dstc, capc, _EMPTY)
-            else:
-                mem.write_unknown_addr(_EMPTY)
-            state.stack.append(_UNKNOWN)
-            return next_state
-        if name in ("sha256", "keccak256"):
-            ptr, length, dst = args
-            taint = region_taint(ptr, length)
-            dstc = dst.const()
-            if dstc is not None:
-                self.ctx.note_mem(label, dstc + 32)
-                mem.write_unknown(dstc, 32, taint)
-            else:
-                mem.write_unknown_addr(taint)
-            return next_state
-        if name == "caller":
-            dstc = args[0].const()
-            if dstc is not None:
-                self.ctx.note_mem(label, dstc + 20)
-                mem.write_unknown(dstc, 20, _EMPTY)
-            else:
-                mem.write_unknown_addr(_EMPTY)
-            return next_state
-        if name == "declassify":
-            ptrc, lenc = args[0].const(), args[1].const()
-            if ptrc is not None and lenc is not None and lenc >= 0:
-                mem.clear_taint(ptrc, lenc)
-            self.ctx.declassify(label, pc)
-            return next_state
-        # unknown host import: Pass 2 rejects it; havoc and continue
-        mem.write_unknown_addr(_EMPTY)
-        if nresults:
-            state.stack.append(_UNKNOWN)
-        return next_state
-
-    def _branch_constraint(self, label, pc, opcode, cond: AbsVal,
-                           taken: int, fallthrough: int) -> None:
-        sym = cond.sym
-        if sym is not None and sym[0] == "cmp":
-            kind = sym[1]
-            lhs_sym, rhs_sym = sym[2], sym[3]
-        else:
-            kind = "truthy"
-            lhs_sym, rhs_sym = sym, ("const", 0)
-        if opcode == op.JMP_IFZ:
-            kind = _CMP_INVERT_NAMES.get(kind, kind)
-        self.ctx.constraint(PathConstraint(
-            function=label, pc=pc, kind=kind,
-            lhs=render_sym(lhs_sym), rhs=render_sym(rhs_sym),
-            taken=taken, fallthrough=fallthrough,
-            lhs_sym=lhs_sym, rhs_sym=rhs_sym,
-        ))
-
 
 # ---------------------------------------------------------------------------
-# EVM abstract interpreter
+# EVM front end
 # ---------------------------------------------------------------------------
 
 _EVM_BIN_OPS = {
@@ -1139,127 +1113,67 @@ _EVM_CMP_OPS = {
     evm_op.SLT: "lt_s", evm_op.SGT: "gt_s", evm_op.EQ: "eq",
 }
 
-
-@dataclass
-class _EvmState:
-    stack: list
-    mem: AbsMemory
-    pc_taint: frozenset
-
-    def copy(self) -> "_EvmState":
-        return _EvmState(list(self.stack), self.mem.copy(), self.pc_taint)
+#: opcodes that publish a memory region, as their host-table twins
+_EVM_REGION_SINKS = {
+    evm_op.LOG0: "log", evm_op.RETURN: "output", evm_op.REVERT: "abort",
+}
 
 
-def _join_evm_states(a: _EvmState, b: _EvmState) -> _EvmState | None:
-    if len(a.stack) != len(b.stack):
-        return None
-    return _EvmState(
-        [_join_val(x, y) for x, y in zip(a.stack, b.stack)],
-        AbsMemory.join(a.mem, b.mem),
-        a.pc_taint | b.pc_taint,
-    )
-
-
-def _evm_states_eq(a: _EvmState, b: _EvmState) -> bool:
-    return (a.stack == b.stack and a.mem == b.mem
-            and a.pc_taint == b.pc_taint)
-
-
-class _EvmAnalyzer:
+class _EvmAnalyzer(_Machine):
     def __init__(self, code: bytes, ctx: _Ctx):
+        super().__init__(ctx)
         self.code = code
-        self.ctx = ctx
 
     def analyze_entry(self, label: str, entry: int) -> None:
-        code = self.code
-        ctx = self.ctx
-        states: dict[int, _EvmState] = {entry: _EvmState([], AbsMemory(), _EMPTY)}
-        visits: dict[int, int] = {}
-        work = [entry]
-        while work:
-            pc = work.pop()
-            if pc >= len(code) or not ctx.budget_ok():
-                continue
-            visits[pc] = visits.get(pc, 0) + 1
-            if visits[pc] > _MAX_VISITS:
-                continue
-            state = states[pc].copy()
-            ctx.note_stack(label, len(state.stack))
-            successors = self._step(label, pc, state)
-            if not successors:
-                continue
-            for succ, succ_state in successors:
-                if succ >= len(code):
-                    continue
-                if succ <= pc:
-                    ctx.note_loop(label)
-                known = states.get(succ)
-                if known is None:
-                    states[succ] = succ_state
-                    work.append(succ)
-                else:
-                    joined = _join_evm_states(known, succ_state)
-                    if joined is not None and not _evm_states_eq(joined, known):
-                        states[succ] = joined
-                        work.append(succ)
+        self._fixpoint(label, entry, _State([], [], AbsMemory(), _EMPTY),
+                       len(self.code), functools.partial(self._step, label))
 
     def _step(self, label, pc, state):
         code = self.code
-        ctx = self.ctx
         stack = state.stack
         mem = state.mem
+        push = stack.append
         opcode = code[pc]
 
         def pop() -> AbsVal:
             return stack.pop() if stack else _UNKNOWN
 
-        def push(value: AbsVal) -> None:
-            stack.append(value)
+        def window() -> str:
+            return evm_instruction_window(code, pc)
 
-        cost = evm_op.GAS_TABLE.get(opcode, 1)
-        if opcode == evm_op.HOSTCALL:
-            cost = _OCALL
-        ctx.note_cost(label, pc, cost)
+        self.ctx.note_cost(label, pc, _OCALL if opcode == evm_op.HOSTCALL
+                           else evm_op.GAS_TABLE.get(opcode, 1))
 
-        window = lambda: evm_instruction_window(code, pc)  # noqa: E731
-
+        nxt = pc + 1
         if evm_op.PUSH1 <= opcode <= evm_op.PUSH1 + 31:
             width = opcode - evm_op.PUSH1 + 1
             push(_cv(int.from_bytes(code[pc + 1 : pc + 1 + width], "big")))
             return [(pc + 1 + width, state)]
-        nxt = pc + 1
         if evm_op.DUP1 <= opcode <= evm_op.DUP1 + 15:
             depth = opcode - evm_op.DUP1 + 1
             push(stack[-depth] if len(stack) >= depth else _UNKNOWN)
-            return [(nxt, state)]
-        if evm_op.SWAP1 <= opcode <= evm_op.SWAP1 + 15:
+        elif evm_op.SWAP1 <= opcode <= evm_op.SWAP1 + 15:
             depth = opcode - evm_op.SWAP1 + 1
             if len(stack) > depth:
                 stack[-1], stack[-1 - depth] = stack[-1 - depth], stack[-1]
-            return [(nxt, state)]
-        if opcode == evm_op.POP:
+        elif opcode == evm_op.POP:
             pop()
-            return [(nxt, state)]
-        if opcode == evm_op.JUMPDEST:
-            return [(nxt, state)]
-        if opcode in _EVM_BIN_OPS:
+        elif opcode == evm_op.JUMPDEST:
+            pass
+        elif opcode in _EVM_BIN_OPS:
             name, fn = _EVM_BIN_OPS[opcode]
             lhs = pop()
             rhs = pop()
             push(_binop(name, lhs, rhs, fn, _M256))
-            return [(nxt, state)]
-        if opcode in (evm_op.DIV, evm_op.SDIV, evm_op.MOD, evm_op.SMOD,
-                      evm_op.EXP, evm_op.SIGNEXTEND, evm_op.BYTE,
-                      evm_op.SHL, evm_op.SHR, evm_op.SAR):
+        elif opcode in (evm_op.DIV, evm_op.SDIV, evm_op.MOD, evm_op.SMOD,
+                        evm_op.EXP, evm_op.SIGNEXTEND, evm_op.BYTE,
+                        evm_op.SHL, evm_op.SHR, evm_op.SAR):
             lhs = pop()
             rhs = pop()
             push(AbsVal(taint=lhs.taint | rhs.taint))
-            return [(nxt, state)]
-        if opcode == evm_op.NOT:
-            value = pop()
-            push(AbsVal(taint=value.taint))
-            return [(nxt, state)]
-        if opcode in _EVM_CMP_OPS:
+        elif opcode == evm_op.NOT:
+            push(AbsVal(taint=pop().taint))
+        elif opcode in _EVM_CMP_OPS:
             lhs = pop()
             rhs = pop()
             sym = None
@@ -1273,8 +1187,7 @@ class _EvmAnalyzer:
                     [1 if lhs.consts == rhs.consts else 0]
                 )
             push(AbsVal(taint=lhs.taint | rhs.taint, consts=consts, sym=sym))
-            return [(nxt, state)]
-        if opcode == evm_op.ISZERO:
+        elif opcode == evm_op.ISZERO:
             value = pop()
             sym = None
             if value.sym is not None:
@@ -1284,76 +1197,30 @@ class _EvmAnalyzer:
             if known is not None:
                 consts = frozenset([0 if known else 1])
             push(AbsVal(taint=value.taint, consts=consts, sym=sym))
-            return [(nxt, state)]
-        if opcode == evm_op.MLOAD:
+        elif opcode == evm_op.MLOAD:
+            push(self._load(label, mem, pop(), 0, 32))
+        elif opcode in (evm_op.MSTORE, evm_op.MSTORE8):
             addr = pop()
-            base = addr.const()
-            if base is None:
-                push(AbsVal(taint=addr.taint | mem.all_taint()))
-                return [(nxt, state)]
-            ctx.note_mem(label, base + 32)
-            taint = mem.read_taint(base, 32) | addr.taint
-            sym = mem.region_sym(base, 32)
-            raw = mem.read_bytes(base, 32)
-            consts = None
-            if raw is not None:
-                value = int.from_bytes(raw, "big")
-                consts = frozenset([value])
-                if sym is None:
-                    sym = ("const", value)
-            push(AbsVal(taint=taint, consts=consts, sym=sym))
-            return [(nxt, state)]
-        if opcode in (evm_op.MSTORE, evm_op.MSTORE8):
-            addr = pop()
-            value = pop()
-            width = 32 if opcode == evm_op.MSTORE else 1
-            taint = value.taint | addr.taint | state.pc_taint
-            base = addr.const()
-            if base is None:
-                mem.write_unknown_addr(taint)
-                return [(nxt, state)]
-            ctx.note_mem(label, base + width)
-            known = value.const()
-            if known is not None:
-                mem.write_bytes(
-                    base,
-                    (known & ((1 << (8 * width)) - 1)).to_bytes(width, "big"),
-                    taint,
-                )
-            else:
-                mem.write_unknown(base, width, taint)
-                if value.sym is not None and value.sym[0] == "input":
-                    mem.add_region("input", base, value.sym[1], width)
-            return [(nxt, state)]
-        if opcode == evm_op.CALLDATALOAD:
+            self._store(label, state, addr, 0,
+                        32 if opcode == evm_op.MSTORE else 1, pop())
+        elif opcode == evm_op.CALLDATALOAD:
             off = pop()
             offc = off.const()
             sym = ("input", offc, 32) if offc is not None else None
             push(AbsVal(taint=off.taint, sym=sym))
-            return [(nxt, state)]
-        if opcode == evm_op.CALLDATASIZE:
+        elif opcode == evm_op.CALLDATASIZE:
             push(AbsVal(sym=("input_size",)))
-            return [(nxt, state)]
-        if opcode == evm_op.CALLDATACOPY:
+        elif opcode == evm_op.CALLDATACOPY:
+            dst = pop()
+            src = pop()
+            self._copy_input(label, mem, dst, src, pop())
+        elif opcode == evm_op.CODECOPY:
             dst = pop()
             src = pop()
             length = pop()
             dstc, srcc, lenc = dst.const(), src.const(), length.const()
             if dstc is not None and lenc is not None and lenc >= 0:
-                ctx.note_mem(label, dstc + lenc)
-                mem.write_unknown(dstc, lenc, _EMPTY)
-                if srcc is not None:
-                    mem.add_region("input", dstc, srcc, lenc)
-            else:
-                mem.write_unknown_addr(_EMPTY)
-            return [(nxt, state)]
-        if opcode == evm_op.CODECOPY:
-            dst = pop()
-            src = pop()
-            length = pop()
-            dstc, srcc, lenc = dst.const(), src.const(), length.const()
-            if dstc is not None and lenc is not None and lenc >= 0:
-                ctx.note_mem(label, dstc + lenc)
+                self.ctx.note_mem(label, dstc + lenc)
                 if srcc is not None:
                     chunk = code[srcc : srcc + lenc]
                     chunk = chunk + bytes(lenc - len(chunk))
@@ -1362,280 +1229,67 @@ class _EvmAnalyzer:
                     mem.write_unknown(dstc, lenc, _EMPTY)
             else:
                 mem.write_unknown_addr(_EMPTY)
-            return [(nxt, state)]
-        if opcode == evm_op.KECCAK256:
+        elif opcode == evm_op.KECCAK256:
             off = pop()
-            length = pop()
-            offc, lenc = off.const(), length.const()
-            if offc is not None and lenc is not None and lenc >= 0:
-                taint = mem.read_taint(offc, lenc)
-            else:
-                taint = mem.all_taint()
-            push(AbsVal(taint=taint | off.taint | length.taint))
-            return [(nxt, state)]
-        if opcode == evm_op.CALLER:
+            push(AbsVal(taint=_bytes_taint(mem, off, pop())))
+        elif opcode == evm_op.CALLER:
             push(AbsVal(sym=("caller",)))
-            return [(nxt, state)]
-        if opcode == evm_op.SLOAD:
-            key = pop()
+        elif opcode == evm_op.SLOAD:
             # Slotted keys are hashes: never provably confidential, so
             # SLOAD is not a source (documented imprecision).
-            push(AbsVal(taint=key.taint))
-            return [(nxt, state)]
-        if opcode == evm_op.SSTORE:
+            push(AbsVal(taint=pop().taint))
+        elif opcode == evm_op.SSTORE:
             key = pop()
             value = pop()
-            taint = value.taint | key.taint | state.pc_taint
-            self.ctx.sink(
-                FLOW_STORAGE_SET,
-                "confidential data written under a storage key the "
-                "analyzer cannot prove confidential",
-                label, pc, window(), "", taint,
-            )
-            return [(nxt, state)]
-        if opcode == evm_op.LOG0:
+            self.ctx.sink(FLOW_STORAGE_SET, _UNPROVEN_KEY, label, pc, window,
+                          value.taint | key.taint | state.pc_taint)
+        elif opcode in _EVM_REGION_SINKS:
             off = pop()
-            length = pop()
-            taint = (self._region_taint(label, mem, off, length)
-                     | state.pc_taint)
-            self.ctx.sink(
-                FLOW_LOG,
-                "confidential data reaches the public event stream",
-                label, pc, window(), "", taint,
-            )
-            return [(nxt, state)]
-        if opcode == evm_op.RETURN:
-            off = pop()
-            length = pop()
-            taint = (self._region_taint(label, mem, off, length)
-                     | state.pc_taint)
-            self.ctx.sink(
-                FLOW_OUTPUT,
-                "confidential data reaches the return data",
-                label, pc, window(), "", taint,
-            )
-            return []
-        if opcode == evm_op.REVERT:
-            off = pop()
-            length = pop()
-            taint = (self._region_taint(label, mem, off, length)
-                     | state.pc_taint)
-            self.ctx.sink(
-                FLOW_REVERT,
-                "confidential data reaches the revert payload",
-                label, pc, window(), "", taint,
-            )
-            return []
-        if opcode == evm_op.STOP:
-            return []
-        if opcode == evm_op.INVALID:
-            return []
-        if opcode == evm_op.JUMP:
+            self._region_sink(_EVM_REGION_SINKS[opcode], label, pc, state,
+                              off, pop(), window)
+            if opcode != evm_op.LOG0:
+                return []
+        elif opcode == evm_op.JUMP:
             dest = pop()
             if dest.consts is None:
                 return []  # unresolvable jump: path abandoned (documented)
             if dest.taint:
                 state.pc_taint = state.pc_taint | dest.taint
             return [(d, state.copy()) for d in sorted(dest.consts)]
-        if opcode == evm_op.JUMPI:
+        elif opcode == evm_op.JUMPI:
             dest = pop()
             cond = pop()
-            self._branch_constraint(label, pc, cond, dest, nxt)
+            taken = dest.const()
+            self._branch_constraint(label, pc, cond,
+                                    taken if taken is not None else -1, nxt)
             if cond.taint:
                 state.pc_taint = state.pc_taint | cond.taint
             known = cond.const()
             successors = []
-            if known is None or known:
-                if dest.consts is not None:
-                    successors.extend(
-                        (d, state.copy()) for d in sorted(dest.consts)
-                    )
+            if (known is None or known) and dest.consts is not None:
+                successors.extend(
+                    (d, state.copy()) for d in sorted(dest.consts)
+                )
             if known is None or not known:
                 successors.append((nxt, state.copy()))
             return successors
-        if opcode == evm_op.HOSTCALL:
-            index = pop()
-            idx = index.const()
-            if idx is None or not 0 <= idx < len(host_mod.HOST_TABLE):
+        elif opcode == evm_op.HOSTCALL:
+            idx = pop().const()
+            if idx is not None and 0 <= idx < len(host_mod.HOST_TABLE):
+                imp = host_mod.HOST_TABLE[idx]
+                args = [pop() for _ in range(imp.nparams)]
+                args.reverse()
+                if not self._host_call(label, pc, imp.name, imp.nresults,
+                                       args, state, window):
+                    return []
+            else:
                 mem.write_unknown_addr(_EMPTY)
-                return [(nxt, state)]
-            imp = host_mod.HOST_TABLE[idx]
-            args = [pop() for _ in range(imp.nparams)]
-            args.reverse()
-            return self._hostcall(label, pc, imp.name, imp.nresults,
-                                  args, state, window, nxt)
-        if opcode in (evm_op.PC, evm_op.MSIZE, evm_op.GAS):
+        elif opcode in (evm_op.PC, evm_op.MSIZE, evm_op.GAS):
             push(_UNKNOWN)
-            return [(nxt, state)]
-        # unimplemented/invalid opcode: Pass 2 reports; stop this path
-        return []
-
-    def _region_taint(self, label, mem: AbsMemory, ptr: AbsVal,
-                      length: AbsVal) -> frozenset:
-        ptrc, lenc = ptr.const(), length.const()
-        base = ptr.taint | length.taint
-        if ptrc is None or lenc is None or lenc < 0:
-            return base | mem.all_taint()
-        self.ctx.note_mem(label, ptrc + lenc)
-        return base | mem.read_taint(ptrc, lenc)
-
-    def _hostcall(self, label, pc, name, nresults, args, state, window, nxt):
-        """Same canonical host table as the wasm machine."""
-        mem = state.mem
-        ctx = self.ctx
-        policy = ctx.policy
-        push = state.stack.append
-
-        def key_tag(key_ptr: AbsVal, key_len: AbsVal) -> bytes:
-            kp, kl = key_ptr.const(), key_len.const()
-            if kp is None or kl is None or kl < 0:
-                return b""
-            return mem.read_prefix(kp, kl)
-
-        if name == "input_size":
-            push(AbsVal(sym=("input_size",)))
-            return [(nxt, state)]
-        if name == "input_read":
-            dst, off, length = args
-            dstc, offc, lenc = dst.const(), off.const(), length.const()
-            if dstc is not None and lenc is not None and lenc >= 0:
-                ctx.note_mem(label, dstc + lenc)
-                mem.write_unknown(dstc, lenc, _EMPTY)
-                if offc is not None:
-                    mem.add_region("input", dstc, offc, lenc)
-            else:
-                mem.write_unknown_addr(_EMPTY)
-            push(AbsVal(sym=("input_size",)))
-            return [(nxt, state)]
-        if name == "storage_get":
-            key_ptr, key_len, dst, cap = args
-            tag = key_tag(key_ptr, key_len)
-            classification = _classify(policy, tag if tag else None)
-            dstc, capc = dst.const(), cap.const()
-            if classification == KEY_CONFIDENTIAL:
-                tag_s = _tag_str(tag)
-                ctx.sources.add(tag_s)
-                taint = frozenset([tag_s])
-                if dstc is not None and capc is not None and capc >= 0:
-                    ctx.note_mem(label, dstc + capc)
-                    mem.write_unknown(dstc, capc, taint)
-                    mem.add_region("storage", dstc, tag_s, capc)
-                else:
-                    mem.write_unknown_addr(taint)
-                push(AbsVal(taint=taint, sym=("storage_len", tag_s)))
-            else:
-                if dstc is not None and capc is not None and capc >= 0:
-                    ctx.note_mem(label, dstc + capc)
-                    mem.write_unknown(dstc, capc, _EMPTY)
-                else:
-                    mem.write_unknown_addr(_EMPTY)
-                push(_UNKNOWN)
-            return [(nxt, state)]
-        if name == "storage_set":
-            key_ptr, key_len, val_ptr, val_len = args
-            tag = key_tag(key_ptr, key_len)
-            classification = _classify(policy, tag if tag else None)
-            if classification != KEY_CONFIDENTIAL:
-                taint = (self._region_taint(label, mem, val_ptr, val_len)
-                         | key_ptr.taint | key_len.taint | state.pc_taint)
-                if classification == KEY_PUBLIC:
-                    message = ("confidential data written under public "
-                               f"storage key '{_tag_str(tag)}'")
-                else:
-                    message = ("confidential data written under a storage "
-                               "key the analyzer cannot prove confidential")
-                ctx.sink(FLOW_STORAGE_SET, message, label, pc, window(),
-                         "", taint)
-            return [(nxt, state)]
-        if name == "log":
-            taint = (self._region_taint(label, mem, args[0], args[1])
-                     | state.pc_taint)
-            ctx.sink(
-                FLOW_LOG,
-                "confidential data reaches the public event stream",
-                label, pc, window(), "", taint,
-            )
-            return [(nxt, state)]
-        if name == "output":
-            taint = (self._region_taint(label, mem, args[0], args[1])
-                     | state.pc_taint)
-            ctx.sink(
-                FLOW_OUTPUT,
-                "confidential data reaches the return data",
-                label, pc, window(), "", taint,
-            )
-            return [(nxt, state)]
-        if name == "abort":
-            taint = (self._region_taint(label, mem, args[0], args[1])
-                     | state.pc_taint)
-            ctx.sink(
-                FLOW_REVERT,
-                "confidential data reaches the revert payload",
-                label, pc, window(), "", taint,
-            )
-            return []
-        if name == "call_contract":
-            taint = set(state.pc_taint)
-            for i in (0, 2, 4):
-                taint |= self._region_taint(label, mem, args[i], args[i + 1])
-            taint |= args[6].taint | args[7].taint
-            ctx.sink(
-                FLOW_CALL_CONTRACT,
-                "confidential data escapes via call_contract arguments",
-                label, pc, window(), "", frozenset(taint),
-            )
-            dstc, capc = args[6].const(), args[7].const()
-            if dstc is not None and capc is not None and capc >= 0:
-                mem.write_unknown(dstc, capc, _EMPTY)
-            else:
-                mem.write_unknown_addr(_EMPTY)
-            push(_UNKNOWN)
-            return [(nxt, state)]
-        if name in ("sha256", "keccak256"):
-            ptr, length, dst = args
-            taint = self._region_taint(label, mem, ptr, length)
-            dstc = dst.const()
-            if dstc is not None:
-                ctx.note_mem(label, dstc + 32)
-                mem.write_unknown(dstc, 32, taint)
-            else:
-                mem.write_unknown_addr(taint)
-            return [(nxt, state)]
-        if name == "caller":
-            dstc = args[0].const()
-            if dstc is not None:
-                ctx.note_mem(label, dstc + 20)
-                mem.write_unknown(dstc, 20, _EMPTY)
-            else:
-                mem.write_unknown_addr(_EMPTY)
-            return [(nxt, state)]
-        if name == "declassify":
-            ptrc, lenc = args[0].const(), args[1].const()
-            if ptrc is not None and lenc is not None and lenc >= 0:
-                mem.clear_taint(ptrc, lenc)
-            ctx.declassify(label, pc)
-            return [(nxt, state)]
-        if nresults:
-            push(_UNKNOWN)
-        return [(nxt, state)]
-
-    def _branch_constraint(self, label, pc, cond: AbsVal, dest: AbsVal,
-                           fallthrough: int) -> None:
-        sym = cond.sym
-        if sym is not None and sym[0] == "cmp":
-            kind = sym[1]
-            lhs_sym, rhs_sym = sym[2], sym[3]
         else:
-            kind = "truthy"
-            lhs_sym, rhs_sym = sym, ("const", 0)
-        taken = dest.const()
-        self.ctx.constraint(PathConstraint(
-            function=label, pc=pc, kind=kind,
-            lhs=render_sym(lhs_sym), rhs=render_sym(rhs_sym),
-            taken=taken if taken is not None else -1,
-            fallthrough=fallthrough,
-            lhs_sym=lhs_sym, rhs_sym=rhs_sym,
-        ))
+            # STOP, INVALID, or an opcode Pass 2 reports: path ends
+            return []
+        return [(nxt, state)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """End-to-end tests for Pass 3, the bytecode confidentiality flow analyzer.
 
-Covers the adversarial corpus (five leaky classes, each pinned to one
+Covers the adversarial corpus (seven leaky classes, each pinned to one
 finding kind), sourceless deploy admission on both engines, the
 public-outputs sink model, zero false positives on every shipped
 example on both VMs, path-constraint recovery, resource bounds,
