@@ -33,10 +33,8 @@ class EngineConfig:
     use_memory_pool: bool = True
     use_preverification: bool = True
     use_instruction_fusion: bool = True
-    code_cache_capacity: int = 64
     max_steps: int = DEFAULT_MAX_STEPS
     gas_limit: int = DEFAULT_GAS_LIMIT
-    max_call_depth: int = 64
     # Persistent storage (docs/storage.md).  "memory" keeps everything
     # in-process; "lsm" persists under the node's data directory and
     # seals every file at rest to the node's platform.

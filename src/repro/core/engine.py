@@ -89,6 +89,13 @@ _NONCE_PREFIX = b"n:"
 _CCLE_KEY_PREFIX = b"ccle:"
 _LOCAL_AAD = b"confide/kmm/local-provision"
 _SEALED_KEYS_KEY = b"km:sealed-keys"
+#: compiled-code templates the code cache keeps (OPT1)
+_CODE_CACHE_CAPACITY = 64
+#: deepest cross-contract call chain a transaction may build
+_MAX_CALL_DEPTH = 64
+#: public pre-verification verdicts kept for execute, oldest dropped
+#: first (a dropped verdict costs one re-verification)
+_VERDICT_CAPACITY = 10_000
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,7 @@ class _BaseEngine:
         self.code_cache: CodeCache | None = None
         if config.use_code_cache:
             self.code_cache = CodeCache(
-                capacity=config.code_cache_capacity,
+                capacity=_CODE_CACHE_CAPACITY,
                 fuse=config.use_instruction_fusion,
             )
         # Exclusive-time tracking for CONTRACT_CALL (children and storage
@@ -393,7 +400,7 @@ class _BaseEngine:
 
     def _call(self, address: bytes, method: str, argument: bytes, *,
               caller: bytes, scope: _TxScope, depth: int) -> bytes:
-        if depth > self.config.max_call_depth:
+        if depth > _MAX_CALL_DEPTH:
             raise VMError("cross-contract call depth exceeded")
         with get_tracer().span("vm.call", method=method, depth=depth,
                                input_bytes=len(argument)) as span:
@@ -482,11 +489,15 @@ class PublicEngine(_BaseEngine):
 
     def __init__(self, kv: KVStore, config: EngineConfig = DEFAULT_CONFIG):
         super().__init__(kv, config)
+        # Hashes of admitted transactions, in admission order; refused
+        # ones are not kept, so bad transactions cannot grow it.
         self._verified: dict[bytes, bool] = {}
+        self._verified_lock = threading.Lock()
 
     def preverify(self, tx: Transaction) -> bool:
         """Pre-verification for public transactions (§5.2: "the public
-        transactions can be verified easily" — in parallel, pre-consensus)."""
+        transactions can be verified easily" — in parallel, pre-consensus).
+        Only an admitted transaction's verdict is kept for ``execute``."""
         verify_started = time.perf_counter()
         try:
             raw = tx.raw()
@@ -496,7 +507,11 @@ class PublicEngine(_BaseEngine):
             return False
         verified = raw.verify_signature()
         self.stats.record(TX_VERIFY, time.perf_counter() - verify_started)
-        self._verified[tx.tx_hash] = verified
+        if verified:
+            with self._verified_lock:
+                self._verified[tx.tx_hash] = True
+                while len(self._verified) > _VERDICT_CAPACITY:
+                    del self._verified[next(iter(self._verified))]
         return verified
 
     def _backend_get(self, record, key, full_key):
@@ -534,7 +549,8 @@ class PublicEngine(_BaseEngine):
         with get_tracer().span("engine.execute_tx", kind="public") as span:
             started = time.perf_counter()
             raw = tx.raw()
-            verified = self._verified.pop(tx.tx_hash, None)
+            with self._verified_lock:
+                verified = self._verified.pop(tx.tx_hash, None)
             if verified is None:
                 verify_started = time.perf_counter()
                 verified = raw.verify_signature()

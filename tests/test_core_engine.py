@@ -10,8 +10,10 @@ from conftest import (
     run_confidential,
     run_public,
 )
+from repro.chain.node import Node
 from repro.chain.transaction import RawTransaction, Transaction
 from repro.core import ConfidentialEngine, Receipt, bootstrap_founder, t_protocol
+from repro.core import engine as engine_mod
 from repro.core.config import EngineConfig
 from repro.core.stats import CONTRACT_CALL, GET_STORAGE, SET_STORAGE
 from repro.crypto.ecc import decode_point
@@ -102,6 +104,34 @@ class TestPublicEngine:
         assert outcome.receipt.success
         # No re-verification at execution time.
         assert public_engine.stats.count("Transaction Verify") == verify_count
+
+    def test_refused_transactions_leave_no_verdict(self, client):
+        node = Node(0)
+        raw = client.call_raw(b"\x42" * 20, "increment", b"")
+        for i in range(50):
+            forged = RawTransaction(
+                sender=raw.sender, contract=raw.contract, method=raw.method,
+                args=b"tampered-%d" % i, nonce=raw.nonce, pubkey=raw.pubkey,
+                signature=raw.signature,
+            )
+            node.receive_transaction(Transaction.public(forged))
+        assert node.preverify_pending() == 0
+        assert node.public._verified == {}
+
+    def test_kept_verdicts_are_bounded_oldest_first(self, public_engine, client,
+                                                    monkeypatch):
+        monkeypatch.setattr(engine_mod, "_VERDICT_CAPACITY", 3)
+        address = deploy_public(public_engine, client, COUNTER_SOURCE)
+        txs = [Client.public(client.call_raw(address, "increment", b""))
+               for _ in range(5)]
+        assert all(public_engine.preverify(tx) for tx in txs)
+        assert list(public_engine._verified) == [tx.tx_hash for tx in txs[2:]]
+        # A dropped verdict costs one re-verification, not the transaction.
+        verify_count = public_engine.stats.count("Transaction Verify")
+        assert public_engine.execute(txs[0]).receipt.success
+        assert public_engine.stats.count("Transaction Verify") == verify_count + 1
+        assert public_engine.execute(txs[2]).receipt.success
+        assert public_engine.stats.count("Transaction Verify") == verify_count + 1
 
 
 class TestConfidentialEngine:
