@@ -489,6 +489,7 @@ def _build_serving_node(args):
 def cmd_serve(args) -> int:
     import asyncio
     import signal
+    import traceback
 
     from repro.serve import AsyncGatewayServer, Gateway, GatewayConfig
 
@@ -505,7 +506,7 @@ def cmd_serve(args) -> int:
     ))
     server = AsyncGatewayServer(gateway, args.host, args.port)
 
-    async def _serve() -> None:
+    async def _serve() -> Exception | None:
         await server.start()
         print(f"serving on http://{server.host}:{server.port}", flush=True)
         stop = asyncio.Event()
@@ -519,13 +520,19 @@ def cmd_serve(args) -> int:
             await stop.wait()
         finally:
             print("draining in-flight requests...", flush=True)
-            await server.stop()
+            failure = await server.stop()
             print("gateway closed", flush=True)
+        return failure
 
     try:
-        asyncio.run(_serve())
+        failure = asyncio.run(_serve())
     except KeyboardInterrupt:
-        pass
+        return 0
+    if failure is not None:
+        traceback.print_exception(failure, file=sys.stderr)
+        print(f"error: block production failed: {type(failure).__name__}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

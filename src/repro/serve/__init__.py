@@ -19,6 +19,7 @@ from repro.serve.jsonrpc import (
     RATE_LIMITED,
     REQUEST_TOO_LARGE,
     SHUTTING_DOWN,
+    UNAVAILABLE,
     RpcError,
 )
 from repro.serve.ratelimit import RateLimiter, TokenBucket
@@ -39,4 +40,5 @@ __all__ = [
     "RATE_LIMITED",
     "REQUEST_TOO_LARGE",
     "SHUTTING_DOWN",
+    "UNAVAILABLE",
 ]

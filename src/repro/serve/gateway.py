@@ -10,9 +10,11 @@ Two layers:
   store closes, so shutdown can never leave a torn WAL tail behind.
 - :class:`AsyncGatewayServer` — an asyncio HTTP/1.1 front end.  The
   event loop only ever parses sockets; every request body is handed to
-  the core on a worker thread, and block production runs on its own
+  the core on a worker thread.  Block production runs on its own
   single-thread executor so it serializes with itself while the loop
-  keeps accepting connections.
+  keeps accepting connections, and between beats that thread
+  pre-verifies transactions as they arrive (§5.2: pre-verification is
+  done before ordering, off the beat).
 
 RPC methods: ``submit_tx``, ``deploy``, ``get_receipt``,
 ``query_state``, ``node_status``, ``chain_status`` (docs/serving.md).
@@ -45,6 +47,7 @@ _MAX_KEY_BYTES = 256
 # Gateway lifecycle states.
 SERVING = "serving"
 DRAINING = "draining"
+HALTED = "halted"  # block production failed; reads only
 CLOSED = "closed"
 
 
@@ -122,6 +125,14 @@ class Gateway:
             if self._state == SERVING:
                 self._state = DRAINING
 
+    def halt(self) -> None:
+        """Block production has failed: refuse transactions with
+        ``UNAVAILABLE`` from now on (nothing would commit them); reads
+        keep working, and :meth:`close` still drains what it can."""
+        with self._state_lock:
+            if self._state in (SERVING, DRAINING):
+                self._state = HALTED
+
     def drain(self, timeout: float | None = None) -> bool:
         """Wait for in-flight requests, then flush every admitted
         transaction into final blocks.  Returns True when the pools are
@@ -150,32 +161,49 @@ class Gateway:
     def close(self, close_node: bool = True,
               drain_timeout: float | None = None) -> None:
         """Graceful shutdown: drain in-flight work, then — and only
-        then — close the node and its KV store.  Idempotent."""
+        then — close the node and its KV store.  Idempotent.  A block
+        that fails during the drain ends it: the node is closed all the
+        same, and the error is raised afterwards."""
         with self._state_lock:
             if self._state == CLOSED:
                 return
-        self.drain(timeout=drain_timeout)
-        with self._state_lock:
-            self._state = CLOSED
-            while self._inflight > 0:
-                self._idle.wait()
-        if close_node:
-            self.node.close()
+        try:
+            self.drain(timeout=drain_timeout)
+        finally:
+            with self._state_lock:
+                self._state = CLOSED
+                while self._inflight > 0:
+                    self._idle.wait()
+            if close_node:
+                self.node.close()
 
     # -- block production --------------------------------------------------
+
+    def preverify(self) -> int:
+        """Pre-verify what waits in the unverified pool, ahead of the
+        next beat; returns the number of transactions moved into the
+        verified pool.  Does nothing unless the gateway is serving."""
+        with self._node_lock:
+            with self._state_lock:
+                if self._state != SERVING:
+                    return 0
+            return self.node.preverify_pending()
 
     def produce_block(self, force: bool = False):
         """One producer beat: pre-verify, draft, execute, append.
 
-        Returns the :class:`AppliedBlock` or None when there was
-        nothing to cut (and empty blocks are off).  Never runs after
-        close — the node (and its WAL) are gone by then.
+        The pre-verification here covers whatever :meth:`preverify` has
+        not reached yet: everything, when nothing calls it between
+        beats (the simulator), and only the latest arrivals behind the
+        asyncio server.  Returns the :class:`AppliedBlock` or None when
+        there was nothing to cut (and empty blocks are off).  Never runs
+        after close — the node (and its WAL) are gone by then.
         """
         with self._node_lock:
             with self._state_lock:
                 if self._state == CLOSED:
                     return None
-                if self._state == DRAINING and not force:
+                if self._state != SERVING and not force:
                     return None
             self.node.preverify_pending()
             batch = self.node.draft_block(
@@ -281,6 +309,10 @@ class Gateway:
 
     def _admit(self, tx: Transaction) -> dict:
         with self._state_lock:
+            if self._state == HALTED:
+                raise RpcError(jsonrpc.UNAVAILABLE,
+                               "block production has stopped; not "
+                               "accepting transactions")
             if self._state != SERVING:
                 raise RpcError(jsonrpc.SHUTTING_DOWN,
                                "gateway is draining; not accepting "
@@ -314,15 +346,20 @@ class Gateway:
     def _rpc_deploy(self, params: dict, client: str) -> dict:
         """Deploy = submit, plus the predicted contract address for
         public deploys (a confidential deploy's sender/nonce are sealed;
-        the client computes the address itself)."""
+        the client computes the address itself).  The transaction is
+        checked before it is admitted: a refused one never enters the
+        pool."""
         tx = self._decode_tx(params)
-        result = self._admit(tx)
+        contract = None
         if tx.tx_type == TX_PUBLIC:
             raw = tx.raw()
             if not raw.is_deploy:
                 raise RpcError(jsonrpc.INVALID_PARAMS,
                                "transaction is not a deploy")
-            result["contract"] = contract_address(raw.sender, raw.nonce).hex()
+            contract = contract_address(raw.sender, raw.nonce).hex()
+        result = self._admit(tx)
+        if contract is not None:
+            result["contract"] = contract
         return result
 
     def _rpc_get_receipt(self, params: dict, client: str) -> dict:
@@ -408,12 +445,20 @@ _RESPONSE_TEMPLATE = (
 class AsyncGatewayServer:
     """Asyncio HTTP/1.1 JSON-RPC server over a :class:`Gateway`.
 
-    Request bodies are dispatched to the gateway core on the loop's
-    default thread pool (the core blocks on locks and storage); block
-    production beats on a dedicated single-thread executor so it
-    serializes with itself.  ``stop()`` performs the ordered shutdown:
+    Request bodies are dispatched to the gateway core on a dedicated
+    thread pool (the core blocks on locks and storage).  Block
+    production beats on a single-thread executor so it serializes with
+    itself.  Between beats the producer waits on the loop for a
+    transaction to enter the unverified pool or for the next beat,
+    whichever comes first, and pre-verifies each arrival on that same
+    thread (:meth:`Gateway.preverify`), so the beat finds its
+    transactions verified.  ``stop()`` performs the ordered shutdown:
     stop accepting → cancel the producer → drain the core (in-flight
     requests, then a mempool flush) → close the node and its store.
+
+    A beat or pass that raises ends block production: the gateway is
+    halted (transactions are refused with ``UNAVAILABLE``, reads keep
+    working) and ``stop()`` returns the error instead of raising it.
     """
 
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1",
@@ -439,6 +484,11 @@ class AsyncGatewayServer:
         # Connections between "request read" and "response written".
         self._busy: set[asyncio.Task] = set()
         self._stopping = False
+        # Resolved (on the loop) when a request has put a transaction
+        # into the unverified pool; replaced before each pre-verify pass.
+        self._arrival: asyncio.Future | None = None
+        self._accepted_seen = 0
+        self._failure: Exception | None = None
 
     async def start(self) -> None:
         loop = asyncio.get_running_loop()
@@ -446,16 +496,53 @@ class AsyncGatewayServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._arrival = loop.create_future()
+        self._accepted_seen = self.gateway.accepted_total
         self._producer_task = loop.create_task(self._producer_loop())
 
     async def _producer_loop(self) -> None:
         loop = asyncio.get_running_loop()
         interval = self.gateway.config.block_interval_s
-        while True:
-            await asyncio.sleep(interval)
-            await loop.run_in_executor(
-                self._producer_pool, self.gateway.produce_block
-            )
+        try:
+            while True:
+                deadline = loop.time() + interval
+                while await self._arrived_before(deadline):
+                    self._arrival = loop.create_future()
+                    moved = await loop.run_in_executor(
+                        self._producer_pool, self.gateway.preverify
+                    )
+                    if not moved and len(self.gateway.node.unverified):
+                        # The verified pool is full: nothing can move
+                        # until the beat drafts from it.  (A pass that
+                        # found nothing, or refused all it found, waits
+                        # for the next arrival instead.)
+                        await asyncio.sleep(deadline - loop.time())
+                        break
+                await loop.run_in_executor(
+                    self._producer_pool, self.gateway.produce_block
+                )
+        except Exception as exc:  # noqa: BLE001 - reported by stop()
+            self._failure = exc
+            self.gateway.halt()
+
+    async def _arrived_before(self, deadline: float) -> bool:
+        """Wait until a transaction arrives (True) or ``deadline`` on
+        the loop's clock passes (False)."""
+        remaining = deadline - asyncio.get_running_loop().time()
+        if remaining > 0 and not self._arrival.done():
+            # asyncio.wait, not wait_for: on Python 3.11 wait_for can
+            # swallow the cancel that stop() sends (CPython gh-86296).
+            await asyncio.wait((self._arrival,), timeout=remaining)
+        return remaining > 0 and self._arrival.done()
+
+    def _note_arrivals(self) -> None:
+        """Wake the producer if a transaction entered the pool (a read
+        leaves ``accepted_total`` where it was, and wakes nothing)."""
+        accepted = self.gateway.accepted_total
+        if accepted != self._accepted_seen:
+            self._accepted_seen = accepted
+            if not self._arrival.done():
+                self._arrival.set_result(None)
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
@@ -478,6 +565,7 @@ class AsyncGatewayServer:
                         self._request_pool, self.gateway.handle_raw,
                         body, client,
                     )
+                    self._note_arrivals()
                     keep_alive = keep_alive and not self._stopping
                     await self._write_response(writer, response, keep_alive)
                 finally:
@@ -560,14 +648,21 @@ class AsyncGatewayServer:
         await writer.drain()
 
     async def stop(self, close_node: bool = True,
-                   drain_timeout: float | None = 30.0) -> None:
+                   drain_timeout: float | None = 30.0) -> Exception | None:
         """Ordered shutdown; safe to call more than once.
 
         ``drain_timeout`` is ONE deadline for the whole shutdown —
         answering the requests already read, then draining the core —
         and None means in-flight work may take as long as it needs.
         A connection with no request in flight never counts against it.
+
+        Returns None after a clean shutdown, or the first error block
+        production raised (in a beat, a pre-verify pass or the drain).
+        Either way the node is closed and both thread pools are shut
+        down.
         """
+        if self._stopping:
+            return self._failure
         loop = asyncio.get_running_loop()
         deadline = (None if drain_timeout is None
                     else loop.time() + drain_timeout)
@@ -603,13 +698,18 @@ class AsyncGatewayServer:
         # Drain + close on the (now idle) producer thread: the core
         # blocks on inflight requests and block execution, which must
         # stall neither the loop nor the request pool it is waiting on.
-        await loop.run_in_executor(
-            self._producer_pool, lambda: self.gateway.close(
-                close_node=close_node, drain_timeout=remaining
+        try:
+            await loop.run_in_executor(
+                self._producer_pool, lambda: self.gateway.close(
+                    close_node=close_node, drain_timeout=remaining
+                )
             )
-        )
-        self._producer_pool.shutdown(wait=True)
-        self._request_pool.shutdown(wait=True)
+        except Exception as exc:  # noqa: BLE001 - returned to the caller
+            self._failure = self._failure or exc
+        finally:
+            self._producer_pool.shutdown(wait=True)
+            self._request_pool.shutdown(wait=True)
+        return self._failure
 
 
 class _HttpError(Exception):

@@ -32,6 +32,8 @@ BACKPRESSURE = -32050
 RATE_LIMITED = -32051
 REQUEST_TOO_LARGE = -32052
 SHUTTING_DOWN = -32053
+# Block production has failed: nothing this node admits would commit.
+UNAVAILABLE = -32054
 
 ERROR_NAMES = {
     PARSE_ERROR: "parse error",
@@ -43,6 +45,7 @@ ERROR_NAMES = {
     RATE_LIMITED: "rate limited",
     REQUEST_TOO_LARGE: "request too large",
     SHUTTING_DOWN: "shutting down",
+    UNAVAILABLE: "unavailable",
 }
 
 # Request ids: JSON-RPC allows strings, numbers and null.  Anything

@@ -2,8 +2,7 @@
 
 One bucket per client identity: ``burst`` tokens deep, refilled at
 ``rate`` tokens per second.  The clock is injectable so the rate-limit
-tests (and the virtual-time load generator) can drive refill behaviour
-deterministically instead of sleeping.
+tests can drive refill behaviour deterministically instead of sleeping.
 """
 
 from __future__ import annotations

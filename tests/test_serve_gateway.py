@@ -21,6 +21,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -28,7 +29,7 @@ import repro
 from repro.chain.node import Node
 from repro.core.config import EngineConfig
 from repro.core.k_protocol import bootstrap_founder
-from repro.errors import ChainError
+from repro.errors import ChainError, StorageError
 from repro.lang import compile_source
 from repro.serve import jsonrpc
 from repro.serve.gateway import (
@@ -37,6 +38,7 @@ from repro.serve.gateway import (
     DRAINING,
     Gateway,
     GatewayConfig,
+    HALTED,
     SERVING,
 )
 from repro.serve.jsonrpc import RpcError
@@ -328,9 +330,15 @@ class TestGatewayRpc:
     def test_deploy_rejects_public_non_deploy(self, harness):
         client = Client.from_seed(b"public-caller")
         raw = client.call_raw(b"\x01" * 20, "m", b"")
-        response = call(harness.gateway, "deploy",
-                        {"tx": Client.public(raw).encode().hex()})
+        tx = Client.public(raw)
+        accepted = harness.gateway.accepted_total
+        response = call(harness.gateway, "deploy", {"tx": tx.encode().hex()})
         assert response["error"]["code"] == jsonrpc.INVALID_PARAMS
+        # Refused means refused: the transaction entered no pool and
+        # will never commit.
+        assert tx.tx_hash not in harness.node.unverified
+        assert tx.tx_hash not in harness.node.verified
+        assert harness.gateway.accepted_total == accepted
 
 
 class TestMalformedRequests:
@@ -637,6 +645,16 @@ class TestShutdownOrdering:
         assert harness.gateway.drain()
         assert tx.tx_hash in harness.node.receipts
 
+    def test_preverify_moves_arrivals_only_while_serving(self, harness):
+        first, second = harness.record_tx(1), harness.record_tx(2)
+        assert harness.submit(first)["result"]["accepted"]
+        assert harness.gateway.preverify() == 1
+        assert first.tx_hash in harness.node.verified
+        assert harness.submit(second)["result"]["accepted"]
+        harness.gateway.begin_drain()
+        assert harness.gateway.preverify() == 0
+        assert second.tx_hash in harness.node.unverified
+
     def test_closed_gateway_answers_not_raises(self, harness):
         harness.gateway.close()
         response = json.loads(
@@ -884,3 +902,220 @@ class TestAsyncServer:
         assert status == 200 and "result" in decoded
         assert connection_header == "close"
         assert harness.node.closed
+
+    def test_arrival_is_preverified_before_the_beat(self, coldchain_artifact):
+        # Pre-verification runs between beats, on what has arrived: with
+        # a 2 s beat, a submitted transaction is in the verified pool
+        # long before the block that will carry it is cut.
+        harness = GatewayHarness(
+            coldchain_artifact, config=GatewayConfig(block_interval_s=2.0)
+        )
+        tx = harness.record_tx(1)
+        blocks = harness.gateway.blocks_produced
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                response = await loop.run_in_executor(
+                    None, _post, server.port,
+                    rpc_body("submit_tx", {"tx": tx.encode().hex()}),
+                )
+                assert json.loads(response)["result"]["accepted"]
+                for _ in range(100):
+                    if tx.tx_hash in harness.node.verified:
+                        break
+                    await asyncio.sleep(0.01)
+                return (tx.tx_hash in harness.node.verified,
+                        harness.gateway.blocks_produced)
+            finally:
+                assert await server.stop() is None
+
+        verified, produced = asyncio.run(scenario())
+        assert verified and produced == blocks
+        assert tx.tx_hash in harness.node.receipts  # the drain cut it
+
+    def test_stop_during_the_between_beat_wait_is_prompt(
+            self, coldchain_artifact):
+        harness = GatewayHarness(
+            coldchain_artifact, config=GatewayConfig(block_interval_s=5.0)
+        )
+        tx = harness.record_tx(1)
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(
+                None, _post, server.port,
+                rpc_body("submit_tx", {"tx": tx.encode().hex()}),
+            )
+            await asyncio.sleep(0.2)  # pass done; waiting for the beat
+            started = time.perf_counter()
+            await asyncio.wait_for(server.stop(), timeout=10)
+            return time.perf_counter() - started
+
+        assert asyncio.run(scenario()) < 1.0
+        assert harness.node.closed
+        assert tx.tx_hash in harness.node.receipts
+
+    def test_full_verified_pool_bounds_preverify_passes(
+            self, coldchain_artifact):
+        # A pass that moves nothing must not be retried before the beat
+        # (it would spin): with the verified pool full, arrivals wake
+        # the producer at most once or twice per interval.
+        harness = GatewayHarness(
+            coldchain_artifact, mempool_capacity=4,
+            config=GatewayConfig(block_interval_s=2.0),
+        )
+        for i in range(4):
+            assert harness.submit(harness.record_tx(i))["result"]["accepted"]
+        assert harness.gateway.preverify() == 4  # verified pool full
+        late = [harness.record_tx(i) for i in range(4, 7)]
+        events = []
+        preverify = harness.gateway.preverify
+        produce_block = harness.gateway.produce_block
+
+        def counting_preverify():
+            events.append("pass")
+            return preverify()
+
+        def counting_produce_block(*args, **kwargs):
+            events.append("beat")
+            return produce_block(*args, **kwargs)
+
+        harness.gateway.preverify = counting_preverify
+        harness.gateway.produce_block = counting_produce_block
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                for tx in late:
+                    response = await loop.run_in_executor(
+                        None, _post, server.port,
+                        rpc_body("submit_tx", {"tx": tx.encode().hex()}),
+                    )
+                    assert json.loads(response)["result"]["accepted"]
+                    await asyncio.sleep(0.05)
+                await asyncio.sleep(0.3)
+            finally:
+                await server.stop()
+
+        asyncio.run(scenario())
+        first_beat = (events.index("beat") if "beat" in events
+                      else len(events))
+        assert 1 <= first_beat <= 2, events
+        for tx in late:
+            assert tx.tx_hash in harness.node.receipts
+
+    def test_reads_trigger_no_preverify_pass(self, coldchain_artifact):
+        harness = GatewayHarness(
+            coldchain_artifact, config=GatewayConfig(block_interval_s=0.02)
+        )
+        passes = []
+        preverify = harness.gateway.preverify
+
+        def counting_preverify():
+            passes.append(1)
+            return preverify()
+
+        harness.gateway.preverify = counting_preverify
+        tx = harness.record_tx(1)
+        reads = [rpc_body("node_status"), rpc_body("chain_status"),
+                 rpc_body("get_receipt", {"tx_hash": "00" * 32}),
+                 rpc_body("query_state",
+                          {"key": (b"c:" + harness.contract).hex()})]
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                for body in reads * 5:
+                    response = await loop.run_in_executor(
+                        None, _post, server.port, body
+                    )
+                    assert "result" in json.loads(response)
+                await asyncio.sleep(0.1)  # several beats
+                after_reads = len(passes)
+                # The control: a write does wake a pass.
+                await loop.run_in_executor(
+                    None, _post, server.port,
+                    rpc_body("submit_tx", {"tx": tx.encode().hex()}),
+                )
+                for _ in range(200):
+                    if passes:
+                        break
+                    await asyncio.sleep(0.01)
+                return after_reads, len(passes)
+            finally:
+                await server.stop()
+
+        after_reads, after_write = asyncio.run(scenario())
+        assert after_reads == 0
+        assert after_write >= 1
+
+    def test_failed_beat_halts_admission_and_stop_reports_it(
+            self, coldchain_artifact):
+        # A beat whose storage commit fails must not leave the server
+        # answering "accepted" for transactions nothing will commit, and
+        # stop() must still drain what it can, close the node and its
+        # thread pools, and report the failure instead of raising it.
+        harness = GatewayHarness(
+            coldchain_artifact, config=GatewayConfig(block_interval_s=0.01)
+        )
+        commits = []
+
+        def failing_commit(puts, deletes):
+            commits.append(len(puts))
+            raise StorageError("injected commit failure")
+
+        harness.node.kv._commit = failing_commit
+        first, second, third = (harness.record_tx(i) for i in range(3))
+
+        def submit(port, tx):
+            return json.loads(_post(
+                port, rpc_body("submit_tx", {"tx": tx.encode().hex()})
+            ))
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            stopped = False
+            try:
+                accepted = await loop.run_in_executor(
+                    None, submit, server.port, first)
+                assert accepted["result"]["accepted"], accepted
+                for _ in range(500):
+                    if harness.gateway.state == HALTED:
+                        break
+                    await asyncio.sleep(0.01)
+                assert harness.gateway.state == HALTED
+                refused = await loop.run_in_executor(
+                    None, submit, server.port, second)
+                status = json.loads(await loop.run_in_executor(
+                    None, _post, server.port, rpc_body("node_status")))
+                # Work still in the pool when stop() drains: it is tried.
+                assert harness.node.receive_transaction(third)
+                failure = await asyncio.wait_for(server.stop(), timeout=10)
+                stopped = True
+                return refused, status, failure
+            finally:
+                if not stopped:
+                    await server.stop()
+
+        refused, status, failure = asyncio.run(scenario())
+        assert refused["error"]["code"] == jsonrpc.UNAVAILABLE
+        assert second.tx_hash not in harness.node.unverified
+        assert status["result"]["state"] == HALTED
+        assert isinstance(failure, StorageError)
+        assert len(commits) == 2  # the failed beat, then the drain's try
+        assert harness.node.closed
+        assert harness.gateway.state == CLOSED
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread.name.startswith(("serve-producer",
+                                               "serve-rpc"))]
