@@ -8,19 +8,28 @@ adds *affine* points to the accumulator (mixed addition), so each
 product costs one modular inversion at the end, done with the extended
 Euclidean algorithm (``pow(z, -1, P)``) rather than Fermat:
 
-- **Fixed base** ``k*G`` (key generation, signing, ECIES envelopes): a
-  4-bit comb over a table ``d * 16^w * G`` (``w = 0..63``, ``d = 1..15``)
-  stored affine, so ``k*G`` is at most 64 mixed additions and no
-  doublings.  Built on first use.
-- **Variable base** ``k*P`` (the ECDH in ``ecies.decrypt``): the GLV
-  endomorphism ``phi(x, y) = (beta*x, y) = lambda*P`` splits ``k`` into
-  two ~128-bit halves ``k1 + k2*lambda``, walked by one interleaved
-  width-5 wNAF loop over an affine table of odd multiples of ``P`` (the
-  table of ``phi(P)`` is the same table with ``x`` scaled by ``beta``).
-  That halves the doublings of a plain double-and-add.
+- **Fixed base** ``k*P`` through a :class:`Comb`: an affine table of
+  ``d * 2^(b*w) * P`` for every ``b``-bit digit ``d`` and window ``w``,
+  so ``k*P`` is one mixed addition per non-zero window and no
+  doublings.  G's comb is 6-bit (``_G_COMB_BITS``: 43 rows of 63
+  points, ~0.5 MB, ~26 ms to build on first use), so ``k*G`` (key
+  generation, signing, ECIES ephemeral keys) is at most 43 additions.
+  :mod:`repro.crypto.ecies` builds a 4-bit comb (``_COMB_BITS``: 64 rows
+  of 15 points, ~166 KB) for a recipient sealed to more than once.
+- **Variable base** ``k*P`` (every one-off base: the ECDH in
+  ``ecies.decrypt``, a first seal to a recipient): the GLV endomorphism
+  ``phi(x, y) = (beta*x, y) = lambda*P`` splits ``k`` into two ~128-bit
+  halves ``k1 + k2*lambda``, walked by one interleaved width-5 wNAF loop
+  over an affine table of odd multiples of ``P`` (the table of
+  ``phi(P)`` is the same table with ``x`` scaled by ``beta``).  That
+  halves the doublings of a plain double-and-add and builds no table
+  that outlives the call.
 - **ECDSA verify** ``u1*G + u2*Q`` (:func:`double_scalar_mult`): one
   Straus/Shamir loop over the GLV halves of both scalars, sharing the
-  ~128 doublings between all four.
+  ~128 doublings between all four.  G and ``phi(G)`` are walked in
+  width-8 wNAF over tables of their 64 odd multiples built once
+  (``_G_WINDOW``, ~45 KB); Q's halves keep the width-5 tables built per
+  call.
 
 Tables are normalised to affine with one batched inversion each
 (Montgomery's trick).  Every result is a unique group element, so this
@@ -53,7 +62,12 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 
-_WINDOW = 5  # wNAF width: digits are odd and in (-16, 16)
+_WINDOW = 5  # wNAF width of a one-off base: odd digits in (-16, 16)
+_G_WINDOW = 8  # wNAF width of G and phi(G) in double_scalar_mult
+# G's comb width, by measurement: k*G took 0.29 ms at 5 bits, 0.26 at 6
+# and 0.23 at 7, whose table is 1.7x the size (4699 points, ~0.9 MB).
+_G_COMB_BITS = 6
+_COMB_BITS = 4  # the comb of any other fixed base (an ECIES recipient)
 
 
 @dataclass(frozen=True)
@@ -199,17 +213,17 @@ def _multiples(x: int, y: int, count: int) -> list[tuple[int, int, int]]:
     for _ in range(count - 2):
         cur = _add_affine(*cur, x, y)
         out.append(cur)
-    return out
+    return out[:count]
 
 
-def _odd_multiples(x: int, y: int) -> tuple[tuple, tuple]:
+def _odd_multiples(x: int, y: int, width: int = _WINDOW) -> tuple[tuple, tuple]:
     """wNAF tables for P and for phi(P), indexed by the signed digit.
 
     ``table[d]`` is ``d * P`` in affine for every odd ``d`` in
-    ``(-2^(w-1), 2^(w-1))``; negative digits land at the top of the table
-    through Python's negative indexing.
+    ``(-2^(width-1), 2^(width-1))``; negative digits land at the top of
+    the table through Python's negative indexing.
     """
-    half = 1 << (_WINDOW - 1)
+    half = 1 << (width - 1)
     odd = _to_affine_batch(_multiples(x, y, half - 1)[::2])
     table: list = [None] * (2 * half)
     phi: list = [None] * (2 * half)
@@ -221,16 +235,17 @@ def _odd_multiples(x: int, y: int) -> tuple[tuple, tuple]:
     return tuple(table), tuple(phi)
 
 
-def _wnaf(k: int) -> list[int]:
-    """Width-w non-adjacent form of a signed ``k``, least significant first."""
-    mask = (1 << _WINDOW) - 1
-    half = 1 << (_WINDOW - 1)
+def _wnaf(k: int, width: int) -> list[int]:
+    """Width-``width`` non-adjacent form of a signed ``k``, least
+    significant first."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
     digits = []
     while k:
         if k & 1:
             d = k & mask
             if d >= half:
-                d -= 1 << _WINDOW
+                d -= 1 << width
             k -= d
         else:
             d = 0
@@ -246,9 +261,10 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _straus(pairs: list[tuple[int, tuple]]) -> Point:
-    """Sum of ``k_i * T_i`` for wNAF tables ``T_i``, sharing one doubling chain."""
-    nafs = [(_wnaf(k), table) for k, table in pairs]
+def _straus(terms: list[tuple[int, tuple, int]]) -> Point:
+    """Sum of ``k_i * T_i`` for width-``w_i`` wNAF tables ``T_i``, sharing
+    one doubling chain."""
+    nafs = [(_wnaf(k, width), table) for k, table, width in terms]
     acc = _JACOBIAN_INFINITY
     for i in range(max((len(naf) for naf, _ in nafs), default=0) - 1, -1, -1):
         acc = _double(*acc)
@@ -258,48 +274,95 @@ def _straus(pairs: list[tuple[int, tuple]]) -> Point:
     return _to_affine(acc)
 
 
+class Comb:
+    """A fixed base ``P`` whose products ``k*P`` are additions only.
+
+    Row ``w`` holds ``d * 2^(bits*w) * P`` in affine at index ``d`` for
+    every non-zero ``bits``-bit digit ``d``: ``ceil(256 / bits)`` rows of
+    ``2^bits - 1`` points, normalised to affine with one batched
+    inversion for the row bases and one per row.
+    """
+
+    __slots__ = ("_bits", "_rows")
+
+    def __init__(self, point: Point, bits: int = _COMB_BITS) -> None:
+        if point.is_infinity:
+            raise CryptoError("no comb for the point at infinity")
+        assert point.x is not None and point.y is not None
+        size = (1 << bits) - 1
+        bases = [(point.x, point.y, 1)]
+        for _ in range(-(-N.bit_length() // bits) - 1):
+            cur = bases[-1]
+            for _ in range(bits):
+                cur = _double(*cur)
+            bases.append(cur)
+        self._bits = bits
+        # One batched inversion per row, not one for the whole table:
+        # the Jacobian intermediates then never outnumber a row.
+        self._rows = tuple(
+            (None, *_to_affine_batch(_multiples(bx, by, size)))
+            for bx, by in _to_affine_batch(bases)
+        )
+
+    def mult(self, k: int) -> Point:
+        """``k * P``: one mixed addition per non-zero window of ``k``.
+
+        With ``0 < k < N`` the accumulator before window ``w`` is
+        ``s * P`` with ``0 <= s < 2^(bits*w)``, and the addend is
+        ``d * 2^(bits*w) * P`` with ``s + d * 2^(bits*w) <= k < N``, so
+        the two are never equal or opposite and the addition needs no
+        doubling or infinity case.
+        """
+        k %= N
+        bits = self._bits
+        mask = (1 << bits) - 1
+        x1 = y1 = z1 = 0
+        for row in self._rows:
+            d = k & mask
+            k >>= bits
+            if d:
+                x2, y2 = row[d]
+                if z1 == 0:
+                    x1, y1, z1 = x2, y2, 1
+                else:
+                    zz = z1 * z1 % P
+                    h = (x2 * zz - x1) % P
+                    r = (y2 * zz * z1 - y1) % P
+                    h2 = h * h % P
+                    h3 = h * h2 % P
+                    u = x1 * h2 % P
+                    x1 = (r * r - h3 - 2 * u) % P
+                    y1 = (r * (u - x1) - y1 * h3) % P
+                    z1 = z1 * h % P
+            if not k:
+                break
+        return _to_affine((x1, y1, z1))
+
+
 @functools.cache
-def _comb_table() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """``table[w][d - 1] = d * 16^w * G`` in affine, for the fixed-base comb."""
-    bases = [(GX, GY, 1)]
-    for _ in range(63):
-        cur = bases[-1]
-        for _ in range(4):
-            cur = _double(*cur)
-        bases.append(cur)
-    rows = []
-    for bx, by in _to_affine_batch(bases):
-        rows.extend(_multiples(bx, by, 15))
-    flat = _to_affine_batch(rows)
-    return tuple(tuple(flat[w * 15 : w * 15 + 15]) for w in range(64))
+def _g_comb() -> Comb:
+    return Comb(G, _G_COMB_BITS)
 
 
 @functools.cache
 def _g_tables() -> tuple[tuple, tuple]:
-    """wNAF tables for G and phi(G), for :func:`double_scalar_mult`."""
-    return _odd_multiples(GX, GY)
+    """Width-8 wNAF tables for G and phi(G), for :func:`double_scalar_mult`."""
+    return _odd_multiples(GX, GY, _G_WINDOW)
 
 
 def scalar_mult(k: int, point: Point = G) -> Point:
-    """Compute k * point (fixed-base comb for G, GLV + wNAF otherwise)."""
-    k %= N
-    if k == 0 or point.is_infinity:
+    """Compute k * point (G's comb for G, GLV + wNAF otherwise)."""
+    if point.is_infinity:
         return INFINITY
     assert point.x is not None and point.y is not None
     if point.x == GX and point.y == GY:
-        table = _comb_table()
-        acc = _JACOBIAN_INFINITY
-        w = 0
-        while k:
-            d = k & 15
-            if d:
-                acc = _add_affine(*acc, *table[w][d - 1])
-            k >>= 4
-            w += 1
-        return _to_affine(acc)
+        return _g_comb().mult(k)
+    k %= N
+    if k == 0:
+        return INFINITY
     table, phi = _odd_multiples(point.x, point.y)
     k1, k2 = _glv_split(k)
-    return _straus([(k1, table), (k2, phi)])
+    return _straus([(k1, table, _WINDOW), (k2, phi, _WINDOW)])
 
 
 def double_scalar_mult(u1: int, u2: int, point: Point) -> Point:
@@ -311,7 +374,14 @@ def double_scalar_mult(u1: int, u2: int, point: Point) -> Point:
     table, phi = _odd_multiples(point.x, point.y)
     a1, a2 = _glv_split(u1 % N)
     b1, b2 = _glv_split(u2 % N)
-    return _straus([(a1, g_table), (a2, g_phi), (b1, table), (b2, phi)])
+    return _straus(
+        [
+            (a1, g_table, _G_WINDOW),
+            (a2, g_phi, _G_WINDOW),
+            (b1, table, _WINDOW),
+            (b2, phi, _WINDOW),
+        ]
+    )
 
 
 def mod_inverse(value: int, modulus: int = N) -> int:

@@ -452,7 +452,9 @@ class AsyncGatewayServer:
     transaction to enter the unverified pool or for the next beat,
     whichever comes first, and pre-verifies each arrival on that same
     thread (:meth:`Gateway.preverify`), so the beat finds its
-    transactions verified.  ``stop()`` performs the ordered shutdown:
+    transactions verified.  A beat that would find both pools empty,
+    with empty blocks off, stays on the loop.  ``stop()`` performs the
+    ordered shutdown:
     stop accepting → cancel the producer → drain the core (in-flight
     requests, then a mempool flush) → close the node and its store.
 
@@ -518,12 +520,22 @@ class AsyncGatewayServer:
                         # for the next arrival instead.)
                         await asyncio.sleep(deadline - loop.time())
                         break
-                await loop.run_in_executor(
-                    self._producer_pool, self.gateway.produce_block
-                )
+                if self._beat_has_work():
+                    await loop.run_in_executor(
+                        self._producer_pool, self.gateway.produce_block
+                    )
         except Exception as exc:  # noqa: BLE001 - reported by stop()
             self._failure = exc
             self.gateway.halt()
+
+    def _beat_has_work(self) -> bool:
+        """False when the beat could only find both pools empty and not
+        cut: it then stays on the loop instead of visiting the producer
+        thread.  An arrival after this look waits for the next beat,
+        as one just after the beat always does."""
+        node = self.gateway.node
+        return (self.gateway.config.cut_empty_blocks
+                or len(node.unverified) > 0 or len(node.verified) > 0)
 
     async def _arrived_before(self, deadline: float) -> bool:
         """Wait until a transaction arrives (True) or ``deadline`` on
@@ -572,6 +584,13 @@ class AsyncGatewayServer:
                     self._busy.discard(task)
                 if not keep_alive:
                     break
+        except asyncio.CancelledError:
+            # stop() cancels the connections it will not wait for.  Ending
+            # them here, not as cancelled tasks, keeps asyncio's stream
+            # callback from reporting each one to the loop's exception
+            # handler.
+            if not self._stopping:
+                raise
         except (asyncio.IncompleteReadError, ConnectionError,
                 asyncio.LimitOverrunError):
             pass

@@ -1,13 +1,18 @@
 """secp256k1 group arithmetic tests."""
 
 import hashlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ecc
+from repro.crypto import ecc, ecies
+from repro.crypto.ecc import decode_point
+from repro.crypto.keys import KeyPair
 from repro.errors import CryptoError
+from repro.workloads.clients import Client
 
 _scalars = st.integers(min_value=1, max_value=ecc.N - 1)
 
@@ -267,3 +272,137 @@ class TestDoubleScalarMult:
         assert ecc.double_scalar_mult(0, 5, q) == ecc.scalar_mult(5, q)
         assert ecc.double_scalar_mult(5, 0, q) == ecc.scalar_mult(5)
         assert ecc.double_scalar_mult(5, 9, ecc.INFINITY) == ecc.scalar_mult(5)
+
+
+_REF_BASE = _ref_mult(_scalar(b"comb-base"), _G)
+_REF_COMB = ecc.Comb(ecc.Point(*_REF_BASE))
+
+
+class TestComb:
+    @given(k=st.integers(min_value=0, max_value=2 * ecc.N))
+    @settings(max_examples=25, deadline=None)
+    def test_g_comb_matches_reference(self, k):
+        assert _as_tuple(ecc._g_comb().mult(k)) == _ref_mult(k, _G)
+
+    @given(k=st.integers(min_value=0, max_value=2 * ecc.N))
+    @settings(max_examples=25, deadline=None)
+    def test_recipient_comb_matches_reference(self, k):
+        assert _as_tuple(_REF_COMB.mult(k)) == _ref_mult(k, _REF_BASE)
+
+    @pytest.mark.parametrize("bits", [1, 3, 5, 7])
+    def test_every_width_matches_reference(self, bits):
+        comb = ecc.Comb(ecc.Point(*_REF_BASE), bits)
+        for k in _EDGE_SCALARS + [(1 << 255) + 1, ((1 << 250) - 1) << 3]:
+            assert _as_tuple(comb.mult(k)) == _ref_mult(k, _REF_BASE)
+
+    def test_table_sizes(self):
+        assert [len(row) - 1 for row in ecc._g_comb()._rows] == [63] * 43
+        assert [len(row) - 1 for row in _REF_COMB._rows] == [15] * 64
+
+    def test_no_comb_for_infinity(self):
+        with pytest.raises(CryptoError):
+            ecc.Comb(ecc.INFINITY)
+
+
+class _CountingComb(ecc.Comb):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def comb_builds(monkeypatch):
+    """Count every Comb built from here on (G's comb is built first)."""
+    ecc.scalar_mult(1)
+    monkeypatch.setattr(_CountingComb, "built", 0)
+    monkeypatch.setattr(ecc, "Comb", _CountingComb)
+    return _CountingComb
+
+
+class TestRecipientCombs:
+    def test_built_on_second_seal_then_reused(self, comb_builds):
+        recipient = KeyPair.generate()
+        sealed = [ecies.encrypt(recipient.public, b"m%d" % i) for i in range(4)]
+        assert comb_builds.built == 1
+        assert (recipient.public.x, recipient.public.y) in ecies._combs
+        for i, envelope in enumerate(sealed):
+            assert ecies.decrypt(recipient, envelope) == b"m%d" % i
+
+    def test_preverify_builds_no_table(self, confidential_engine, comb_builds):
+        pk_tx = decode_point(confidential_engine.pk_tx)
+        clients = [Client.from_seed(b"preverify-%d" % i) for i in range(50)]
+        txs = [c.confidential_call(pk_tx, b"\x01" * 20, "f", b"") for c in clients]
+        built = comb_builds.built
+        combs = list(ecies._combs)
+        assert confidential_engine.preverify_batch(txs) == [True] * 50
+        assert comb_builds.built == built
+        assert list(ecies._combs) == combs
+
+    def test_cache_stays_bounded(self, comb_builds):
+        for i in range(ecies._RECIPIENT_COMBS + 3):
+            recipient = KeyPair.from_seed(b"bounded-%d" % i)
+            for _ in range(2):
+                ecies.encrypt(recipient.public, b"x")
+            assert len(ecies._combs) <= ecies._RECIPIENT_COMBS
+        assert comb_builds.built == ecies._RECIPIENT_COMBS + 3
+        for i in range(ecies._SEEN_RECIPIENTS + 5):
+            ecies.encrypt(KeyPair.from_seed(b"once-%d" % i).public, b"x")
+            assert len(ecies._seen) <= ecies._SEEN_RECIPIENTS
+        assert comb_builds.built == ecies._RECIPIENT_COMBS + 3
+
+    def test_two_threads_seal_to_a_new_recipient(self, confidential_engine):
+        pk_tx = decode_point(confidential_engine.pk_tx)
+        first = Client.from_seed(b"race-0").confidential_call(
+            pk_tx, b"\x02" * 20, "f", b""
+        )
+        barrier = threading.Barrier(2, timeout=30)
+        sealed = [None, None]
+
+        def seal(slot):
+            client = Client.from_seed(b"race-%d" % (slot + 1))
+            barrier.wait()
+            sealed[slot] = client.confidential_call(pk_tx, b"\x02" * 20, "f", b"")
+
+        threads = [threading.Thread(target=seal, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert (pk_tx.x, pk_tx.y) in ecies._combs
+        txs = [first, *sealed]
+        assert confidential_engine.preverify_batch(txs) == [True] * 3
+
+    def test_concurrent_seals_stay_bounded_and_open(self):
+        # More threads than cores, switching often, sealing to more
+        # recipients than the cache keeps: every envelope opens and the
+        # cache never holds more than its bound.
+        recipients = [KeyPair.from_seed(b"stress-%d" % i) for i in range(4)]
+        results = []
+        sizes = []
+
+        def work(slot):
+            for round_ in range(3):
+                for index, recipient in enumerate(recipients):
+                    message = b"%d/%d/%d" % (slot, round_, index)
+                    envelope = ecies.encrypt(recipient.public, message)
+                    results.append((index, message, envelope))
+                    sizes.append(len(ecies._combs))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 4 * 3 * len(recipients)
+        assert max(sizes) <= ecies._RECIPIENT_COMBS
+        for index, message, envelope in results:
+            assert ecies.decrypt(recipients[index], envelope) == message

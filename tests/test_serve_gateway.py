@@ -857,6 +857,41 @@ class TestAsyncServer:
         asyncio.run(scenario())
         assert harness.node.closed
 
+    def test_stop_ends_an_idle_keepalive_connection_cleanly(
+            self, coldchain_artifact):
+        # Regression: the idle connection stop() cancels used to end as a
+        # cancelled task, and asyncio's stream callback then reported
+        # "Exception in callback ...connection_made.<locals>.callback"
+        # through the loop's exception handler.
+        harness = GatewayHarness(coldchain_artifact)
+        reports = []
+
+        def one_request_then_idle(port: int):
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            connection.request("POST", "/rpc", body=rpc_body("node_status"))
+            assert connection.getresponse().read()
+            return connection  # left open
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: reports.append(context))
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            connection = await loop.run_in_executor(
+                None, one_request_then_idle, server.port
+            )
+            try:
+                assert await asyncio.wait_for(server.stop(), timeout=10) is None
+                for _ in range(5):
+                    await asyncio.sleep(0)  # let done-callbacks run
+            finally:
+                connection.close()
+
+        asyncio.run(scenario())
+        assert reports == []
+        assert harness.node.closed
+
     def test_stop_answers_the_request_in_flight_and_closes_it(
             self, coldchain_artifact):
         # The other half of the rule: a request already read when stop()
@@ -1010,6 +1045,42 @@ class TestAsyncServer:
         assert 1 <= first_beat <= 2, events
         for tx in late:
             assert tx.tx_hash in harness.node.receipts
+
+    @pytest.mark.parametrize("cut_empty_blocks", [False, True])
+    def test_idle_beats_stay_off_the_producer_thread(
+            self, coldchain_artifact, cut_empty_blocks):
+        # With both pools empty and empty blocks off, a beat has nothing
+        # to do and costs no hop to the producer thread; with empty
+        # blocks on, every beat still cuts one.
+        harness = GatewayHarness(
+            coldchain_artifact,
+            config=GatewayConfig(block_interval_s=0.02,
+                                 cut_empty_blocks=cut_empty_blocks),
+        )
+        beats = []
+        produce_block = harness.gateway.produce_block
+
+        def counting_produce_block(*args, **kwargs):
+            beats.append(1)
+            return produce_block(*args, **kwargs)
+
+        harness.gateway.produce_block = counting_produce_block
+        blocks = harness.gateway.blocks_produced
+
+        async def scenario():
+            server = AsyncGatewayServer(harness.gateway)
+            await server.start()
+            try:
+                await asyncio.sleep(0.2)  # ~10 intervals
+                return len(beats), harness.gateway.blocks_produced - blocks
+            finally:
+                await server.stop()
+
+        beat_calls, cut = asyncio.run(scenario())
+        if cut_empty_blocks:
+            assert beat_calls >= 3 and cut >= 3
+        else:
+            assert beat_calls == 0 and cut == 0
 
     def test_reads_trigger_no_preverify_pass(self, coldchain_artifact):
         harness = GatewayHarness(
