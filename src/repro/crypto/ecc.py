@@ -11,13 +11,14 @@ Euclidean algorithm (``pow(z, -1, P)``) rather than Fermat:
 - **Fixed base** ``k*P`` through a :class:`Comb`: an affine table of
   ``d * 2^(b*w) * P`` for every ``b``-bit digit ``d`` and window ``w``,
   so ``k*P`` is one mixed addition per non-zero window and no
-  doublings.  G's comb is 6-bit (``_G_COMB_BITS``: 43 rows of 63
-  points, ~0.5 MB, ~26 ms to build on first use), so ``k*G`` (key
-  generation, signing, ECIES ephemeral keys) is at most 43 additions.
-  :mod:`repro.crypto.ecies` builds a 4-bit comb (``_COMB_BITS``: 64 rows
-  of 15 points, ~166 KB) for a recipient sealed to more than once.
-- **Variable base** ``k*P`` (every one-off base: the ECDH in
-  ``ecies.decrypt``, a first seal to a recipient): the GLV endomorphism
+  doublings.  G's comb is 6-bit (``_G_COMB_BITS``: 42 rows of 63
+  points and a top row of 15, ~0.5 MB, ~26 ms to build on first use), so
+  ``k*G`` (key generation, signing, ECIES ephemeral keys) is at most 43
+  additions.  :func:`repro.core.t_protocol.seal_transaction` builds a
+  4-bit comb (``_COMB_BITS``: 64 rows of 15 points, ~166 KB) for pk_tx,
+  the one recipient every client seals to.
+- **Variable base** ``k*P`` (every other base: the ECDH in
+  ``ecies.decrypt``, every other ECIES seal): the GLV endomorphism
   ``phi(x, y) = (beta*x, y) = lambda*P`` splits ``k`` into two ~128-bit
   halves ``k1 + k2*lambda``, walked by one interleaved width-5 wNAF loop
   over an affine table of odd multiples of ``P`` (the table of
@@ -26,10 +27,7 @@ Euclidean algorithm (``pow(z, -1, P)``) rather than Fermat:
   that outlives the call.
 - **ECDSA verify** ``u1*G + u2*Q`` (:func:`double_scalar_mult`): one
   Straus/Shamir loop over the GLV halves of both scalars, sharing the
-  ~128 doublings between all four.  G and ``phi(G)`` are walked in
-  width-8 wNAF over tables of their 64 odd multiples built once
-  (``_G_WINDOW``, ~45 KB); Q's halves keep the width-5 tables built per
-  call.
+  ~128 doublings between all four.
 
 Tables are normalised to affine with one batched inversion each
 (Montgomery's trick).  Every result is a unique group element, so this
@@ -62,12 +60,11 @@ _B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
 _A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _B2 = _A1
 
-_WINDOW = 5  # wNAF width of a one-off base: odd digits in (-16, 16)
-_G_WINDOW = 8  # wNAF width of G and phi(G) in double_scalar_mult
+_WINDOW = 5  # wNAF width: digits are odd and in (-16, 16)
 # G's comb width, by measurement: k*G took 0.29 ms at 5 bits, 0.26 at 6
 # and 0.23 at 7, whose table is 1.7x the size (4699 points, ~0.9 MB).
 _G_COMB_BITS = 6
-_COMB_BITS = 4  # the comb of any other fixed base (an ECIES recipient)
+_COMB_BITS = 4  # the comb of any other fixed base (pk_tx)
 
 
 @dataclass(frozen=True)
@@ -216,14 +213,14 @@ def _multiples(x: int, y: int, count: int) -> list[tuple[int, int, int]]:
     return out[:count]
 
 
-def _odd_multiples(x: int, y: int, width: int = _WINDOW) -> tuple[tuple, tuple]:
+def _odd_multiples(x: int, y: int) -> tuple[tuple, tuple]:
     """wNAF tables for P and for phi(P), indexed by the signed digit.
 
     ``table[d]`` is ``d * P`` in affine for every odd ``d`` in
-    ``(-2^(width-1), 2^(width-1))``; negative digits land at the top of
-    the table through Python's negative indexing.
+    ``(-2^(w-1), 2^(w-1))``; negative digits land at the top of the table
+    through Python's negative indexing.
     """
-    half = 1 << (width - 1)
+    half = 1 << (_WINDOW - 1)
     odd = _to_affine_batch(_multiples(x, y, half - 1)[::2])
     table: list = [None] * (2 * half)
     phi: list = [None] * (2 * half)
@@ -235,17 +232,16 @@ def _odd_multiples(x: int, y: int, width: int = _WINDOW) -> tuple[tuple, tuple]:
     return tuple(table), tuple(phi)
 
 
-def _wnaf(k: int, width: int) -> list[int]:
-    """Width-``width`` non-adjacent form of a signed ``k``, least
-    significant first."""
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
+def _wnaf(k: int) -> list[int]:
+    """Width-w non-adjacent form of a signed ``k``, least significant first."""
+    mask = (1 << _WINDOW) - 1
+    half = 1 << (_WINDOW - 1)
     digits = []
     while k:
         if k & 1:
             d = k & mask
             if d >= half:
-                d -= 1 << width
+                d -= 1 << _WINDOW
             k -= d
         else:
             d = 0
@@ -261,10 +257,9 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-def _straus(terms: list[tuple[int, tuple, int]]) -> Point:
-    """Sum of ``k_i * T_i`` for width-``w_i`` wNAF tables ``T_i``, sharing
-    one doubling chain."""
-    nafs = [(_wnaf(k, width), table) for k, table, width in terms]
+def _straus(pairs: list[tuple[int, tuple]]) -> Point:
+    """Sum of ``k_i * T_i`` for wNAF tables ``T_i``, sharing one doubling chain."""
+    nafs = [(_wnaf(k), table) for k, table in pairs]
     acc = _JACOBIAN_INFINITY
     for i in range(max((len(naf) for naf, _ in nafs), default=0) - 1, -1, -1):
         acc = _double(*acc)
@@ -279,8 +274,9 @@ class Comb:
 
     Row ``w`` holds ``d * 2^(bits*w) * P`` in affine at index ``d`` for
     every non-zero ``bits``-bit digit ``d``: ``ceil(256 / bits)`` rows of
-    ``2^bits - 1`` points, normalised to affine with one batched
-    inversion for the row bases and one per row.
+    ``2^bits - 1`` points, except that the top row only holds the digits
+    that fit in the bits of ``N`` left over.  Normalised to affine with
+    one batched inversion for the row bases and one per row.
     """
 
     __slots__ = ("_bits", "_rows")
@@ -289,9 +285,10 @@ class Comb:
         if point.is_infinity:
             raise CryptoError("no comb for the point at infinity")
         assert point.x is not None and point.y is not None
-        size = (1 << bits) - 1
+        rows = -(-N.bit_length() // bits)
+        widths = [bits] * (rows - 1) + [N.bit_length() - bits * (rows - 1)]
         bases = [(point.x, point.y, 1)]
-        for _ in range(-(-N.bit_length() // bits) - 1):
+        for _ in range(rows - 1):
             cur = bases[-1]
             for _ in range(bits):
                 cur = _double(*cur)
@@ -300,8 +297,8 @@ class Comb:
         # One batched inversion per row, not one for the whole table:
         # the Jacobian intermediates then never outnumber a row.
         self._rows = tuple(
-            (None, *_to_affine_batch(_multiples(bx, by, size)))
-            for bx, by in _to_affine_batch(bases)
+            (None, *_to_affine_batch(_multiples(bx, by, (1 << width) - 1)))
+            for (bx, by), width in zip(_to_affine_batch(bases), widths)
         )
 
     def mult(self, k: int) -> Point:
@@ -346,8 +343,8 @@ def _g_comb() -> Comb:
 
 @functools.cache
 def _g_tables() -> tuple[tuple, tuple]:
-    """Width-8 wNAF tables for G and phi(G), for :func:`double_scalar_mult`."""
-    return _odd_multiples(GX, GY, _G_WINDOW)
+    """wNAF tables for G and phi(G), for :func:`double_scalar_mult`."""
+    return _odd_multiples(GX, GY)
 
 
 def scalar_mult(k: int, point: Point = G) -> Point:
@@ -362,7 +359,7 @@ def scalar_mult(k: int, point: Point = G) -> Point:
         return INFINITY
     table, phi = _odd_multiples(point.x, point.y)
     k1, k2 = _glv_split(k)
-    return _straus([(k1, table, _WINDOW), (k2, phi, _WINDOW)])
+    return _straus([(k1, table), (k2, phi)])
 
 
 def double_scalar_mult(u1: int, u2: int, point: Point) -> Point:
@@ -374,14 +371,7 @@ def double_scalar_mult(u1: int, u2: int, point: Point) -> Point:
     table, phi = _odd_multiples(point.x, point.y)
     a1, a2 = _glv_split(u1 % N)
     b1, b2 = _glv_split(u2 % N)
-    return _straus(
-        [
-            (a1, g_table, _G_WINDOW),
-            (a2, g_phi, _G_WINDOW),
-            (b1, table, _WINDOW),
-            (b2, phi, _WINDOW),
-        ]
-    )
+    return _straus([(a1, g_table), (a2, g_phi), (b1, table), (b2, phi)])
 
 
 def mod_inverse(value: int, modulus: int = N) -> int:

@@ -10,21 +10,15 @@ HKDF, and seals the payload; the wire format is::
 Decryption requires the recipient's private scalar (sk_tx), which in
 CONFIDE lives only inside the Confidential-Engine's enclave.
 
-Every client seals to the same pk_tx, so the sender's ECDH ``e * pk_tx``
-multiplies a fixed base.  :func:`encrypt` remembers the last
-``_SEEN_RECIPIENTS`` recipients it sealed to once; on the second seal to
-one it builds that recipient's :class:`~repro.crypto.ecc.Comb` (4-bit,
-~166 KB, ~12 ms) and keeps the ``_RECIPIENT_COMBS`` most recently used,
-so ``e * pk_tx`` costs additions only.  A base met once — a K-Protocol
-exchange key, a requester's key — keeps the GLV path and builds no
-table, and :func:`decrypt` (the engine's ``sk_tx * E`` on a fresh
-ephemeral key) never builds one.
+A caller that seals to one recipient many times may pass that
+recipient's :class:`~repro.crypto.ecc.Comb` instead of the point, so the
+sender's ECDH ``e * pk`` is additions only; only
+:func:`repro.core.t_protocol.seal_transaction` does, for pk_tx.  Every
+other seal, and :func:`decrypt` (the engine's ``sk_tx * E`` on a fresh
+ephemeral key), takes the GLV path and builds no table.
 """
 
 from __future__ import annotations
-
-import threading
-from collections import OrderedDict
 
 from repro.crypto import ecc
 from repro.crypto.entropy import token_bytes
@@ -36,47 +30,18 @@ from repro.errors import AuthenticationError, CryptoError
 _INFO = b"repro-ecies-v1"
 _PUB_SIZE = 33
 
-_RECIPIENT_COMBS = 2  # recipient combs kept, ~166 KB each
-_SEEN_RECIPIENTS = 64  # recipients sealed to once, remembered by coordinates
 
-_lock = threading.Lock()
-_combs: OrderedDict[tuple[int, int], ecc.Comb] = OrderedDict()
-_seen: OrderedDict[tuple[int, int], None] = OrderedDict()
-
-
-def _recipient_comb(recipient: ecc.Point) -> ecc.Comb | None:
-    """The recipient's comb, built on its second seal; None before that."""
-    assert recipient.x is not None and recipient.y is not None
-    key = (recipient.x, recipient.y)
-    with _lock:
-        comb = _combs.get(key)
-        if comb is not None:
-            _combs.move_to_end(key)
-            return comb
-        if key not in _seen:
-            _seen[key] = None
-            if len(_seen) > _SEEN_RECIPIENTS:
-                _seen.popitem(last=False)
-            return None
-    built = ecc.Comb(recipient)  # outside the lock; a racing twin is dropped
-    with _lock:
-        comb = _combs.setdefault(key, built)
-        _combs.move_to_end(key)
-        if len(_combs) > _RECIPIENT_COMBS:
-            _combs.popitem(last=False)
-    return comb
-
-
-def encrypt(recipient: ecc.Point, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """Seal plaintext to the recipient public key."""
+def encrypt(
+    recipient: ecc.Point | ecc.Comb, plaintext: bytes, aad: bytes = b""
+) -> bytes:
+    """Seal plaintext to the recipient public key, or to its comb."""
     ephemeral = KeyPair.generate()
-    comb = None if recipient.is_infinity else _recipient_comb(recipient)
-    if comb is None:
-        shared = ephemeral.ecdh(recipient)
-    else:
-        point = comb.mult(ephemeral.private)
-        assert point.x is not None  # 0 < e < N and the recipient is finite
+    if isinstance(recipient, ecc.Comb):
+        point = recipient.mult(ephemeral.private)
+        assert point.x is not None  # 0 < e < N and the comb's base is finite
         shared = point.x.to_bytes(32, "big")
+    else:
+        shared = ephemeral.ecdh(recipient)
     key = hkdf(shared, info=_INFO, length=16)
     nonce = token_bytes(NONCE_SIZE)
     sealed = AesGcm(key).seal(nonce, plaintext, aad)

@@ -9,7 +9,7 @@ import zlib
 import pytest
 
 from repro.core import ConfidentialEngine, PublicEngine, bootstrap_founder
-from repro.crypto.ecc import decode_point
+from repro.crypto.ecc import Comb, decode_point, scalar_mult
 from repro.lang import compile_source
 from repro.storage import MemoryKV
 from repro.vm.host import HostContext
@@ -138,6 +138,21 @@ def confidential_engine():
 @pytest.fixture
 def client():
     return Client.from_seed(b"test-client")
+
+
+@pytest.fixture
+def comb_builds(monkeypatch):
+    """Every ``ecc.Comb`` built from here on (G's comb is built first)."""
+    scalar_mult(1)
+    built = []
+    init = Comb.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Comb, "__init__", counting)
+    return built
 
 
 def deploy_public(engine: PublicEngine, client: Client, source: str,

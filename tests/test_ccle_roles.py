@@ -208,6 +208,21 @@ class TestEndToEnd:
         tree = open_role_blob(role_key, sealed, aad)
         assert tree == {"debtor": "ACME GmbH"}
 
+    def test_repeated_release_builds_no_table(self, deployed, comb_builds):
+        # The enclave's wrap to a requester takes the GLV path, however
+        # often the same requester asks.
+        engine, client, address = deployed
+        auditor = KeyPair.from_seed(b"auditor-keys")
+        built = len(comb_builds)
+        keys = {
+            unwrap_role_key(auditor, engine.export_role_key(
+                address, "auditor", b"\x07" * 20, auditor.public_bytes()
+            ))
+            for _ in range(3)
+        }
+        assert len(keys) == 1
+        assert len(comb_builds) == built
+
     def test_risk_role_denied_by_contract(self, deployed):
         engine, client, address = deployed
         requester = KeyPair.from_seed(b"nosy")

@@ -164,6 +164,31 @@ class TestAuthorizationChainCode:
         k_tx = AuthorizationChainCode.unwrap(requester, wrapped)
         assert k_tx == confidential_engine.tx_key_lookup(tx.tx_hash)
 
+    def test_repeated_grants_build_no_table(
+        self, confidential_engine, client, comb_builds
+    ):
+        # The enclave's k_tx wrap takes the GLV path, however often the
+        # same requester asks.
+        address, chaincode = self._make(confidential_engine, client)
+        tx = self._processed_tx(confidential_engine, client, address)
+        requester = KeyPair.from_seed(b"auditor")
+        built = len(comb_builds)
+        for _ in range(3):
+            chaincode.submit(AccessRequest(
+                tx_hash=tx.tx_hash,
+                requester=b"\x07" * 20,
+                requester_pub=requester.public_bytes(),
+                target_contract=address,
+                kind="\x01",
+            ))
+        results = chaincode.process()
+        assert len(comb_builds) == built
+        k_tx = confidential_engine.tx_key_lookup(tx.tx_hash)
+        assert [
+            AuthorizationChainCode.unwrap(requester, wrapped)
+            for _, wrapped in results
+        ] == [k_tx] * 3
+
     def test_denied_request(self, confidential_engine, client):
         address, chaincode = self._make(confidential_engine, client)
         tx = self._processed_tx(confidential_engine, client, address)

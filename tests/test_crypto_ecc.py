@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import t_protocol
 from repro.crypto import ecc, ecies
 from repro.crypto.ecc import decode_point
 from repro.crypto.keys import KeyPair
@@ -296,37 +297,51 @@ class TestComb:
             assert _as_tuple(comb.mult(k)) == _ref_mult(k, _REF_BASE)
 
     def test_table_sizes(self):
-        assert [len(row) - 1 for row in ecc._g_comb()._rows] == [63] * 43
+        # The top row holds only the digits below N: 256 = 6*42 + 4.
+        assert [len(row) - 1 for row in ecc._g_comb()._rows] == [63] * 42 + [15]
         assert [len(row) - 1 for row in _REF_COMB._rows] == [15] * 64
+        five = ecc.Comb(ecc.Point(*_REF_BASE), 5)
+        assert [len(row) - 1 for row in five._rows] == [31] * 51 + [1]
 
     def test_no_comb_for_infinity(self):
         with pytest.raises(CryptoError):
             ecc.Comb(ecc.INFINITY)
 
 
-class _CountingComb(ecc.Comb):
-    built = 0
-
-    def __init__(self, *args, **kwargs):
-        type(self).built += 1
-        super().__init__(*args, **kwargs)
+def _open(keypair, tx):
+    return t_protocol.open_transaction(keypair, tx.payload)[1]
 
 
-@pytest.fixture
-def comb_builds(monkeypatch):
-    """Count every Comb built from here on (G's comb is built first)."""
-    ecc.scalar_mult(1)
-    monkeypatch.setattr(_CountingComb, "built", 0)
-    monkeypatch.setattr(ecc, "Comb", _CountingComb)
-    return _CountingComb
+class TestPkTxComb:
+    """Only the client's T-Protocol seal keeps a comb, for the last pk_tx."""
 
+    def test_built_on_second_seal_in_a_row_then_reused(self, comb_builds):
+        engine_key = KeyPair.generate()
+        client = Client.from_seed(b"comb-client")
+        txs = [
+            client.confidential_call(engine_key.public, b"\x01" * 20, "f", b"%d" % i)
+            for i in range(4)
+        ]
+        assert len(comb_builds) == 1
+        assert t_protocol._pk_tx_slot == (
+            (engine_key.public.x, engine_key.public.y), comb_builds[0]
+        )
+        for i, tx in enumerate(txs):
+            assert _open(engine_key, tx).args == b"%d" % i
 
-class TestRecipientCombs:
-    def test_built_on_second_seal_then_reused(self, comb_builds):
+    def test_recipients_in_turn_build_no_table(self, comb_builds):
+        keys = [KeyPair.from_seed(b"turn-%d" % i) for i in range(3)]
+        client = Client.from_seed(b"turn-client")
+        for round_ in range(4):
+            for key in keys:
+                tx = client.confidential_call(key.public, b"\x01" * 20, "f", b"")
+                assert _open(key, tx).method == "f"
+        assert comb_builds == []
+
+    def test_other_seals_build_no_table(self, comb_builds):
         recipient = KeyPair.generate()
-        sealed = [ecies.encrypt(recipient.public, b"m%d" % i) for i in range(4)]
-        assert comb_builds.built == 1
-        assert (recipient.public.x, recipient.public.y) in ecies._combs
+        sealed = [ecies.encrypt(recipient.public, b"m%d" % i) for i in range(5)]
+        assert comb_builds == []
         for i, envelope in enumerate(sealed):
             assert ecies.decrypt(recipient, envelope) == b"m%d" % i
 
@@ -334,25 +349,13 @@ class TestRecipientCombs:
         pk_tx = decode_point(confidential_engine.pk_tx)
         clients = [Client.from_seed(b"preverify-%d" % i) for i in range(50)]
         txs = [c.confidential_call(pk_tx, b"\x01" * 20, "f", b"") for c in clients]
-        built = comb_builds.built
-        combs = list(ecies._combs)
+        built = len(comb_builds)
+        slot = t_protocol._pk_tx_slot
         assert confidential_engine.preverify_batch(txs) == [True] * 50
-        assert comb_builds.built == built
-        assert list(ecies._combs) == combs
+        assert len(comb_builds) == built
+        assert t_protocol._pk_tx_slot is slot
 
-    def test_cache_stays_bounded(self, comb_builds):
-        for i in range(ecies._RECIPIENT_COMBS + 3):
-            recipient = KeyPair.from_seed(b"bounded-%d" % i)
-            for _ in range(2):
-                ecies.encrypt(recipient.public, b"x")
-            assert len(ecies._combs) <= ecies._RECIPIENT_COMBS
-        assert comb_builds.built == ecies._RECIPIENT_COMBS + 3
-        for i in range(ecies._SEEN_RECIPIENTS + 5):
-            ecies.encrypt(KeyPair.from_seed(b"once-%d" % i).public, b"x")
-            assert len(ecies._seen) <= ecies._SEEN_RECIPIENTS
-        assert comb_builds.built == ecies._RECIPIENT_COMBS + 3
-
-    def test_two_threads_seal_to_a_new_recipient(self, confidential_engine):
+    def test_two_threads_seal_to_a_new_pk_tx(self, confidential_engine):
         pk_tx = decode_point(confidential_engine.pk_tx)
         first = Client.from_seed(b"race-0").confidential_call(
             pk_tx, b"\x02" * 20, "f", b""
@@ -371,25 +374,22 @@ class TestRecipientCombs:
         for thread in threads:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
-        assert (pk_tx.x, pk_tx.y) in ecies._combs
         txs = [first, *sealed]
         assert confidential_engine.preverify_batch(txs) == [True] * 3
 
-    def test_concurrent_seals_stay_bounded_and_open(self):
-        # More threads than cores, switching often, sealing to more
-        # recipients than the cache keeps: every envelope opens and the
-        # cache never holds more than its bound.
-        recipients = [KeyPair.from_seed(b"stress-%d" % i) for i in range(4)]
+    def test_concurrent_seals_open(self):
+        # More threads than cores, switching often, sealing to two pk_tx
+        # in runs and in turn: every envelope opens.
+        keys = [KeyPair.from_seed(b"stress-%d" % i) for i in range(2)]
+        order = [0, 0, 0, 1, 0, 1, 1, 1]
         results = []
-        sizes = []
 
         def work(slot):
-            for round_ in range(3):
-                for index, recipient in enumerate(recipients):
-                    message = b"%d/%d/%d" % (slot, round_, index)
-                    envelope = ecies.encrypt(recipient.public, message)
-                    results.append((index, message, envelope))
-                    sizes.append(len(ecies._combs))
+            client = Client.from_seed(b"stress-client-%d" % slot)
+            for step, index in enumerate(order):
+                args = b"%d/%d" % (slot, step)
+                tx = client.confidential_call(keys[index].public, b"\x03" * 20, "f", args)
+                results.append((index, args, tx))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -402,7 +402,6 @@ class TestRecipientCombs:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(results) == 4 * 3 * len(recipients)
-        assert max(sizes) <= ecies._RECIPIENT_COMBS
-        for index, message, envelope in results:
-            assert ecies.decrypt(recipients[index], envelope) == message
+        assert len(results) == 4 * len(order)
+        for index, args, tx in results:
+            assert _open(keys[index], tx).args == args
