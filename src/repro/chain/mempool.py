@@ -55,17 +55,20 @@ class TxPool:
             return True
 
     def pop_batch(self, max_count: int | None = None,
-                  max_bytes: int | None = None) -> list[Transaction]:
+                  max_bytes: int | None = None,
+                  used_bytes: int = 0) -> list[Transaction]:
         """Remove and return the oldest transactions, bounded by count
         and/or total encoded size (the paper's 4 KB block budget).
 
         A transaction whose encoded size alone exceeds ``max_bytes`` can
         never be drafted within the budget; it is dropped from the pool
         (counted in :attr:`dropped_oversized`) rather than admitted over
-        budget or left to clog the queue head forever.
+        budget or left to clog the queue head forever.  ``used_bytes``
+        of the budget are taken already (by the verified pool, for a
+        pre-verify pass).
         """
         batch: list[Transaction] = []
-        size = 0
+        size = used_bytes
         with self._lock:
             while self._txs:
                 if max_count is not None and len(batch) >= max_count:
@@ -86,6 +89,20 @@ class TxPool:
     def remove(self, tx_hash: bytes) -> None:
         with self._lock:
             self._txs.pop(tx_hash, None)
+
+    @property
+    def nbytes(self) -> int:
+        """Total encoded size of the pooled transactions."""
+        with self._lock:
+            return sum(tx.wire_size for tx in self._txs.values())
+
+    @property
+    def head_bytes(self) -> int:
+        """Encoded size of the oldest transaction; 0 when empty."""
+        with self._lock:
+            for tx in self._txs.values():
+                return tx.wire_size
+            return 0
 
     def __len__(self) -> int:
         # Reading the OrderedDict while add/pop_batch mutate it can blow

@@ -173,7 +173,7 @@ class Node:
         """Client submission: goes to the unverified pool."""
         return self.unverified.add(tx)
 
-    def preverify_pending(self) -> int:
+    def preverify_pending(self, max_bytes: int | None = None) -> int:
         """Run the pre-verification phase over the unverified pool.
 
         Confidential transactions are pushed into the CS enclave in
@@ -181,7 +181,9 @@ class Node:
         where the recovered ``(tx_hash, k_tx, f_verified)`` is cached;
         public transactions verify outside the enclave.  Everything runs
         on the calling thread, and admitted transactions enter the
-        verified pool in submission order.
+        verified pool in submission order.  With ``max_bytes`` the pass
+        stops at the first one that would not fit the verified pool's
+        next block.
         """
         with get_tracer().span("chain.preverify") as span:
             moved = 0
@@ -193,7 +195,13 @@ class Node:
                 free = self.verified.capacity - len(self.verified)
                 if free <= 0:
                     break
-                batch = self.unverified.pop_batch(max_count=min(64, free))
+                used = 0 if max_bytes is None else self.verified.nbytes
+                batch = self.unverified.pop_batch(
+                    max_count=min(64, free), max_bytes=max_bytes,
+                    used_bytes=used,
+                )
+                if not batch:
+                    break  # the next transaction is for a later block
                 confidential = [tx for tx in batch if tx.is_confidential]
                 verdicts: dict[bytes, bool] = {}
                 if confidential:

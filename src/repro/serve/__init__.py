@@ -1,44 +1,17 @@
 """The serving front: JSON-RPC gateway and per-client rate limiting.
 
 This package is the node's client-facing door (docs/serving.md):
-:class:`Gateway` is the synchronous admission core and
-:class:`AsyncGatewayServer` puts it behind asyncio HTTP/1.1.  The fault
-simulator (:mod:`repro.sim`) fronts every node with a :class:`Gateway`
-on its seeded virtual clock, so client admission, block production and
-receipt lookup run under crashes, message loss and partitions.
+:class:`Gateway` is the synchronous admission core and owns the one
+producer schedule (pre-verify, cut or wait, on any clock);
+:class:`AsyncGatewayServer` puts it behind asyncio HTTP/1.1 and runs
+that schedule on the event loop's clock.  The fault simulator
+(:mod:`repro.sim`) fronts every node with a :class:`Gateway` and runs
+the same schedule on its seeded virtual clock, so client admission,
+pre-verification, block production and receipt lookup run under
+crashes, message loss and partitions.  Error codes live in
+:mod:`repro.serve.jsonrpc`.
 """
 
 from repro.serve.gateway import AsyncGatewayServer, Gateway, GatewayConfig
-from repro.serve.jsonrpc import (
-    BACKPRESSURE,
-    INTERNAL_ERROR,
-    INVALID_PARAMS,
-    INVALID_REQUEST,
-    METHOD_NOT_FOUND,
-    PARSE_ERROR,
-    RATE_LIMITED,
-    REQUEST_TOO_LARGE,
-    SHUTTING_DOWN,
-    UNAVAILABLE,
-    RpcError,
-)
-from repro.serve.ratelimit import RateLimiter, TokenBucket
 
-__all__ = [
-    "AsyncGatewayServer",
-    "Gateway",
-    "GatewayConfig",
-    "RateLimiter",
-    "RpcError",
-    "TokenBucket",
-    "BACKPRESSURE",
-    "INTERNAL_ERROR",
-    "INVALID_PARAMS",
-    "INVALID_REQUEST",
-    "METHOD_NOT_FOUND",
-    "PARSE_ERROR",
-    "RATE_LIMITED",
-    "REQUEST_TOO_LARGE",
-    "SHUTTING_DOWN",
-    "UNAVAILABLE",
-]
+__all__ = ["AsyncGatewayServer", "Gateway", "GatewayConfig"]

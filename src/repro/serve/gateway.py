@@ -4,17 +4,16 @@ Two layers:
 
 - :class:`Gateway` — the synchronous, thread-safe core.  It owns the
   admission pipeline (size guard → rate limit → parse → dispatch), maps
-  ``TxPool.add -> False`` to a structured backpressure error, produces
-  blocks, and implements graceful drain: in-flight requests finish and
-  accepted transactions are flushed into final blocks *before* the KV
-  store closes, so shutdown can never leave a torn WAL tail behind.
+  ``TxPool.add -> False`` to a structured backpressure error, owns the
+  producer's one schedule (pre-verify, cut or wait, on any clock), and
+  implements graceful drain: in-flight requests finish and accepted
+  transactions are flushed into final blocks *before* the KV store
+  closes, so shutdown can never leave a torn WAL tail behind.
 - :class:`AsyncGatewayServer` — an asyncio HTTP/1.1 front end.  The
   event loop only ever parses sockets; every request body is handed to
-  the core on a worker thread.  Block production runs on its own
-  single-thread executor so it serializes with itself while the loop
-  keeps accepting connections, and between beats that thread
-  pre-verifies transactions as they arrive (§5.2: pre-verification is
-  done before ordering, off the beat).
+  the core on a worker thread.  It runs the core's schedule on the
+  loop's clock, each pass or cut on a single-thread executor (§5.2:
+  pre-verification is done before ordering, off the beat).
 
 RPC methods: ``submit_tx``, ``deploy``, ``get_receipt``,
 ``query_state``, ``node_status``, ``chain_status`` (docs/serving.md).
@@ -36,7 +35,7 @@ from repro.chain.transaction import (
     Transaction,
     contract_address,
 )
-from repro.errors import ChainError, ReproError
+from repro.errors import ReproError
 from repro.serve import jsonrpc
 from repro.serve.jsonrpc import RpcError
 from repro.serve.ratelimit import RateLimiter
@@ -50,20 +49,24 @@ DRAINING = "draining"
 HALTED = "halted"  # block production failed; reads only
 CLOSED = "closed"
 
+# The producer's actions; Gateway.next_step answers one or a time.
+PREVERIFY = "preverify"
+CUT = "cut"
+
+_DRAIN_ROUNDS = 10_000  # flush bound during shutdown
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
     """Admission-control and block-production knobs."""
 
     max_request_bytes: int = 1 << 16  # whole JSON-RPC body
-    max_tx_bytes: int = 1 << 15  # one encoded transaction
     rate_per_s: float = 0.0  # per-client token refill; 0 disables
     burst: float = 20.0  # per-client bucket depth
     block_interval_s: float = 0.030  # producer cadence (§6.4's 30 ms)
+    # Also caps one transaction: a larger one could never be drafted.
     max_block_bytes: int = DEFAULT_BLOCK_BYTES
-    max_block_txs: int | None = None
     cut_empty_blocks: bool = False  # serving skips empty blocks
-    drain_rounds: int = 10_000  # flush bound during shutdown
 
 
 class Gateway:
@@ -73,7 +76,6 @@ class Gateway:
                  clock=time.monotonic):
         self.node = node
         self.config = config or GatewayConfig()
-        self.clock = clock
         self.limiter = RateLimiter(
             self.config.rate_per_s, self.config.burst, clock=clock
         )
@@ -81,6 +83,7 @@ class Gateway:
         self._state_lock = threading.Lock()
         self._node_lock = threading.Lock()  # serializes block production
         self._inflight = 0
+        self._stalled = False  # a pass moved nothing: verified pool full
         self._idle = threading.Condition(self._state_lock)
         # Cumulative counters (read by the benchmark and the tests).
         self._counter_lock = threading.Lock()
@@ -125,14 +128,6 @@ class Gateway:
             if self._state == SERVING:
                 self._state = DRAINING
 
-    def halt(self) -> None:
-        """Block production has failed: refuse transactions with
-        ``UNAVAILABLE`` from now on (nothing would commit them); reads
-        keep working, and :meth:`close` still drains what it can."""
-        with self._state_lock:
-            if self._state in (SERVING, DRAINING):
-                self._state = HALTED
-
     def drain(self, timeout: float | None = None) -> bool:
         """Wait for in-flight requests, then flush every admitted
         transaction into final blocks.  Returns True when the pools are
@@ -147,16 +142,12 @@ class Gateway:
                     if remaining <= 0:
                         return False
                 self._idle.wait(remaining)
-        for _ in range(self.config.drain_rounds):
+        for _ in range(_DRAIN_ROUNDS):
             if not (len(self.node.unverified) or len(self.node.verified)):
                 return True
             if self.produce_block(force=True) is None:
-                # Nothing draftable is left (e.g. only invalid txs that
-                # pre-verification refused); the pools are as drained as
-                # they will ever be.
-                return not (len(self.node.unverified)
-                            or len(self.node.verified))
-        return False
+                break  # nothing draftable is left (refused txs only)
+        return not (len(self.node.unverified) or len(self.node.verified))
 
     def close(self, close_node: bool = True,
               drain_timeout: float | None = None) -> None:
@@ -179,37 +170,73 @@ class Gateway:
 
     # -- block production --------------------------------------------------
 
+    def next_step(self, now: float, deadline: float | None):
+        """The producer's one decision, on the caller's clock:
+        :data:`PREVERIFY` while the oldest arrival fits in the block the
+        verified pool would draft; else :data:`CUT` once ``deadline``
+        has passed and there is something to cut (or empty blocks are
+        on); else the time to wait until (``deadline``, one interval on
+        after a beat with nothing to cut, or None for no deadline).  An
+        arrival can change the answer."""
+        node = self.node
+        room = self.config.max_block_bytes - node.verified.nbytes
+        if (self._state == SERVING and not self._stalled
+                and 0 < node.unverified.head_bytes <= room):
+            return PREVERIFY
+        if deadline is None or now < deadline:
+            return deadline
+        if (self.config.cut_empty_blocks or len(node.unverified)
+                or len(node.verified)):
+            return CUT
+        return now + self.config.block_interval_s
+
+    def step(self, decision):
+        """Perform a :data:`PREVERIFY` (returns the number moved) or a
+        :data:`CUT` (returns the block, or None).  A step that raises
+        halts the gateway first: transactions are refused with
+        ``UNAVAILABLE`` (nothing would commit them), reads keep working,
+        and :meth:`close` still drains what it can."""
+        try:
+            if decision == PREVERIFY:
+                return self.preverify()
+            return self.produce_block()
+        except Exception:
+            with self._state_lock:
+                if self._state in (SERVING, DRAINING):
+                    self._state = HALTED
+            raise
+
     def preverify(self) -> int:
-        """Pre-verify what waits in the unverified pool, ahead of the
-        next beat; returns the number of transactions moved into the
-        verified pool.  Does nothing unless the gateway is serving."""
+        """One pre-verify pass ahead of the beat, bounded to one block;
+        returns the number moved.  Only while serving."""
         with self._node_lock:
             with self._state_lock:
                 if self._state != SERVING:
                     return 0
-            return self.node.preverify_pending()
+            node = self.node
+            moved = node.preverify_pending(
+                max_bytes=self.config.max_block_bytes
+            )
+            self._stalled = (not moved and
+                             len(node.verified) >= node.verified.capacity)
+            return moved
 
     def produce_block(self, force: bool = False):
-        """One producer beat: pre-verify, draft, execute, append.
-
-        The pre-verification here covers whatever :meth:`preverify` has
-        not reached yet: everything, when nothing calls it between
-        beats (the simulator), and only the latest arrivals behind the
-        asyncio server.  Returns the :class:`AppliedBlock` or None when
+        """One producer beat: top the verified pool up to one block (for
+        a direct caller or the drain; the schedule has done it), draft,
+        execute, append.  Returns the :class:`AppliedBlock` or None when
         there was nothing to cut (and empty blocks are off).  Never runs
-        after close — the node (and its WAL) are gone by then.
-        """
+        after close — the node (and its WAL) are gone by then."""
         with self._node_lock:
             with self._state_lock:
                 if self._state == CLOSED:
                     return None
                 if self._state != SERVING and not force:
                     return None
-            self.node.preverify_pending()
-            batch = self.node.draft_block(
-                max_bytes=self.config.max_block_bytes,
-                max_txs=self.config.max_block_txs,
-            )
+            budget = self.config.max_block_bytes
+            self.node.preverify_pending(max_bytes=budget)
+            batch = self.node.draft_block(max_bytes=budget)
+            self._stalled = False
             if not batch and not self.config.cut_empty_blocks:
                 return None
             applied = self.node.apply_transactions(
@@ -296,8 +323,9 @@ class Gateway:
     # -- RPC methods -------------------------------------------------------
 
     def _decode_tx(self, params: dict) -> Transaction:
+        # A transaction larger than a block could never be drafted.
         blob = jsonrpc.hex_param(params, "tx",
-                                 max_bytes=self.config.max_tx_bytes)
+                                 max_bytes=self.config.max_block_bytes)
         try:
             tx = Transaction.decode(blob)
         except ReproError:
@@ -446,21 +474,19 @@ class AsyncGatewayServer:
     """Asyncio HTTP/1.1 JSON-RPC server over a :class:`Gateway`.
 
     Request bodies are dispatched to the gateway core on a dedicated
-    thread pool (the core blocks on locks and storage).  Block
-    production beats on a single-thread executor so it serializes with
-    itself.  Between beats the producer waits on the loop for a
-    transaction to enter the unverified pool or for the next beat,
-    whichever comes first, and pre-verifies each arrival on that same
-    thread (:meth:`Gateway.preverify`), so the beat finds its
-    transactions verified.  A beat that would find both pools empty,
-    with empty blocks off, stays on the loop.  ``stop()`` performs the
-    ordered shutdown:
+    thread pool (the core blocks on locks and storage).  The producer
+    runs the core's schedule (:meth:`Gateway.next_step`) on the loop's
+    clock and keeps only the waiting: for an arrival or the next beat,
+    whichever comes first.  Each pass or cut it is told to make runs on
+    a single-thread executor (:meth:`Gateway.step`), so block production
+    serializes with itself; a wait never leaves the loop.  ``stop()``
+    performs the ordered shutdown:
     stop accepting → cancel the producer → drain the core (in-flight
     requests, then a mempool flush) → close the node and its store.
 
-    A beat or pass that raises ends block production: the gateway is
-    halted (transactions are refused with ``UNAVAILABLE``, reads keep
-    working) and ``stop()`` returns the error instead of raising it.
+    A beat or pass that raises ends block production: the core halts
+    (transactions are refused with ``UNAVAILABLE``, reads keep working)
+    and ``stop()`` returns the error instead of raising it.
     """
 
     def __init__(self, gateway: Gateway, host: str = "127.0.0.1",
@@ -487,7 +513,7 @@ class AsyncGatewayServer:
         self._busy: set[asyncio.Task] = set()
         self._stopping = False
         # Resolved (on the loop) when a request has put a transaction
-        # into the unverified pool; replaced before each pre-verify pass.
+        # into the unverified pool; replaced before each wait.
         self._arrival: asyncio.Future | None = None
         self._accepted_seen = 0
         self._failure: Exception | None = None
@@ -504,48 +530,28 @@ class AsyncGatewayServer:
 
     async def _producer_loop(self) -> None:
         loop = asyncio.get_running_loop()
-        interval = self.gateway.config.block_interval_s
+        gateway = self.gateway
+        interval = gateway.config.block_interval_s
+        deadline = loop.time() + interval
         try:
             while True:
-                deadline = loop.time() + interval
-                while await self._arrived_before(deadline):
-                    self._arrival = loop.create_future()
-                    moved = await loop.run_in_executor(
-                        self._producer_pool, self.gateway.preverify
-                    )
-                    if not moved and len(self.gateway.node.unverified):
-                        # The verified pool is full: nothing can move
-                        # until the beat drafts from it.  (A pass that
-                        # found nothing, or refused all it found, waits
-                        # for the next arrival instead.)
-                        await asyncio.sleep(deadline - loop.time())
-                        break
-                if self._beat_has_work():
+                decision = gateway.next_step(loop.time(), deadline)
+                if decision == PREVERIFY or decision == CUT:
                     await loop.run_in_executor(
-                        self._producer_pool, self.gateway.produce_block
+                        self._producer_pool, gateway.step, decision
                     )
+                    if decision == CUT:
+                        deadline = loop.time() + interval
+                    continue
+                # An arrival noted before now was in what next_step read.
+                deadline = decision
+                self._arrival = loop.create_future()
+                # asyncio.wait, not wait_for: on Python 3.11 wait_for can
+                # swallow the cancel that stop() sends (CPython gh-86296).
+                await asyncio.wait((self._arrival,),
+                                   timeout=max(0.0, deadline - loop.time()))
         except Exception as exc:  # noqa: BLE001 - reported by stop()
             self._failure = exc
-            self.gateway.halt()
-
-    def _beat_has_work(self) -> bool:
-        """False when the beat could only find both pools empty and not
-        cut: it then stays on the loop instead of visiting the producer
-        thread.  An arrival after this look waits for the next beat,
-        as one just after the beat always does."""
-        node = self.gateway.node
-        return (self.gateway.config.cut_empty_blocks
-                or len(node.unverified) > 0 or len(node.verified) > 0)
-
-    async def _arrived_before(self, deadline: float) -> bool:
-        """Wait until a transaction arrives (True) or ``deadline`` on
-        the loop's clock passes (False)."""
-        remaining = deadline - asyncio.get_running_loop().time()
-        if remaining > 0 and not self._arrival.done():
-            # asyncio.wait, not wait_for: on Python 3.11 wait_for can
-            # swallow the cancel that stop() sends (CPython gh-86296).
-            await asyncio.wait((self._arrival,), timeout=remaining)
-        return remaining > 0 and self._arrival.done()
 
     def _note_arrivals(self) -> None:
         """Wake the producer if a transaction entered the pool (a read

@@ -13,33 +13,19 @@ Entry points: :func:`run_sim` (programmatic), ``repro sim`` (CLI), and
 :mod:`repro.sim.scenarios` (pytest-importable presets).
 """
 
-from repro.errors import InvariantViolation
-from repro.sim.events import EventLog, SimEvent, SimResult
-from repro.sim.faults import FAULT_KINDS, FaultInjector, FaultRates, parse_faults
-from repro.sim.harness import CANARY_CONTRACT_SOURCE, SimConfig, run_sim
+from repro.sim.faults import FAULT_KINDS, parse_faults
+from repro.sim.harness import SimConfig, run_sim
 from repro.sim.invariants import (
     ConfidentialityChecker,
     SafetyChecker,
     check_epc_sanity,
 )
-from repro.sim.scenarios import SCENARIOS
-from repro.sim.transport import Message, SimTransport
 
 __all__ = [
-    "CANARY_CONTRACT_SOURCE",
     "ConfidentialityChecker",
-    "EventLog",
     "FAULT_KINDS",
-    "FaultInjector",
-    "FaultRates",
-    "InvariantViolation",
-    "Message",
-    "SCENARIOS",
     "SafetyChecker",
     "SimConfig",
-    "SimEvent",
-    "SimResult",
-    "SimTransport",
     "check_epc_sanity",
     "parse_faults",
     "run_sim",

@@ -34,8 +34,6 @@ FAULT_KINDS = (
     "epc",
 )
 
-MESSAGE_FAULTS = frozenset({"drop", "delay", "dup"})
-
 
 def parse_faults(spec) -> frozenset[str]:
     """Parse a ``drop,crash,partition,epc`` style spec (or iterable)."""

@@ -4,8 +4,9 @@ One :func:`run_sim` call stands up a full consortium (real nodes, real
 enclaves, real K-Protocol key agreement), then drives it step by step
 over simulated time: clients inject confidential transactions carrying a
 seed-derived canary secret, each node admits them through its own
-serving :class:`~repro.serve.gateway.Gateway`, leaders cut blocks with
-that gateway on the paper's 30 ms cadence, proposals and sync traffic
+serving :class:`~repro.serve.gateway.Gateway`, whose producer schedule
+runs on the simulated clock (the leader's deadline comes due on the
+paper's 30 ms cadence), proposals and sync traffic
 flow through a fault-scheduling transport, and the injector crashes
 nodes, cuts the network, tears down enclaves, and spikes EPC pressure —
 all driven by **one** ``random.Random(seed)`` which is simultaneously
@@ -37,6 +38,7 @@ from repro.crypto.ecc import decode_point
 from repro.crypto.entropy import deterministic_entropy
 from repro.errors import ChainError, InvariantViolation, ReproError
 from repro.lang import compile_source
+from repro.serve.gateway import CUT, PREVERIFY
 from repro.sim.cluster import SimCluster
 from repro.sim.events import EventLog, SimResult
 from repro.sim.faults import (
@@ -46,7 +48,6 @@ from repro.sim.faults import (
     FaultInjector,
     PartitionFault,
     SlowFault,
-    parse_faults,
 )
 from repro.sim.invariants import (
     ConfidentialityChecker,
@@ -179,8 +180,10 @@ class _Simulation:
                 self._deliver(step, now)
                 if step % config.tx_every == 0:
                     self._inject_tx(now)
-                if step % config.block_every == config.block_every - 1:
-                    self._cut_block(step, now)
+                self._produce(
+                    step, now,
+                    cut=step % config.block_every == config.block_every - 1,
+                )
                 self._apply_buffered(step, now)
                 self._sync(step, now)
                 self._check_step(step)
@@ -218,7 +221,7 @@ class _Simulation:
         )
         self.injected.append(tx.tx_hash)
         self._submit(self.cluster[0], tx.encode())
-        applied = self.cluster[0].gateway.produce_block()
+        applied = self._step(self.cluster[0].gateway, 0.0, 0.0)
         self._register_block(0, applied, 0, 0.0)
         for sim_node in self.cluster:
             if sim_node.node_id == 0:
@@ -370,24 +373,37 @@ class _Simulation:
         for node_id in range(len(self.cluster)):
             self.transport.send(now, -1, node_id, "tx", payload)
 
-    def _cut_block(self, step: int, now: float) -> None:
+    def _produce(self, step: int, now: float, cut: bool) -> None:
+        """Step every live gateway's schedule at ``now``; on a cut tick
+        the leader's deadline is ``now``, so it cuts the block."""
+        leader_id = None
+        if cut:
+            leader_id, view_changed, reason = self._pick_leader()
+            if leader_id is None:
+                self.log.emit(step, now, "stall", reason)
+            elif view_changed:
+                self.result.view_changes += 1
+                self.log.emit(step, now, "view_change",
+                              f"leader={leader_id} {reason}")
         for sim_node in self.cluster:
-            if sim_node.alive:
-                sim_node.node.preverify_pending()
-        leader_id, view_changed, reason = self._pick_leader()
+            if sim_node.alive and sim_node.node_id != leader_id:
+                self._step(sim_node.gateway, now, None)
         if leader_id is None:
-            self.log.emit(step, now, "stall", reason)
             return
-        if view_changed:
-            self.result.view_changes += 1
-            self.log.emit(step, now, "view_change",
-                          f"leader={leader_id} {reason}")
-        applied = self.cluster[leader_id].gateway.produce_block()
+        applied = self._step(self.cluster[leader_id].gateway, now, now)
         self._register_block(leader_id, applied, step, now)
         self.transport.broadcast(
             now, leader_id, "propose", applied.block.encode(),
             list(range(len(self.cluster))),
         )
+
+    @staticmethod
+    def _step(gateway, now: float, deadline: float | None):
+        """Step one gateway until it would wait; returns the block a
+        due cut applied, or None."""
+        while (decision := gateway.next_step(now, deadline)) == PREVERIFY:
+            gateway.step(decision)
+        return gateway.step(CUT) if decision == CUT else None
 
     def _register_block(self, leader_id: int, applied, step: int,
                         now: float) -> None:
@@ -539,7 +555,7 @@ class _Simulation:
                 # turn and its pool empties.
                 if not self._pooled():
                     break
-                self._cut_block(step, now)
+                self._produce(step, now, cut=True)
         return step, now
 
     def _final_checks(self, step: int, now: float) -> None:
@@ -599,6 +615,5 @@ class _Simulation:
 __all__ = [
     "CANARY_CONTRACT_SOURCE",
     "SimConfig",
-    "parse_faults",
     "run_sim",
 ]

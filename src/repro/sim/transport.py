@@ -116,7 +116,3 @@ class SimTransport:
             _, _, message = heapq.heappop(self._queue)
             ready.append(message)
         return ready
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._queue)

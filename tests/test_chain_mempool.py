@@ -46,6 +46,24 @@ class TestWireSizeCaching:
         batch = pool.pop_batch(max_bytes=budget)
         assert batch == txs[:2]
 
+    def test_sizes_and_a_partly_used_budget(self):
+        pool = TxPool()
+        assert pool.nbytes == 0 and pool.head_bytes == 0
+        txs = [make_tx(i) for i in range(4)]
+        for tx in txs:
+            pool.add(tx)
+        assert pool.nbytes == sum(tx.wire_size for tx in txs)
+        assert pool.head_bytes == txs[0].wire_size
+        # With part of the budget used, the batch stops at the first
+        # transaction that does not fit the rest; nothing is dropped.
+        budget = sum(tx.wire_size for tx in txs[:3])
+        batch = pool.pop_batch(max_bytes=budget,
+                               used_bytes=txs[0].wire_size + 1)
+        assert batch == txs[:1]
+        assert pool.dropped_oversized == 0
+        assert pool.head_bytes == txs[1].wire_size
+        assert pool.nbytes == sum(tx.wire_size for tx in txs[1:])
+
 
 class TestPoolThreadSafety:
     def test_concurrent_add_and_pop(self):

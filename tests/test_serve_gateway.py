@@ -35,10 +35,12 @@ from repro.serve import jsonrpc
 from repro.serve.gateway import (
     AsyncGatewayServer,
     CLOSED,
+    CUT,
     DRAINING,
     Gateway,
     GatewayConfig,
     HALTED,
+    PREVERIFY,
     SERVING,
 )
 from repro.serve.jsonrpc import RpcError
@@ -341,6 +343,24 @@ class TestGatewayRpc:
         assert harness.gateway.accepted_total == accepted
 
 
+    def test_transaction_larger_than_a_block_is_refused(self, harness):
+        # Regression: a sealed call over the block budget used to be
+        # answered "accepted" and then dropped at drafting, so it never
+        # got a receipt and get_receipt said it was not even pending.
+        budget = harness.gateway.config.max_block_bytes
+        tx = harness.client.confidential_call(
+            harness.pk, harness.contract, "record", b"x" * 6000
+        )
+        assert tx.wire_size > budget
+        accepted = harness.gateway.accepted_total
+        response = harness.submit(tx)
+        assert response["error"]["code"] == jsonrpc.REQUEST_TOO_LARGE
+        assert response["error"]["data"]["limit_bytes"] == budget
+        assert tx.tx_hash not in harness.node.unverified
+        assert tx.tx_hash not in harness.node.verified
+        assert harness.gateway.accepted_total == accepted
+
+
 class TestMalformedRequests:
     """Garbage in, structured errors out — never a traceback."""
 
@@ -435,6 +455,111 @@ class TestBackpressure:
                 assert tx.tx_hash in node.receipts
         finally:
             harness.gateway.close()
+
+
+def _one_block(txs, budget: int) -> list:
+    """The FIFO prefix of ``txs`` that one block of ``budget`` bytes
+    takes."""
+    size = 0
+    for count, tx in enumerate(txs):
+        size += tx.wire_size
+        if size > budget:
+            return txs[:count]
+    return list(txs)
+
+
+class TestProducerSchedule:
+    def test_a_pass_verifies_one_block_of_a_burst(self, harness):
+        gateway, node = harness.gateway, harness.node
+        budget = gateway.config.max_block_bytes
+        txs = [harness.record_tx(i) for i in range(45)]
+        first = _one_block(txs, budget)
+        assert len(txs) >= 3 * len(first)
+        for tx in txs:
+            assert harness.submit(tx)["result"]["accepted"]
+        assert gateway.preverify() == len(first)
+        assert all(tx.tx_hash in node.verified for tx in first)
+        assert all(tx.tx_hash in node.unverified
+                   for tx in txs[len(first):])
+        # One block's worth is verified: no further pass before a cut.
+        assert gateway.next_step(0.0, None) is None
+        # The cut drafts the block an unbounded pass would have.
+        applied = gateway.produce_block()
+        assert [tx.tx_hash for tx in applied.block.transactions] == [
+            tx.tx_hash for tx in first
+        ]
+        assert gateway.next_step(0.0, None) == PREVERIFY
+
+    def test_a_transaction_too_big_for_the_rest_stays_queued(
+            self, harness):
+        gateway, node = harness.gateway, harness.node
+        budget = gateway.config.max_block_bytes
+        small = [harness.record_tx(i) for i in range(10)]
+        big = harness.client.confidential_call(
+            harness.pk, harness.contract, "record", b"x" * 2000
+        )
+        used = sum(tx.wire_size for tx in small)
+        assert used + big.wire_size > budget >= big.wire_size
+        for tx in small + [big]:
+            assert harness.submit(tx)["result"]["accepted"]
+        assert gateway.preverify() == len(small)
+        # Not dropped for overshooting what is left of the block: it
+        # waits for the next one.
+        assert big.tx_hash in node.unverified
+        assert node.unverified.dropped_oversized == 0
+        assert gateway.next_step(0.0, None) is None
+        assert len(gateway.produce_block().block.transactions) == len(small)
+        assert gateway.preverify() == 1
+        assert gateway.produce_block().block.transactions[0].tx_hash == (
+            big.tx_hash
+        )
+        assert node.verified.dropped_oversized == 0
+        found = call(gateway, "get_receipt", {"tx_hash": big.tx_hash.hex()})
+        assert found["result"]["found"]
+
+    def test_idle_beats_and_missing_deadlines_wait(self, harness):
+        gateway = harness.gateway
+        interval = gateway.config.block_interval_s
+        assert gateway.next_step(0.0, None) is None
+        assert gateway.next_step(0.0, 1.0) == 1.0
+        # A due beat with nothing to cut moves on by one interval.
+        assert gateway.next_step(1.5, 1.0) == 1.5 + interval
+        # An arrival is pre-verified before the due beat cuts it.
+        assert harness.submit(harness.record_tx(1))["result"]["accepted"]
+        assert gateway.next_step(1.5, 1.0) == PREVERIFY
+        assert gateway.step(PREVERIFY) == 1
+        assert gateway.next_step(1.5, 1.0) == CUT
+
+    def test_failed_step_on_a_fake_clock_halts_the_gateway(
+            self, coldchain_artifact):
+        clock = FakeClock()
+        harness = GatewayHarness(coldchain_artifact, clock=clock)
+        gateway = harness.gateway
+        commits = []
+
+        def failing_commit(puts, deletes):
+            commits.append(len(puts))
+            raise StorageError("injected commit failure")
+
+        harness.node.kv._commit = failing_commit
+        deadline = clock() + gateway.config.block_interval_s
+        assert harness.submit(harness.record_tx(1))["result"]["accepted"]
+        assert gateway.next_step(clock(), deadline) == PREVERIFY
+        assert gateway.step(PREVERIFY) == 1
+        assert gateway.next_step(clock(), deadline) == deadline
+        clock.now = deadline
+        assert gateway.next_step(clock(), deadline) == CUT
+        with pytest.raises(StorageError):
+            gateway.step(CUT)
+        assert commits and gateway.state == HALTED
+        refused = harness.submit(harness.record_tx(2))
+        assert refused["error"]["code"] == jsonrpc.UNAVAILABLE
+        status = call(gateway, "node_status")["result"]
+        assert status["state"] == HALTED
+        assert call(gateway, "chain_status")["result"]["height"] == 2
+        # A halted gateway takes no more passes.
+        assert harness.node.receive_transaction(harness.record_tx(3))
+        assert gateway.next_step(clock(), None) is None
 
 
 class TestGatewayRateLimit:
