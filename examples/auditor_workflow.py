@@ -32,7 +32,7 @@ from repro.core.roles import open_role_blob, unwrap_role_key
 from repro.crypto.ecc import decode_point
 from repro.crypto.keys import KeyPair
 from repro.lang import compile_source
-from repro.storage import MemoryKV
+from repro.storage import MemoryKV, rlp
 from repro.workloads import Client
 
 SCHEMA_SOURCE = """
@@ -118,8 +118,10 @@ def main() -> None:
     print(f"booked {len(booked)} confidential loans at {address.hex()[:12]}…")
 
     # --- 1. the public view ------------------------------------------------
-    record = engine.contracts[address]
-    aad = StateAad(address, record.owner, record.security_version)
+    # The AAD's owner and version travel in plaintext ahead of the sealed
+    # code record, so anyone holding the database can rebuild it.
+    owner, version, _sealed_code = rlp.decode(engine.kv.get(b"c:" + address))
+    aad = StateAad(address, owner, rlp.decode_int(version))
     pub_blobs = {k: v for k, v in engine.kv.items() if k.endswith(b"#pub")}
     print("\npublic view (raw database, no keys):")
     for blob in pub_blobs.values():
@@ -146,10 +148,7 @@ def main() -> None:
 
     # --- 3. receipt delegation through the chain code -----------------------
     delegate = KeyPair.from_seed(b"delegate")
-    chaincode = AuthorizationChainCode(
-        call_contract=engine.call_readonly,
-        tx_key_lookup=engine.tx_key_lookup,
-    )
+    chaincode = AuthorizationChainCode(engine.grant_access)
     target_raw, target_outcome = booked[0]
     chaincode.submit(AccessRequest(
         tx_hash=target_outcome.receipt.tx_hash,  # the wire tx hash

@@ -35,6 +35,9 @@ NODE_REQUIRED = (
     "confide_op_seconds_total",
     "confide_epc_",
     "confide_mempool_depth",
+    "confide_sdm_cache_",
+    "confide_preverify_cache_",
+    "confide_code_cache_",
 )
 FUZZ_REQUIRED = ("confide_fuzz_execs_total",)
 

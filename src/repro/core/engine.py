@@ -3,11 +3,17 @@
 - :class:`PublicEngine` — executes public (TYPE=0) transactions against
   plaintext KV state; this is the platform's stock engine that CONFIDE
   plugs in *next to*.
-- :class:`ConfidentialEngine` — the paper's contribution: a CS enclave
-  hosting the pre-processor, the VM, and the Secure Data Module, with
-  keys provisioned from the KM enclave over the local-attestation
-  channel.  Everything a confidential transaction touches is decrypted
-  only inside the enclave; states leave it AES-GCM-sealed under
+- :class:`ConfidentialEngine` — the paper's contribution, split at the
+  trust boundary.  The host keeps the KV store and the ocall handlers
+  that serve it, the key lifecycle, thin wrappers around the CS
+  enclave's ecalls, and the counters the enclave writes into.  The
+  engine proper — the pre-verification cache, the VM call path, the
+  Secure Data Module, the contract records, ``sk_tx`` and ``k_states``
+  — is a runtime that only the :class:`CSEnclave` holds (Figure 6),
+  built when the KM enclave provisions keys over the local-attestation
+  channel.  It reaches storage only through the enclave's ocalls.
+  Everything a confidential transaction touches is decrypted only
+  inside the enclave; states leave it AES-GCM-sealed under
   ``k_states``; receipts leave it sealed under the transaction's
   one-time ``k_tx``.
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 import functools
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.ccle.parser import parse_schema
@@ -38,8 +45,10 @@ from repro.core import t_protocol
 from repro.core.config import DEFAULT_CONFIG, EngineConfig
 from repro.core.d_protocol import StateAad, StateCipher
 from repro.core.kmm import KMEnclave
-from repro.core.preprocessor import PreProcessor
+from repro.core.preprocessor import PreProcessor, TxMetadata
 from repro.core.receipts import (
+    ACCESS_WRAP_AAD,
+    ACL_METHOD,
     ANALYSIS_BYTECODE_ONLY,
     ANALYSIS_SOURCE_BYTECODE,
     KIND_ANALYSIS,
@@ -48,6 +57,7 @@ from repro.core.receipts import (
     KIND_UNDECRYPTABLE,
     Receipt,
 )
+from repro.core.roles import ROLE_ACL_METHOD, ROLE_RELEASE_AAD
 from repro.core.sdm import SecureDataModule
 from repro.core.stats import (
     ARTIFACT_VERIFY,
@@ -63,6 +73,8 @@ from repro.core.stats import (
     TX_DECRYPT,
     TX_VERIFY,
 )
+from repro.crypto import ecies
+from repro.crypto.ecc import decode_point
 from repro.crypto.gcm import NONCE_SIZE, AesGcm
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import KeyPair
@@ -78,10 +90,10 @@ from repro.lang.compiler import ContractArtifact
 from repro.obs.trace import get_tracer
 from repro.storage import rlp
 from repro.storage.kv import KVStore
-from repro.tee.enclave import Enclave, Platform
+from repro.tee.enclave import Enclave, Measurement, Platform
 from repro.vm import runner
 from repro.vm.host import HostContext
-from repro.vm.wasm.code_cache import CodeCache
+from repro.vm.wasm.code_cache import CacheStats, CodeCache
 
 _CODE_PREFIX = b"c:"
 _STATE_PREFIX = b"s:"
@@ -96,6 +108,9 @@ _MAX_CALL_DEPTH = 64
 #: public pre-verification verdicts kept for execute, oldest dropped
 #: first (a dropped verdict costs one re-verification)
 _VERDICT_CAPACITY = 10_000
+#: confidential pre-verification metadata kept in the CS enclave, oldest
+#: dropped first (a dropped entry costs one full envelope open)
+_TX_META_CAPACITY = 10_000
 
 
 @dataclass(frozen=True)
@@ -148,6 +163,10 @@ class _TxScope:
 
 def _state_key(address: bytes, key: bytes) -> bytes:
     return _STATE_PREFIX + address + b"/" + key
+
+
+def _aad_for(record: _DeployedContract) -> StateAad:
+    return StateAad(record.address, record.owner, record.security_version)
 
 
 class _CallContext(HostContext):
@@ -212,7 +231,7 @@ class _CallContext(HostContext):
 
 
 class _BaseEngine:
-    """Machinery shared by the public and confidential engines."""
+    """Machinery shared by the public engine and the CS enclave's runtime."""
 
     # Whether this engine's receipts (output, revert payload) travel in
     # plaintext.  Drives the bytecode-flow pass's sink model: in the
@@ -220,16 +239,18 @@ class _BaseEngine:
     # and revert payloads are not public sinks at deploy admission.
     receipts_public = True
 
-    def __init__(self, kv: KVStore, config: EngineConfig = DEFAULT_CONFIG):
-        self.kv = kv
+    def __init__(self, config: EngineConfig, stats: OperationStats,
+                 code_cache_stats: CacheStats):
         self.config = config
-        self.stats = OperationStats()
+        self.stats = stats
+        self.code_cache_stats = code_cache_stats
         self.contracts: dict[bytes, _DeployedContract] = {}
         self.code_cache: CodeCache | None = None
         if config.use_code_cache:
             self.code_cache = CodeCache(
                 capacity=_CODE_CACHE_CAPACITY,
                 fuse=config.use_instruction_fusion,
+                stats=code_cache_stats,
             )
         # Exclusive-time tracking for CONTRACT_CALL (children and storage
         # spans are subtracted from the enclosing call's duration).
@@ -244,30 +265,9 @@ class _BaseEngine:
             stack = self._tls.excluded_stack = []
         return stack
 
-    # -- storage backend hooks (overridden by the confidential engine) ------
-
-    def _raw_kv_get(self, key: bytes) -> bytes | None:
-        return self.kv.get(key)
-
-    def _raw_kv_set(self, key: bytes, value: bytes) -> None:
-        self.kv.put(key, value)
-
-    def _raw_kv_scan(self, prefix: bytes) -> list[bytes]:
-        return [key for key, _ in self.kv.items_with_prefix(prefix)]
-
-    def _backend_get(self, record: _DeployedContract, key: bytes,
-                     full_key: bytes) -> bytes | None:
-        raise NotImplementedError
-
-    def _commit_state(self, record_map: dict[bytes, _DeployedContract],
-                      scope: _TxScope) -> None:
-        raise NotImplementedError
-
-    def _persist_code(self, record: _DeployedContract) -> None:
-        raise NotImplementedError
-
-    def _load_record(self, address: bytes) -> _DeployedContract | None:
-        raise NotImplementedError
+    # Storage backend, per subclass: _kv_get(key), _kv_set(key, value),
+    # _backend_get(record, key, full_key), _commit_state(scope),
+    # _persist_code(record) and _load_record(address).
 
     # -- shared helpers ---------------------------------------------------------
 
@@ -435,7 +435,7 @@ class _BaseEngine:
     def _check_and_bump_nonce(self, raw: RawTransaction,
                               scope: _TxScope) -> None:
         key = _NONCE_PREFIX + raw.sender
-        stored = self._raw_kv_get(key)
+        stored = self._kv_get(key)
         last = rlp.decode_int(stored) if stored else -1
         if stored is not None and raw.nonce <= last:
             raise ChainError(
@@ -446,15 +446,12 @@ class _BaseEngine:
         # replay protection survives failed executions).
         scope.nonce_updates[key] = rlp.encode_int(raw.nonce) or b"\x00"
 
-    def _apply_nonce_updates(self, scope: _TxScope) -> None:
-        for key, value in scope.nonce_updates.items():
-            self._raw_kv_set(key, value)
-
     def _apply_scope(self, scope: _TxScope) -> None:
         """Apply a buffered scope: nonce bumps always, overlay on success."""
-        self._apply_nonce_updates(scope)
+        for key, value in scope.nonce_updates.items():
+            self._kv_set(key, value)
         if scope.success:
-            self._commit_state(self.contracts, scope)
+            self._commit_state(scope)
 
     def _apply_raw(self, raw: RawTransaction, scope: _TxScope) -> bytes:
         """Deploy or call; returns the receipt output."""
@@ -483,12 +480,56 @@ class _BaseEngine:
             caller=raw.sender, scope=scope, depth=1,
         )
 
+    def _execute_raw(self, tx_hash: bytes, raw: RawTransaction,
+                     verified: bool, started: float, span,
+                     k_tx: bytes | None = None) -> ExecutionOutcome:
+        """Run one opened transaction and build its receipt.  A bad
+        signature executes nothing; a revert keeps the nonce bump only.
+        With ``k_tx`` the receipt is also sealed (T-Protocol formula 2)."""
+        scope = _TxScope()
+        if not verified:
+            span.set("outcome", "invalid signature")
+            receipt = Receipt(tx_hash, False, error="invalid signature",
+                              sender=raw.sender, contract=raw.contract,
+                              kind=KIND_BAD_SIGNATURE)
+        else:
+            try:
+                output = self._apply_raw(raw, scope)
+                scope.success = True
+                self._apply_scope(scope)
+                receipt = Receipt(
+                    tx_hash, True, output=output, logs=tuple(scope.logs),
+                    instructions=scope.instructions, gas_used=scope.gas_used,
+                    storage_reads=scope.storage_reads,
+                    storage_writes=scope.storage_writes,
+                    sender=raw.sender, contract=raw.contract,
+                    analysis_mode=scope.analysis_mode,
+                )
+                span.set("outcome", "ok")
+            except ReproError as exc:
+                span.set("outcome", "reverted")
+                self._apply_scope(scope)
+                kind = (KIND_ANALYSIS if isinstance(exc, AnalysisError)
+                        else KIND_REVERT)
+                receipt = Receipt(tx_hash, False, error=str(exc),
+                                  sender=raw.sender, contract=raw.contract,
+                                  kind=kind,
+                                  analysis_mode=getattr(
+                                      exc, "analysis_mode", ""))
+        sealed = (None if k_tx is None
+                  else t_protocol.seal_receipt(k_tx, receipt.encode()))
+        return ExecutionOutcome(
+            receipt, sealed, time.perf_counter() - started,
+            frozenset(scope.read_set), frozenset(scope.write_set),
+        )
+
 
 class PublicEngine(_BaseEngine):
     """The stock plaintext execution engine (Public-Engine in Figure 2)."""
 
     def __init__(self, kv: KVStore, config: EngineConfig = DEFAULT_CONFIG):
-        super().__init__(kv, config)
+        super().__init__(config, OperationStats(), CacheStats())
+        self.kv = kv
         # Hashes of admitted transactions, in admission order; refused
         # ones are not kept, so bad transactions cannot grow it.
         self._verified: dict[bytes, bool] = {}
@@ -514,10 +555,16 @@ class PublicEngine(_BaseEngine):
                     del self._verified[next(iter(self._verified))]
         return verified
 
-    def _backend_get(self, record, key, full_key):
-        return self._raw_kv_get(full_key)
+    def _kv_get(self, key):
+        return self.kv.get(key)
 
-    def _commit_state(self, record_map, scope):
+    def _kv_set(self, key, value):
+        self.kv.put(key, value)
+
+    def _backend_get(self, record, key, full_key):
+        return self._kv_get(full_key)
+
+    def _commit_state(self, scope):
         self.kv.write_batch(scope.overlay)
 
     def _persist_code(self, record: _DeployedContract) -> None:
@@ -529,10 +576,10 @@ class PublicEngine(_BaseEngine):
                 rlp.encode_int(record.security_version),
             ]
         )
-        self._raw_kv_set(_CODE_PREFIX + record.address, blob)
+        self.kv.put(_CODE_PREFIX + record.address, blob)
 
     def _load_record(self, address: bytes) -> _DeployedContract | None:
-        blob = self._raw_kv_get(_CODE_PREFIX + address)
+        blob = self.kv.get(_CODE_PREFIX + address)
         if blob is None:
             return None
         items = rlp.decode(blob)
@@ -555,63 +602,228 @@ class PublicEngine(_BaseEngine):
                 verify_started = time.perf_counter()
                 verified = raw.verify_signature()
                 self.stats.record(TX_VERIFY, time.perf_counter() - verify_started)
-            scope = _TxScope()
-            if not verified:
-                span.set("outcome", "invalid signature")
-                receipt = Receipt(tx.tx_hash, False, error="invalid signature",
-                                  sender=raw.sender, contract=raw.contract,
-                                  kind=KIND_BAD_SIGNATURE)
-                return ExecutionOutcome(
-                    receipt, None, time.perf_counter() - started,
-                    frozenset(), frozenset(),
-                )
+            return self._execute_raw(tx.tx_hash, raw, verified, started, span)
+
+
+class _CSRuntime(_BaseEngine):
+    """The Confidential-Engine as it runs inside the CS enclave, which
+    alone references it: ``sk_tx``, the state cipher, the SDM, the
+    pre-verification metadata cache, the contract records and the code
+    cache.  It reaches the store only through the enclave's ocalls, and
+    writes to the host only counts and durations, into the ledgers the
+    host handed the enclave."""
+
+    receipts_public = False  # receipts sealed under k_tx (T-Protocol)
+
+    def __init__(self, enclave: "CSEnclave", sk_tx: KeyPair,
+                 cipher: StateCipher):
+        config, stats, preprocessor, sdm_stats, code_cache_stats = \
+            enclave.ledgers
+        super().__init__(config, stats, code_cache_stats)
+        self._enclave = enclave
+        self._sk_tx = sk_tx
+        self._cipher = cipher
+        self._preprocessor = preprocessor
+        self._sdm = SecureDataModule(enclave, cipher, sdm_stats)
+        # (tx hash → k_tx, f_verified), filled by pre-verification (§5.2)
+        # and bounded: EPC is scarce, the oldest entries go first.
+        self._tx_meta: OrderedDict[bytes, TxMetadata] = OrderedDict()
+        self._tx_meta_lock = threading.Lock()
+
+    # -- storage, through the enclave's ocalls ----------------------------------
+
+    def _kv_get(self, key):
+        return self._enclave.ocall("kv_get", key)
+
+    def _kv_set(self, key, value):
+        self._enclave.ocall("kv_set", key, value)
+
+    def _charge_vm_memory(self, record: _DeployedContract) -> None:
+        # Each VM instantiation takes enclave heap: linear memory plus the
+        # decoded module.  With the memory pool (OPT1) this is a freelist
+        # pop; without, it pays allocator overhead and fragmentation in
+        # the EPC accounting (paper §5.3).
+        vm_bytes = (1 << 20) + len(record.artifact.code) * 4
+        handle = self._enclave.malloc(vm_bytes)
+        self._enclave.free(handle)
+
+    def _backend_get(self, record, key, full_key):
+        aad = _aad_for(record)
+        if record.schema is not None and key.startswith(_CCLE_KEY_PREFIX):
+            return self._sdm.load_ccle(full_key, aad, record.schema)
+        return self._sdm.load(full_key, aad)
+
+    def _commit_state(self, scope):
+        prefix_len = len(_STATE_PREFIX)
+        for full_key, value in scope.overlay.items():
+            address = full_key[prefix_len : prefix_len + ADDRESS_SIZE]
+            key = full_key[prefix_len + ADDRESS_SIZE + 1 :]
+            record = self._get_record(address)
+            aad = _aad_for(record)
+            if record.schema is not None and key.startswith(_CCLE_KEY_PREFIX):
+                self._sdm.store_ccle(full_key, value, aad, record.schema)
+            else:
+                self._sdm.store(full_key, value, aad)
+
+    def _persist_code(self, record: _DeployedContract) -> None:
+        # Contract code is confidential (D-Protocol covers "contract
+        # states and code").  The owner address travels plaintext next to
+        # the ciphertext because it is part of the AAD the decryptor must
+        # reconstruct; it is integrity-protected by that same AAD binding.
+        blob = rlp.encode(
+            [record.artifact.encode(), record.schema_source.encode()]
+        )
+        sealed = self._cipher.seal(blob, _aad_for(record))
+        wrapped = rlp.encode(
+            [record.owner, rlp.encode_int(record.security_version), sealed]
+        )
+        self._kv_set(_CODE_PREFIX + record.address, wrapped)
+
+    def _load_record(self, address: bytes) -> _DeployedContract | None:
+        wrapped = self._kv_get(_CODE_PREFIX + address)
+        if wrapped is None:
+            return None
+        owner, version_raw, sealed = rlp.decode(wrapped)
+        version = rlp.decode_int(version_raw)
+        blob = self._cipher.open(sealed, StateAad(address, owner, version))
+        items = rlp.decode(blob)
+        artifact = ContractArtifact.decode(items[0])
+        schema_source = items[1].decode()
+        schema = parse_schema(schema_source) if schema_source else None
+        return _DeployedContract(
+            address, owner, artifact, schema, schema_source, version
+        )
+
+    def _migrate_state(self, old: _DeployedContract,
+                       new: _DeployedContract) -> None:
+        """Re-seal every state entry under the new version's AAD."""
+        old_aad, new_aad = _aad_for(old), _aad_for(new)
+        prefix = _STATE_PREFIX + old.address + b"/"
+        for full_key in self._enclave.ocall("kv_scan", prefix):
+            if full_key.endswith(b"#pub"):
+                continue  # CCLe public parts are plaintext
+            sealed = self._kv_get(full_key)
+            if sealed is None:
+                continue
+            plain = self._cipher.open(sealed, old_aad)
+            self._kv_set(full_key, self._cipher.seal(plain, new_aad))
+
+    # -- transactions ------------------------------------------------------------
+
+    def _remember(self, tx_hash: bytes, meta: TxMetadata) -> None:
+        with self._tx_meta_lock:
+            self._tx_meta[tx_hash] = meta
+            self._tx_meta.move_to_end(tx_hash)
+            while len(self._tx_meta) > _TX_META_CAPACITY:
+                self._tx_meta.popitem(last=False)
+
+    def preverify(self, tx: Transaction) -> bool:
+        """Figure 7, steps P2–P4: open, verify, cache the metadata."""
+        try:
+            meta = self._preprocessor.preverify(self._sk_tx, tx)
+        except ReproError:
+            # An undecryptable/malformed envelope is simply invalid; it
+            # must not take down the rest of the batch (Figure 7:
+            # invalid transactions are discarded in advance).
+            return False
+        self._remember(tx.tx_hash, meta)
+        return meta.f_verified
+
+    def execute(self, tx: Transaction) -> ExecutionOutcome:
+        with get_tracer().span("engine.execute_tx", kind="confidential") as span:
+            started = time.perf_counter()
+            with self._tx_meta_lock:
+                cached = self._tx_meta.get(tx.tx_hash)
             try:
-                output = self._apply_raw(raw, scope)
-                scope.success = True
-                self._apply_scope(scope)
-                receipt = Receipt(
-                    tx.tx_hash, True, output=output,
-                    logs=tuple(scope.logs),
-                    instructions=scope.instructions, gas_used=scope.gas_used,
-                    storage_reads=scope.storage_reads,
-                    storage_writes=scope.storage_writes,
-                    sender=raw.sender, contract=raw.contract,
-                    analysis_mode=scope.analysis_mode,
-                )
-                span.set("outcome", "ok")
+                processed = self._preprocessor.process(self._sk_tx, tx, cached)
             except ReproError as exc:
-                span.set("outcome", "reverted")
-                self._apply_scope(scope)
-                kind = (KIND_ANALYSIS if isinstance(exc, AnalysisError)
-                        else KIND_REVERT)
-                receipt = Receipt(tx.tx_hash, False, error=str(exc),
-                                  sender=raw.sender, contract=raw.contract,
-                                  kind=kind,
-                                  analysis_mode=getattr(
-                                      exc, "analysis_mode", ""))
-            return ExecutionOutcome(
-                receipt, None, time.perf_counter() - started,
-                frozenset(scope.read_set), frozenset(scope.write_set),
+                span.set("outcome", "undecryptable")
+                receipt = Receipt(tx.tx_hash, False,
+                                  error=f"undecryptable: {exc}",
+                                  kind=KIND_UNDECRYPTABLE)
+                return ExecutionOutcome(receipt, None,
+                                        time.perf_counter() - started,
+                                        frozenset(), frozenset())
+            if cached is None:
+                self._remember(tx.tx_hash,
+                               TxMetadata(processed.k_tx, processed.verified))
+            return self._execute_raw(tx.tx_hash, processed.raw,
+                                     processed.verified, started, span,
+                                     processed.k_tx)
+
+    def query(self, address: bytes, method: str, argument: bytes) -> bytes:
+        """Run a contract method without a transaction; writes are
+        discarded with the scope."""
+        return self._call(address, method, argument,
+                          caller=b"\x00" * ADDRESS_SIZE, scope=_TxScope(),
+                          depth=1)
+
+    # -- releases to a requester ---------------------------------------------------
+
+    def _release(self, address: bytes, acl_method: str, argument: bytes,
+                 requester_pub: bytes, aad: bytes, secret) -> bytes | None:
+        """Ask the target contract's ACL method; on a grant, ECIES-wrap
+        ``secret()`` to the requester.  Returns None on denial."""
+        verdict = self.query(address, acl_method, argument)
+        if not (verdict and verdict[-1:] == b"\x01"):
+            return None
+        return ecies.encrypt(decode_point(requester_pub), secret(), aad)
+
+    def export_role_key(self, address: bytes, role: str, requester: bytes,
+                        requester_pub: bytes) -> bytes | None:
+        record = self._get_record(address)
+        if record.schema is None or role not in record.schema.roles():
+            raise ProtocolError(
+                f"contract {address.hex()[:8]} has no CCLe role '{role}'"
             )
+        return self._release(
+            address, ROLE_ACL_METHOD, rlp.encode([role.encode(), requester]),
+            requester_pub, ROLE_RELEASE_AAD,
+            lambda: self._cipher.role_key(role),
+        )
+
+    def grant_access(self, tx_hash: bytes, requester: bytes,
+                     requester_pub: bytes, target: bytes,
+                     kind: str) -> bytes | None:
+        def cached_key() -> bytes:
+            with self._tx_meta_lock:
+                meta = self._tx_meta.get(tx_hash)
+            if meta is None:
+                raise ProtocolError(
+                    "authorization granted but k_tx is no longer cached"
+                )
+            return meta.k_tx
+
+        return self._release(
+            target, ACL_METHOD,
+            rlp.encode([tx_hash, requester, kind.encode()]),
+            requester_pub, ACCESS_WRAP_AAD, cached_key,
+        )
 
 
 class CSEnclave(Enclave):
-    """Contract Service enclave: pre-processor + VM + SDM (Figure 6)."""
+    """Contract Service enclave: pre-processor + VM + SDM (Figure 6),
+    in a runtime that ``install_keys`` builds."""
 
     VERSION = 1
 
-    def __init__(self, platform: Platform, engine: "ConfidentialEngine"):
+    def __init__(self, platform: Platform, config: EngineConfig,
+                 stats: OperationStats, preprocessor: PreProcessor,
+                 sdm_stats: CacheStats, code_cache_stats: CacheStats):
         super().__init__(platform, "cs-enclave")
-        self._engine = engine
-        self.register_ocall("kv_get", engine._raw_kv_get)
-        self.register_ocall("kv_set", engine._raw_kv_set)
-        self.register_ocall("kv_scan", engine._raw_kv_scan)
+        # The configuration and the host-side ledgers the runtime writes.
+        self.ledgers = (config, stats, preprocessor, sdm_stats,
+                        code_cache_stats)
+
+    def _runtime(self) -> _CSRuntime:
+        runtime = self.trusted.get("runtime")
+        if runtime is None:
+            raise ProtocolError("CS enclave has no keys installed")
+        return runtime
 
     def ecall_install_keys(self, blob: bytes, km_measurement_digest: bytes):
         """Install keys provisioned from the KM enclave over the
-        local-attestation channel."""
-        from repro.tee.enclave import Measurement
-
+        local-attestation channel, and build the runtime around them."""
         channel = self.platform.local_channel_key(
             Measurement(km_measurement_digest), self.measurement
         )
@@ -621,55 +833,35 @@ class CSEnclave(Enclave):
         payload = AesGcm(channel).open(nonce, sealed, _LOCAL_AAD)
         items = rlp.decode(payload)
         keypair = KeyPair.from_private(int.from_bytes(items[0], "big"))
-        self.trusted["sk_tx"] = keypair
-        self.trusted["cipher"] = StateCipher(items[1])
-        self._engine._on_keys_installed()
-
-    def ecall_preverify(self, tx_bytes: bytes) -> bool:
-        tx = Transaction.decode(tx_bytes)
-        return self._engine._preverify_inside(tx)
+        self.trusted["runtime"] = _CSRuntime(self, keypair,
+                                             StateCipher(items[1]))
 
     def ecall_preverify_batch(self, batch_blob: bytes) -> list[bool]:
         """Figure 7, step P1: a whole batch crosses the boundary in one
         ecall (one transition amortized over the batch)."""
-        items = rlp.decode(batch_blob)
-        return [
-            self._engine._preverify_inside(Transaction.decode(item))
-            for item in items
-        ]
+        runtime = self._runtime()
+        return [runtime.preverify(Transaction.decode(item))
+                for item in rlp.decode(batch_blob)]
 
-    def ecall_execute(self, tx_bytes: bytes):
-        tx = Transaction.decode(tx_bytes)
-        return self._engine._execute_inside(tx)
+    def ecall_execute(self, tx_bytes: bytes) -> ExecutionOutcome:
+        return self._runtime().execute(Transaction.decode(tx_bytes))
 
     def ecall_query(self, address: bytes, method: bytes, argument: bytes) -> bytes:
-        return self._engine._query_inside(address, method.decode(), argument)
+        return self._runtime().query(address, method.decode(), argument)
 
-    def ecall_export_role_key(
-        self, address: bytes, role: bytes, requester: bytes,
-        requester_pub: bytes,
-    ) -> bytes | None:
-        return self._engine._export_role_key_inside(
-            address, role.decode(), requester, requester_pub
-        )
+    def ecall_export_role_key(self, address: bytes, role: bytes,
+                              requester: bytes, requester_pub: bytes):
+        return self._runtime().export_role_key(address, role.decode(),
+                                               requester, requester_pub)
 
-    def sk_tx(self) -> KeyPair:
-        keypair = self.trusted.get("sk_tx")
-        if keypair is None:
-            raise ProtocolError("CS enclave has no keys installed")
-        return keypair
-
-    def cipher(self) -> StateCipher:
-        cipher = self.trusted.get("cipher")
-        if cipher is None:
-            raise ProtocolError("CS enclave has no keys installed")
-        return cipher
+    def ecall_grant_access(self, tx_hash: bytes, requester: bytes,
+                           requester_pub: bytes, target: bytes, kind: bytes):
+        return self._runtime().grant_access(tx_hash, requester, requester_pub,
+                                            target, kind.decode())
 
 
-class ConfidentialEngine(_BaseEngine):
-    """CONFIDE's Confidential-Engine."""
-
-    receipts_public = False  # receipts sealed under k_tx (T-Protocol)
+class ConfidentialEngine:
+    """CONFIDE's Confidential-Engine, as the host holds it."""
 
     def __init__(
         self,
@@ -677,13 +869,25 @@ class ConfidentialEngine(_BaseEngine):
         config: EngineConfig = DEFAULT_CONFIG,
         platform: Platform | None = None,
     ):
-        super().__init__(kv, config)
+        self.kv = kv
+        self.config = config
         self.platform = platform or Platform(use_memory_pool=config.use_memory_pool)
         self.platform.epc.use_pool = config.use_memory_pool
-        self.km = KMEnclave(self.platform)
-        self.cs = CSEnclave(self.platform, self)
+        # Guard-safe ledgers (counts and durations only): the CS enclave
+        # writes into them, the host reads them.
+        self.stats = OperationStats()
         self.preprocessor = PreProcessor(self.stats)
-        self.sdm: SecureDataModule | None = None
+        self.sdm_stats = CacheStats()
+        self.code_cache_stats = CacheStats()
+        self.km = KMEnclave(self.platform)
+        self.cs = CSEnclave(self.platform, config, self.stats,
+                            self.preprocessor, self.sdm_stats,
+                            self.code_cache_stats)
+        # The ocall handlers: the only way the enclave reaches the store.
+        self.cs.register_ocall("kv_get", kv.get)
+        self.cs.register_ocall("kv_set", kv.put)
+        self.cs.register_ocall("kv_scan", lambda prefix: [
+            key for key, _ in kv.items_with_prefix(prefix)])
         self._pk_tx: bytes | None = None
         # Spans record modeled TEE cycles next to wall-clock time.  The
         # tracer is process-global, so the most recently built engine's
@@ -705,7 +909,7 @@ class ConfidentialEngine(_BaseEngine):
         """
         if persist_sealed:
             sealed = self.km.ecall("seal_keys")
-            self._raw_kv_set(_SEALED_KEYS_KEY, sealed)
+            self.kv.put(_SEALED_KEYS_KEY, sealed)
         blob = self.km.ecall("provision_cs", self.cs.measurement.digest)
         self._pk_tx = self.km.ecall("public_key")
         self.cs.ecall("install_keys", blob, self.km.measurement.digest)
@@ -722,7 +926,7 @@ class ConfidentialEngine(_BaseEngine):
         an existing member revives its KM enclave from the
         platform-sealed key blob.
         """
-        sealed = self._raw_kv_get(_SEALED_KEYS_KEY)
+        sealed = self.kv.get(_SEALED_KEYS_KEY)
         if sealed is None:
             raise ProtocolError("no sealed keys to revive the KM enclave with")
         km = KMEnclave(self.platform, "km-enclave-revived")
@@ -738,7 +942,7 @@ class ConfidentialEngine(_BaseEngine):
         database on another machine cannot unseal — exactly SGX sealing
         semantics.
         """
-        sealed = self._raw_kv_get(_SEALED_KEYS_KEY)
+        sealed = self.kv.get(_SEALED_KEYS_KEY)
         if sealed is None:
             raise ProtocolError("no sealed keys in storage")
         if self.km.destroyed:
@@ -746,102 +950,17 @@ class ConfidentialEngine(_BaseEngine):
         self.km.ecall("unseal_keys", sealed)
         return self.provision_from_km(persist_sealed=False)
 
-    def _on_keys_installed(self) -> None:
-        self.sdm = SecureDataModule(self.cs, self.cs.cipher())
-
     @property
     def pk_tx(self) -> bytes:
         if self._pk_tx is None:
             raise ProtocolError("engine keys not provisioned")
         return self._pk_tx
 
-    # -- storage backend ------------------------------------------------------------
-
-    def _charge_vm_memory(self, record: _DeployedContract) -> None:
-        # Each VM instantiation takes enclave heap: linear memory plus the
-        # decoded module.  With the memory pool (OPT1) this is a freelist
-        # pop; without, it pays allocator overhead and fragmentation in
-        # the EPC accounting (paper §5.3).
-        vm_bytes = (1 << 20) + len(record.artifact.code) * 4
-        handle = self.cs.malloc(vm_bytes)
-        self.cs.free(handle)
-
-    def _aad_for(self, record: _DeployedContract) -> StateAad:
-        return StateAad(record.address, record.owner, record.security_version)
-
-    def _backend_get(self, record, key, full_key):
-        assert self.sdm is not None
-        aad = self._aad_for(record)
-        if record.schema is not None and key.startswith(_CCLE_KEY_PREFIX):
-            return self.sdm.load_ccle(full_key, aad, record.schema)
-        return self.sdm.load(full_key, aad)
-
-    def _commit_state(self, record_map, scope):
-        assert self.sdm is not None
-        prefix_len = len(_STATE_PREFIX)
-        for full_key, value in scope.overlay.items():
-            address = full_key[prefix_len : prefix_len + ADDRESS_SIZE]
-            key = full_key[prefix_len + ADDRESS_SIZE + 1 :]
-            record = self._get_record(address)
-            aad = self._aad_for(record)
-            if record.schema is not None and key.startswith(_CCLE_KEY_PREFIX):
-                self.sdm.store_ccle(full_key, value, aad, record.schema)
-            else:
-                self.sdm.store(full_key, value, aad)
-
-    def _persist_code(self, record: _DeployedContract) -> None:
-        # Contract code is confidential (D-Protocol covers "contract
-        # states and code").  The owner address travels plaintext next to
-        # the ciphertext because it is part of the AAD the decryptor must
-        # reconstruct; it is integrity-protected by that same AAD binding.
-        blob = rlp.encode(
-            [record.artifact.encode(), record.schema_source.encode()]
-        )
-        sealed = self.cs.cipher().seal(blob, self._aad_for(record))
-        wrapped = rlp.encode(
-            [record.owner, rlp.encode_int(record.security_version), sealed]
-        )
-        self.cs.ocall("kv_set", _CODE_PREFIX + record.address, wrapped)
-
-    def _load_record(self, address: bytes) -> _DeployedContract | None:
-        wrapped = self.cs.ocall("kv_get", _CODE_PREFIX + address)
-        if wrapped is None:
-            return None
-        owner, version_raw, sealed = rlp.decode(wrapped)
-        version = rlp.decode_int(version_raw)
-        aad = StateAad(address, owner, version)
-        blob = self.cs.cipher().open(sealed, aad)
-        items = rlp.decode(blob)
-        artifact = ContractArtifact.decode(items[0])
-        schema_source = items[1].decode()
-        schema = parse_schema(schema_source) if schema_source else None
-        return _DeployedContract(
-            address, owner, artifact, schema, schema_source, version
-        )
-
-    def _migrate_state(self, old: _DeployedContract,
-                       new: _DeployedContract) -> None:
-        """Re-seal every state entry under the new version's AAD."""
-        assert self.sdm is not None
-        cipher = self.cs.cipher()
-        old_aad, new_aad = self._aad_for(old), self._aad_for(new)
-        prefix = _STATE_PREFIX + old.address + b"/"
-        for full_key in self.cs.ocall("kv_scan", prefix):
-            if full_key.endswith(b"#pub"):
-                continue  # CCLe public parts are plaintext
-            sealed = self.cs.ocall("kv_get", full_key)
-            if sealed is None:
-                continue
-            plain = cipher.open(sealed, old_aad)
-            self.cs.ocall("kv_set", full_key, cipher.seal(plain, new_aad))
-
-    # -- transaction processing -------------------------------------------------------
+    # -- ecall wrappers ----------------------------------------------------------
 
     def preverify(self, tx: Transaction) -> bool:
         """§5.2 pre-verification: decrypt + verify + cache metadata."""
-        if not self.config.use_preverification:
-            return True
-        return self.cs.ecall("preverify", tx.encode())
+        return self.preverify_batch([tx])[0]
 
     def preverify_batch(self, txs: list[Transaction]) -> list[bool]:
         """Admit a batch with a single enclave transition."""
@@ -852,95 +971,16 @@ class ConfidentialEngine(_BaseEngine):
         blob = rlp.encode([tx.encode() for tx in txs])
         return self.cs.ecall("preverify_batch", blob)
 
-    def _preverify_inside(self, tx: Transaction) -> bool:
-        sk = self.cs.sk_tx()
-        try:
-            return self.preprocessor.preverify(sk, tx)
-        except ReproError:
-            # An undecryptable/malformed envelope is simply invalid; it
-            # must not take down the rest of the batch (Figure 7:
-            # invalid transactions are discarded in advance).
-            return False
-
     def execute(self, tx: Transaction) -> ExecutionOutcome:
         """Execute one confidential transaction inside the CS enclave."""
         if not tx.is_confidential:
             raise ProtocolError("ConfidentialEngine only executes TYPE=1")
         return self.cs.ecall("execute", tx.encode(), user_check=True)
 
-    def _execute_inside(self, tx: Transaction) -> ExecutionOutcome:
-        with get_tracer().span("engine.execute_tx", kind="confidential") as span:
-            started = time.perf_counter()
-            sk = self.cs.sk_tx()
-            try:
-                # The pre-processor records TX_DECRYPT / TX_VERIFY timings
-                # into the shared stats ledger itself.
-                processed = self.preprocessor.process(sk, tx)
-            except ReproError as exc:
-                span.set("outcome", "undecryptable")
-                receipt = Receipt(tx.tx_hash, False,
-                                  error=f"undecryptable: {exc}",
-                                  kind=KIND_UNDECRYPTABLE)
-                return ExecutionOutcome(receipt, None,
-                                        time.perf_counter() - started,
-                                        frozenset(), frozenset())
-            raw = processed.raw
-            verified = processed.verified
-            scope = _TxScope()
-            if not verified:
-                span.set("outcome", "invalid signature")
-                receipt = Receipt(tx.tx_hash, False, error="invalid signature",
-                                  sender=raw.sender, contract=raw.contract,
-                                  kind=KIND_BAD_SIGNATURE)
-                sealed = t_protocol.seal_receipt(processed.k_tx, receipt.encode())
-                return ExecutionOutcome(receipt, sealed,
-                                        time.perf_counter() - started,
-                                        frozenset(), frozenset())
-            try:
-                output = self._apply_raw(raw, scope)
-                scope.success = True
-                self._apply_scope(scope)
-                receipt = Receipt(
-                    tx.tx_hash, True, output=output, logs=tuple(scope.logs),
-                    instructions=scope.instructions, gas_used=scope.gas_used,
-                    storage_reads=scope.storage_reads,
-                    storage_writes=scope.storage_writes,
-                    sender=raw.sender, contract=raw.contract,
-                    analysis_mode=scope.analysis_mode,
-                )
-                span.set("outcome", "ok")
-            except ReproError as exc:
-                span.set("outcome", "reverted")
-                self._apply_scope(scope)
-                kind = (KIND_ANALYSIS if isinstance(exc, AnalysisError)
-                        else KIND_REVERT)
-                receipt = Receipt(tx.tx_hash, False, error=str(exc),
-                                  sender=raw.sender, contract=raw.contract,
-                                  kind=kind,
-                                  analysis_mode=getattr(
-                                      exc, "analysis_mode", ""))
-            sealed = t_protocol.seal_receipt(processed.k_tx, receipt.encode())
-            return ExecutionOutcome(
-                receipt, sealed, time.perf_counter() - started,
-                frozenset(scope.read_set), frozenset(scope.write_set),
-            )
-
-    # -- convenience ------------------------------------------------------------------
-
-    def tx_key_lookup(self, tx_hash: bytes) -> bytes | None:
-        return self.preprocessor.lookup_key(tx_hash)
-
     def call_readonly(self, address: bytes, method: str, argument: bytes) -> bytes:
-        """Run a contract method without a transaction (queries / the
-        authorization chain code).  State writes are discarded."""
+        """Run a contract method without a transaction (queries).  State
+        writes are discarded."""
         return self.cs.ecall("query", address, method.encode(), argument)
-
-    def _query_inside(self, address: bytes, method: str, argument: bytes) -> bytes:
-        scope = _TxScope()
-        return self._call(
-            address, method, argument,
-            caller=b"\x00" * ADDRESS_SIZE, scope=scope, depth=1,
-        )
 
     def export_role_key(
         self, address: bytes, role: str, requester: bytes,
@@ -958,23 +998,13 @@ class ConfidentialEngine(_BaseEngine):
             requester_pub,
         )
 
-    def _export_role_key_inside(
-        self, address: bytes, role: str, requester: bytes,
-        requester_pub: bytes,
-    ) -> bytes | None:
-        from repro.core.roles import ROLE_ACL_METHOD, ROLE_RELEASE_AAD
-        from repro.crypto import ecies
-        from repro.crypto.ecc import decode_point
-
-        record = self._get_record(address)
-        if record.schema is None or role not in record.schema.roles():
-            raise ProtocolError(
-                f"contract {address.hex()[:8]} has no CCLe role '{role}'"
-            )
-        argument = rlp.encode([role.encode(), requester])
-        verdict = self._query_inside(address, ROLE_ACL_METHOD, argument)
-        if not (verdict and verdict[-1:] == b"\x01"):
-            return None
-        role_key = self.cs.cipher().role_key(role)
-        return ecies.encrypt(decode_point(requester_pub), role_key,
-                             ROLE_RELEASE_AAD)
+    def grant_access(self, tx_hash: bytes, requester: bytes,
+                     requester_pub: bytes, target: bytes,
+                     kind: str) -> bytes | None:
+        """The authorization chain code's release (§3.2.3): the target's
+        ``acl_check`` (input: RLP of [tx hash, requester, kind]) decides;
+        a grant ECIES-wraps the cached ``k_tx`` to the requester."""
+        return self.cs.ecall(
+            "grant_access", tx_hash, requester, requester_pub, target,
+            kind.encode(),
+        )

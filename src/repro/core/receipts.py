@@ -12,8 +12,10 @@ Two delegation paths exist (paper §3.2.3):
   request and forwards it to the target contract, "where user can define
   accessing rules for such requests".  :class:`AuthorizationChainCode`
   implements that: the target contract exposes an ``acl_check`` method;
-  if it outputs 1 for (requester, tx-owner), the engine re-wraps
-  ``k_tx`` under the requester's public key.
+  if it outputs 1 for (tx hash, requester, kind), the CS enclave wraps
+  the transaction's cached ``k_tx`` under the requester's public key.
+  Check and wrap both run inside the enclave (one ``grant_access``
+  ecall), so ``k_tx`` never reaches host memory in plaintext.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto import ecies
-from repro.crypto.ecc import Point
 from repro.crypto.keys import KeyPair
-from repro.errors import ChainError, ProtocolError
+from repro.errors import ChainError
 from repro.storage import rlp
 
 ACL_METHOD = "acl_check"
-_WRAP_AAD = b"confide/receipt-authorization"
+ACCESS_WRAP_AAD = b"confide/receipt-authorization"
 
 
 # Structured failure classification.  ``error`` stays a human-readable
@@ -127,20 +128,16 @@ class AccessRequest:
 class AuthorizationChainCode:
     """CONFIDE's pre-defined authorization chain code.
 
-    Holds pending requests and, given an engine-provided callback that
-    runs the target contract's ``acl_check`` method, releases the
-    transaction key wrapped to the requester.
+    Holds pending requests and hands each to the engine's
+    ``grant_access``, which runs the target contract's ``acl_check``
+    inside the CS enclave and, on a grant, releases the transaction key
+    wrapped to the requester.
     """
 
-    def __init__(self, call_contract, tx_key_lookup):
-        """
-        call_contract(address, method, argument: bytes) -> bytes
-            runs a contract method inside the Confidential-Engine.
-        tx_key_lookup(tx_hash) -> bytes | None
-            fetches the cached k_tx for a transaction (enclave-internal).
-        """
-        self._call_contract = call_contract
-        self._tx_key_lookup = tx_key_lookup
+    def __init__(self, grant_access):
+        # (tx_hash, requester, requester_pub, target, kind) -> the
+        # wrapped k_tx, or None on denial
+        self._grant_access = grant_access
         self._pending: list[AccessRequest] = []
 
     def submit(self, request: AccessRequest) -> None:
@@ -149,35 +146,17 @@ class AuthorizationChainCode:
     def process(self) -> list[tuple[AccessRequest, bytes | None]]:
         """Evaluate all pending requests; returns (request, wrapped-key)
         pairs where the wrapped key is None when access was denied."""
-        results: list[tuple[AccessRequest, bytes | None]] = []
-        for request in self._pending:
-            argument = rlp.encode(
-                [request.tx_hash, request.requester, request.kind.encode()]
-            )
-            verdict = self._call_contract(
-                request.target_contract, ACL_METHOD, argument
-            )
-            allowed = bool(verdict) and verdict[-1:] == b"\x01"
-            wrapped: bytes | None = None
-            if allowed:
-                k_tx = self._tx_key_lookup(request.tx_hash)
-                if k_tx is None:
-                    raise ProtocolError(
-                        "authorization granted but k_tx is no longer cached"
-                    )
-                requester_point = _decode_pub(request.requester_pub)
-                wrapped = ecies.encrypt(requester_point, k_tx, _WRAP_AAD)
-            results.append((request, wrapped))
+        results = [
+            (request, self._grant_access(
+                request.tx_hash, request.requester, request.requester_pub,
+                request.target_contract, request.kind,
+            ))
+            for request in self._pending
+        ]
         self._pending.clear()
         return results
 
     @staticmethod
     def unwrap(requester: KeyPair, wrapped: bytes) -> bytes:
         """Requester side: recover the released k_tx."""
-        return ecies.decrypt(requester, wrapped, _WRAP_AAD)
-
-
-def _decode_pub(data: bytes) -> Point:
-    from repro.crypto.ecc import decode_point
-
-    return decode_point(data)
+        return ecies.decrypt(requester, wrapped, ACCESS_WRAP_AAD)

@@ -26,6 +26,7 @@ from repro.ccle import confidential as ccle_conf
 from repro.ccle.schema import Schema
 from repro.core.d_protocol import StateAad, StateCipher
 from repro.tee.enclave import Enclave
+from repro.vm.wasm.code_cache import CacheStats
 
 _CACHE_CAPACITY = 4096
 _PUB_SUFFIX = b"#pub"
@@ -35,7 +36,8 @@ _SEC_SUFFIX = b"#sec"
 class SecureDataModule:
     """The SDM bound to one CS enclave and one state cipher."""
 
-    def __init__(self, enclave: Enclave, cipher: StateCipher):
+    def __init__(self, enclave: Enclave, cipher: StateCipher,
+                 stats: CacheStats | None = None):
         self._enclave = enclave
         self._cipher = cipher
         self._cache: OrderedDict[bytes, bytes | None] = OrderedDict()
@@ -43,8 +45,8 @@ class SecureDataModule:
         # because load/store issue ocalls that may re-enter through the
         # same thread.
         self._lock = threading.RLock()
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # Hit/miss counts only; the host may hold and read this object.
+        self.stats = stats if stats is not None else CacheStats()
 
     # -- raw confidential state -----------------------------------------------
 
@@ -52,10 +54,10 @@ class SecureDataModule:
         """Read and decrypt one state value (cached)."""
         with self._lock:
             if full_key in self._cache:
-                self.cache_hits += 1
+                self.stats.hits += 1
                 self._cache.move_to_end(full_key)
                 return self._cache[full_key]
-            self.cache_misses += 1
+            self.stats.misses += 1
             sealed = self._enclave.ocall("kv_get", full_key)
             value = None if sealed is None else self._cipher.open(sealed, aad)
             self._remember(full_key, value)
@@ -100,10 +102,10 @@ class SecureDataModule:
         subtree and re-encode the full value for the contract."""
         with self._lock:
             if full_key in self._cache:
-                self.cache_hits += 1
+                self.stats.hits += 1
                 self._cache.move_to_end(full_key)
                 return self._cache[full_key]
-            self.cache_misses += 1
+            self.stats.misses += 1
             public_blob = self._enclave.ocall("kv_get", full_key + _PUB_SUFFIX)
             if public_blob is None:
                 self._remember(full_key, None)

@@ -108,12 +108,8 @@ def operation_samples(stats, engine: str) -> Iterator[Sample]:
                        count, engine=engine, op=op)
 
 
-def engine_samples(engine, label: str = "confidential") -> Iterator[Sample]:
-    """Everything one execution engine keeps, labeled ``engine=label``.
-
-    The platform, pre-processor and SDM exist only on the
-    Confidential-Engine.
-    """
+def engine_samples(engine, label: str = "public") -> Iterator[Sample]:
+    """What every execution engine keeps, labeled ``engine=label``."""
     # Imported here: the VM imports repro.obs before repro.core exists.
     from repro.core.stats import (
         DEPLOY_REJECT,
@@ -122,19 +118,20 @@ def engine_samples(engine, label: str = "confidential") -> Iterator[Sample]:
     )
 
     yield from operation_samples(engine.stats, label)
-    cache = engine.code_cache
-    if cache is not None:
+    if engine.config.use_code_cache:
+        cache = engine.code_cache_stats
         yield _counter("confide_code_cache_hits_total",
                        "prepared-module cache hits",
-                       cache.stats.hits, engine=label)
+                       cache.hits, engine=label)
         yield _counter("confide_code_cache_misses_total",
                        "prepared-module cache misses",
-                       cache.stats.misses, engine=label)
+                       cache.misses, engine=label)
         yield _counter("confide_code_cache_evictions_total",
                        "prepared-module cache evictions",
-                       cache.stats.evictions, engine=label)
+                       cache.evictions, engine=label)
         yield _gauge("confide_code_cache_entries",
-                     "prepared modules resident", len(cache), engine=label)
+                     "prepared modules resident", cache.entries,
+                     engine=label)
     yield _counter("confide_analysis_rejections_total",
                    "deploys refused by the static verifier",
                    engine.stats.count(DEPLOY_REJECT), engine=label)
@@ -144,42 +141,45 @@ def engine_samples(engine, label: str = "confidential") -> Iterator[Sample]:
                        "deploys refused by static analysis, split by "
                        "admission mode",
                        engine.stats.count(op), engine=label, mode=mode)
-    platform = getattr(engine, "platform", None)
-    if platform is not None:
-        snap = platform.accountant.snapshot()
-        for key, (name, help) in _ACCOUNTANT.items():
-            yield _counter(name, help, snap[key])
-        epc = platform.epc
-        yield _gauge("confide_epc_resident_pages",
-                     "4 KB pages currently resident in the EPC",
-                     epc.resident_pages)
-        yield _gauge("confide_epc_budget_pages",
-                     "usable EPC budget in pages", epc.budget_pages)
-        yield _gauge("confide_epc_pool_free_pages",
-                     "pages parked on the OPT1 memory-pool freelist",
-                     epc.pool_pages_free)
-    preprocessor = getattr(engine, "preprocessor", None)
-    if preprocessor is not None:
-        yield _counter("confide_preverify_cache_hits_total",
-                       "metadata-cache hits at execution time",
-                       preprocessor.cache_hits)
-        yield _counter("confide_preverify_cache_misses_total",
-                       "metadata-cache misses at execution time",
-                       preprocessor.cache_misses)
-        yield _counter("confide_preverified_total",
-                       "transactions admitted by pre-verification",
-                       preprocessor.preverified)
-        # Pre-verification runs off the execution path (§5.2) and keeps
-        # its own ledger; its own engine label keeps TX_VERIFY visible
-        # when the metadata cache absorbs it from the execution profile.
-        yield from operation_samples(preprocessor.off_path_stats,
-                                     f"{label}-preverify")
-    sdm = getattr(engine, "sdm", None)
-    if sdm is not None:
-        yield _counter("confide_sdm_cache_hits_total",
-                       "SDM state-cache hits", sdm.cache_hits)
-        yield _counter("confide_sdm_cache_misses_total",
-                       "SDM state-cache misses", sdm.cache_misses)
+
+
+def confidential_samples(engine, label: str = "confidential"
+                         ) -> Iterator[Sample]:
+    """The Confidential-Engine: :func:`engine_samples` plus the
+    platform, the pre-processor and the SDM.  Every value is a host-side
+    ledger the CS enclave writes into; none needs an ecall to read."""
+    yield from engine_samples(engine, label)
+    snap = engine.platform.accountant.snapshot()
+    for key, (name, help) in _ACCOUNTANT.items():
+        yield _counter(name, help, snap[key])
+    epc = engine.platform.epc
+    yield _gauge("confide_epc_resident_pages",
+                 "4 KB pages currently resident in the EPC",
+                 epc.resident_pages)
+    yield _gauge("confide_epc_budget_pages",
+                 "usable EPC budget in pages", epc.budget_pages)
+    yield _gauge("confide_epc_pool_free_pages",
+                 "pages parked on the OPT1 memory-pool freelist",
+                 epc.pool_pages_free)
+    preprocessor = engine.preprocessor
+    yield _counter("confide_preverify_cache_hits_total",
+                   "metadata-cache hits at execution time",
+                   preprocessor.cache_hits)
+    yield _counter("confide_preverify_cache_misses_total",
+                   "metadata-cache misses at execution time",
+                   preprocessor.cache_misses)
+    yield _counter("confide_preverified_total",
+                   "transactions admitted by pre-verification",
+                   preprocessor.preverified)
+    # Pre-verification runs off the execution path (§5.2) and keeps
+    # its own ledger; its own engine label keeps TX_VERIFY visible
+    # when the metadata cache absorbs it from the execution profile.
+    yield from operation_samples(preprocessor.off_path_stats,
+                                 f"{label}-preverify")
+    yield _counter("confide_sdm_cache_hits_total",
+                   "SDM state-cache hits", engine.sdm_stats.hits)
+    yield _counter("confide_sdm_cache_misses_total",
+                   "SDM state-cache misses", engine.sdm_stats.misses)
 
 
 def pool_samples(pool, name: str) -> Iterator[Sample]:
@@ -214,7 +214,7 @@ def storage_samples(kv) -> Iterator[Sample]:
 
 def node_samples(node) -> Iterator[Sample]:
     """A full node: both engines, both pools and the store."""
-    yield from engine_samples(node.confidential, "confidential")
+    yield from confidential_samples(node.confidential)
     yield from engine_samples(node.public, "public")
     yield from pool_samples(node.unverified, "unverified")
     yield from pool_samples(node.verified, "verified")

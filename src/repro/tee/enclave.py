@@ -15,7 +15,11 @@ The simulation preserves the *semantics* SGX gives CONFIDE:
   EPC allocator.
 
 Subclasses implement trusted behaviour as ``ecall_*`` methods and
-register untrusted services as ocall handlers.
+register untrusted services as ocall handlers.  Whatever an enclave
+keeps between ecalls lives in :attr:`Enclave.trusted`, never on a host
+object: the CS enclave, for one, keeps its whole runtime there (keys,
+SDM, metadata and code caches, contract records) and hands the host
+only counts, written into ledgers the host passed in at construction.
 """
 
 from __future__ import annotations

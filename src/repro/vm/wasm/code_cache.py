@@ -28,18 +28,22 @@ from repro.vm.wasm.optimizer import fuse_module
 
 @dataclass
 class CacheStats:
+    """A cache's counts: plain numbers, safe to hand to the host."""
+
     hits: int = 0
     misses: int = 0
     evictions: int = 0
+    entries: int = 0
 
 
 class CodeCache:
     """LRU cache of module templates, keyed by code hash."""
 
-    def __init__(self, capacity: int = 64, fuse: bool = True):
+    def __init__(self, capacity: int = 64, fuse: bool = True,
+                 stats: CacheStats | None = None):
         self.capacity = capacity
         self.fuse = fuse
-        self.stats = CacheStats()
+        self.stats = stats if stats is not None else CacheStats()
         self._bodies = BodyTable()
         self._entries: OrderedDict[bytes, ModuleTemplate] = OrderedDict()
         # Gateway query threads execute calls beside the block producer;
@@ -68,11 +72,8 @@ class CodeCache:
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
+                self.stats.entries = len(self._entries)
         return template
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

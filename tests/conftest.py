@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from repro.chain.executor import BlockExecutor
 from repro.core import ConfidentialEngine, PublicEngine, bootstrap_founder
 from repro.crypto.ecc import Comb, decode_point, scalar_mult
 from repro.lang import compile_source
@@ -185,3 +186,24 @@ def run_confidential(engine: ConfidentialEngine, client: Client, contract: bytes
     pk = decode_point(engine.pk_tx)
     tx = client.confidential_call(pk, contract, method, args)
     return engine.execute(tx)
+
+
+def restart_enclave(engine_or_node):
+    """Restart the CS enclave the way the fault simulator does: a fresh
+    confidential engine over the same store and platform, keys recovered
+    from the platform-sealed blob.  Every in-enclave cache (SDM state,
+    pre-verified metadata, contract records, code) goes with the old
+    enclave, so the next access reads — and re-authenticates — storage.
+
+    Given a node, swaps the new engine in; returns the new engine either
+    way.
+    """
+    old = getattr(engine_or_node, "confidential", engine_or_node)
+    engine = ConfidentialEngine(old.kv, old.config, platform=old.platform)
+    engine.restore_keys_from_storage()
+    old.cs.destroy()
+    if engine_or_node is not old:
+        engine_or_node.confidential = engine
+        engine_or_node.executor = BlockExecutor(engine,
+                                                engine_or_node.public)
+    return engine

@@ -4,7 +4,7 @@ release."""
 
 import pytest
 
-from conftest import deploy_confidential, run_confidential
+from conftest import deploy_confidential, restart_enclave, run_confidential
 from repro.ccle import encode as ccle_encode
 from repro.ccle import parse_schema
 from repro.ccle.confidential import merge, split, split_by_role
@@ -12,6 +12,7 @@ from repro.core.d_protocol import StateAad, StateCipher
 from repro.core.roles import open_role_blob, unwrap_role_key
 from repro.crypto.keys import KeyPair
 from repro.errors import ProtocolError, SchemaError
+from repro.storage import rlp
 from repro.workloads.clients import Client
 
 ROLE_SCHEMA_SOURCE = """
@@ -38,14 +39,21 @@ LOAN = {
     "internal_memo": "call before rollover",
 }
 
-# Contract: stores the loan under a ccle: key; `acl_role` grants the
-# "auditor" role to anyone and denies everything else.
+# Contract: stores the loan under a ccle: key and reads it back;
+# `acl_role` grants the "auditor" role to anyone and denies everything
+# else.
 ROLE_CONTRACT = """
 fn save() {
     let n = input_size();
     let buf = alloc(n);
     input_read(buf, 0, n);
     storage_set("ccle:loan", 9, buf, n);
+}
+fn load() {
+    let buf = alloc(4096);
+    let n = storage_get("ccle:loan", 9, buf, 4096);
+    if (n < 0) { abort("missing", 7); }
+    output(buf, n);
 }
 fn acl_role() {
     let n = input_size();
@@ -151,6 +159,13 @@ class TestRoleKeys:
             cipher.role_cipher("risk").open(sealed, aad)
 
 
+def _state_aad(engine, address):
+    """The D-Protocol AAD as anyone holding the database rebuilds it: the
+    owner and version travel in plaintext ahead of the sealed code."""
+    owner, version, _sealed = rlp.decode(engine.kv.get(b"c:" + address))
+    return StateAad(address, owner, rlp.decode_int(version))
+
+
 class TestEndToEnd:
     @pytest.fixture
     def deployed(self, confidential_engine, client):
@@ -174,22 +189,13 @@ class TestEndToEnd:
         assert suffixes == {b"pub", b"sec", b"sec@auditor", b"sec@risk"}
 
     def test_contract_sees_merged_value(self, deployed):
-        engine, client, address = deployed
-        engine.sdm.clear_cache()
         from repro.ccle import decode as ccle_decode
 
-        stored = engine.sdm  # read through a query-side contract call
-        # Direct SDM read inside the enclave via readonly query is covered
-        # elsewhere; here assert via load_ccle within an ecall context.
-        engine.cs._depth += 1
-        try:
-            full_key = b"s:" + address + b"/" + b"ccle:loan"
-            record = engine.contracts[address]
-            blob = engine.sdm.load_ccle(
-                full_key, engine._aad_for(record), record.schema
-            )
-        finally:
-            engine.cs._depth -= 1
+        engine, client, address = deployed
+        # A fresh enclave has nothing cached: the read merges the
+        # plaintext public part with every decrypted role subtree.
+        engine = restart_enclave(engine)
+        blob = engine.call_readonly(address, "load", b"")
         assert ccle_decode(ROLE_SCHEMA, blob) == LOAN
 
     def test_auditor_key_release_and_read(self, deployed):
@@ -203,8 +209,7 @@ class TestEndToEnd:
         # The auditor reads the replica's database directly.
         full_key = b"s:" + address + b"/" + b"ccle:loan"
         sealed = engine.kv.get(full_key + b"#sec@auditor")
-        record = engine.contracts[address]
-        aad = StateAad(address, record.owner, record.security_version)
+        aad = _state_aad(engine, address)
         tree = open_role_blob(role_key, sealed, aad)
         assert tree == {"debtor": "ACME GmbH"}
 
@@ -248,7 +253,6 @@ class TestEndToEnd:
         role_key = unwrap_role_key(auditor, wrapped)
         full_key = b"s:" + address + b"/" + b"ccle:loan"
         sealed = engine.kv.get(full_key + b"#sec@risk")
-        record = engine.contracts[address]
-        aad = StateAad(address, record.owner, record.security_version)
+        aad = _state_aad(engine, address)
         with pytest.raises(Exception):
             open_role_blob(role_key, sealed, aad)

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.chain.executor import BlockExecutor
+from conftest import restart_enclave
 from repro.chain.node import (
     CONSENSUS_PREFIXES,
     Node,
@@ -25,7 +25,6 @@ from repro.chain.node import (
     make_store,
 )
 from repro.core.config import EngineConfig
-from repro.core.engine import ConfidentialEngine
 from repro.errors import ChainError, InvariantViolation, StorageError
 from repro.obs.trace import get_tracer
 from repro.storage import KVStore, LsmKV, MemoryKV
@@ -294,17 +293,6 @@ def _fail_block(monkeypatch, node, point: str):
         raise AssertionError(point)
 
 
-def _restart_enclave(node) -> None:
-    """Recover from an enclave fault the way the fault simulator does: a
-    fresh confidential engine (its in-enclave state cache gone with the
-    old one) over the same store and platform."""
-    engine = ConfidentialEngine(node.kv, node.config,
-                                platform=node.confidential.platform)
-    engine.restore_keys_from_storage()
-    node.confidential = engine
-    node.executor = BlockExecutor(engine, node.public)
-
-
 class TestAbortedBlock:
     """An aborted block leaves the commitment at the last committed
     root: block C's header must commit to what the store holds, and a
@@ -333,7 +321,7 @@ class TestAbortedBlock:
         assert leader.height == height
         assert leader._commitment is None  # dropped, not kept
         if point != "before_execute":
-            _restart_enclave(leader)  # B's effects live on in its cache
+            restart_enclave(leader)  # B's effects live on in its cache
 
         # B never committed, so its transactions are free to go into C.
         applied = leader.apply_transactions(doomed)
@@ -359,7 +347,7 @@ class TestAbortedBlock:
                 node.apply_transactions(doomed)
         assert dict(node.kv.items()) == stored
         assert node.state_root() == before
-        _restart_enclave(node)  # B's effects live on in its cache
+        restart_enclave(node)  # B's effects live on in its cache
         calls = _count_items_calls(node.kv)
         applied = node.apply_transactions(doomed)
         assert calls[0] == 1  # the re-seed

@@ -217,28 +217,46 @@ class TestKProtocol:
         assert km2.ecall("unseal_keys", sealed) == pk
 
 
-class TestCacheBound:
-    def test_metadata_cache_evicts_oldest(self):
-        from repro.chain.transaction import RawTransaction, Transaction
-        from repro.core.preprocessor import PreProcessor
-        from repro.core import t_protocol
-        from repro.crypto.keys import KeyPair
+GRANT_ALL_ACL = """
+fn noop() { }
+fn acl_check() {
+    let out = alloc(1);
+    store8(out, 1);
+    output(out, 1);
+}
+"""
 
-        engine_keys = KeyPair.from_seed(b"bounded")
-        user = KeyPair.from_seed(b"bounded-user")
-        pre = PreProcessor(cache_capacity=3)
-        txs = []
-        for nonce in range(1, 6):
-            raw = RawTransaction(b"\x01" * 20, b"\x02" * 20, "m", b"",
-                                 nonce).signed_by(user)
-            txs.append(t_protocol.seal_transaction(
-                engine_keys.public, raw, b"root"))
-        for tx in txs:
-            pre.preverify(engine_keys, tx)
-        assert len(pre) == 3
+
+class TestCacheBound:
+    def test_metadata_cache_evicts_oldest(self, confidential_engine, client,
+                                          monkeypatch):
+        """The pre-verification cache lives in the CS enclave and keeps
+        only the newest entries: a grant for an evicted transaction finds
+        no k_tx to wrap, and an evicted transaction still executes."""
+        from conftest import deploy_confidential
+        from repro.core import engine as engine_module
+        from repro.crypto.ecc import decode_point
+
+        monkeypatch.setattr(engine_module, "_TX_META_CAPACITY", 3)
+        engine = confidential_engine
+        address = deploy_confidential(engine, client, GRANT_ALL_ACL)
+        pk = decode_point(engine.pk_tx)
+        txs = [client.confidential_call(pk, address, "noop", b"")
+               for _ in range(5)]
+        assert engine.preverify_batch(txs) == [True] * 5
+        requester = KeyPair.from_seed(b"bounded-requester")
+
+        def grant(tx):
+            return engine.grant_access(tx.tx_hash, b"\x07" * 20,
+                                       requester.public_bytes(), address,
+                                       "receipt")
+
         # Oldest entries evicted; newest kept.
-        assert pre.lookup_key(txs[0].tx_hash) is None
-        assert pre.lookup_key(txs[-1].tx_hash) is not None
+        for tx in txs[:2]:
+            with pytest.raises(ProtocolError, match="no longer cached"):
+                grant(tx)
+        assert all(grant(tx) is not None for tx in txs[2:])
         # Evicted transactions still execute via the full path.
-        processed = pre.process(engine_keys, txs[0])
-        assert not processed.cache_hit
+        misses = engine.preprocessor.cache_misses
+        assert engine.execute(txs[0]).receipt.success
+        assert engine.preprocessor.cache_misses == misses + 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import deploy_confidential, run_confidential
+from conftest import deploy_confidential, restart_enclave, run_confidential
 from repro.ccle import decode as ccle_decode
 from repro.ccle import parse_schema
 from repro.core import AccessRequest, AuthorizationChainCode, Receipt
@@ -92,17 +92,17 @@ class TestSdmCcleSelectiveEncryption:
 
     def test_contract_reads_merged_value(self, confidential_engine, client):
         schema, address, value = self._setup(confidential_engine, client)
-        confidential_engine.sdm.clear_cache()
-        blob = confidential_engine.call_readonly(address, "load", b"")
+        engine = restart_enclave(confidential_engine)
+        blob = engine.call_readonly(address, "load", b"")
         assert ccle_decode(schema, blob) == value
 
     def test_sdm_cache_hits(self, confidential_engine, client):
         schema, address, _ = self._setup(confidential_engine, client)
-        sdm = confidential_engine.sdm
+        sdm = confidential_engine.sdm_stats  # the host-side counts
         confidential_engine.call_readonly(address, "load", b"")
-        hits_before = sdm.cache_hits
+        hits_before = sdm.hits
         confidential_engine.call_readonly(address, "load", b"")
-        assert sdm.cache_hits > hits_before
+        assert sdm.hits > hits_before
 
 
 class TestReceiptEncoding:
@@ -132,22 +132,21 @@ class TestReceiptEncoding:
 class TestAuthorizationChainCode:
     def _make(self, confidential_engine, client):
         address = deploy_confidential(confidential_engine, client, ACL_CONTRACT)
-        chaincode = AuthorizationChainCode(
-            call_contract=confidential_engine.call_readonly,
-            tx_key_lookup=confidential_engine.tx_key_lookup,
-        )
+        chaincode = AuthorizationChainCode(confidential_engine.grant_access)
         return address, chaincode
 
     def _processed_tx(self, confidential_engine, client, address):
+        """A pre-verified, executed call and its k_tx (the client's)."""
         pk = decode_point(confidential_engine.pk_tx)
-        tx = client.confidential_call(pk, address, "noop", b"")
+        raw = client.call_raw(address, "noop", b"")
+        tx = client.seal(pk, raw)
         confidential_engine.preverify(tx)
         confidential_engine.execute(tx)
-        return tx
+        return tx, client.tx_key_for(raw.tx_hash)
 
     def test_grant_releases_wrapped_key(self, confidential_engine, client):
         address, chaincode = self._make(confidential_engine, client)
-        tx = self._processed_tx(confidential_engine, client, address)
+        tx, k_tx = self._processed_tx(confidential_engine, client, address)
         requester = KeyPair.from_seed(b"auditor")
         # The ACL contract grants when the request ends with 0x01; the
         # request encoding ends with the kind string — use kind "\x01".
@@ -161,8 +160,7 @@ class TestAuthorizationChainCode:
         chaincode.submit(request)
         [(__, wrapped)] = chaincode.process()
         assert wrapped is not None
-        k_tx = AuthorizationChainCode.unwrap(requester, wrapped)
-        assert k_tx == confidential_engine.tx_key_lookup(tx.tx_hash)
+        assert AuthorizationChainCode.unwrap(requester, wrapped) == k_tx
 
     def test_repeated_grants_build_no_table(
         self, confidential_engine, client, comb_builds
@@ -170,7 +168,7 @@ class TestAuthorizationChainCode:
         # The enclave's k_tx wrap takes the GLV path, however often the
         # same requester asks.
         address, chaincode = self._make(confidential_engine, client)
-        tx = self._processed_tx(confidential_engine, client, address)
+        tx, k_tx = self._processed_tx(confidential_engine, client, address)
         requester = KeyPair.from_seed(b"auditor")
         built = len(comb_builds)
         for _ in range(3):
@@ -183,7 +181,6 @@ class TestAuthorizationChainCode:
             ))
         results = chaincode.process()
         assert len(comb_builds) == built
-        k_tx = confidential_engine.tx_key_lookup(tx.tx_hash)
         assert [
             AuthorizationChainCode.unwrap(requester, wrapped)
             for _, wrapped in results
@@ -191,7 +188,7 @@ class TestAuthorizationChainCode:
 
     def test_denied_request(self, confidential_engine, client):
         address, chaincode = self._make(confidential_engine, client)
-        tx = self._processed_tx(confidential_engine, client, address)
+        tx, _ = self._processed_tx(confidential_engine, client, address)
         requester = KeyPair.from_seed(b"nosy")
         request = AccessRequest(
             tx_hash=tx.tx_hash,
@@ -214,7 +211,7 @@ class TestAuthorizationChainCode:
             kind="\x01",
         )
         chaincode.submit(request)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="no longer cached"):
             chaincode.process()
 
     def test_request_argument_encoding(self, confidential_engine, client):

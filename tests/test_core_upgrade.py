@@ -7,11 +7,13 @@ from conftest import (
     COUNTER_SOURCE,
     deploy_confidential,
     deploy_public,
+    restart_enclave,
     run_confidential,
     run_public,
 )
 from repro.crypto.ecc import decode_point
 from repro.lang import compile_source
+from repro.storage import rlp
 from repro.workloads.clients import Client
 
 # v2 of the counter: increments by 10 instead of 1.
@@ -65,8 +67,8 @@ class TestConfidentialUpgrade:
             confidential_engine, client, address, COUNTER_V2
         )
         assert outcome.receipt.success, outcome.receipt.error
-        confidential_engine.sdm.clear_cache()
-        outcome = run_confidential(confidential_engine, client, address, "increment")
+        engine = restart_enclave(confidential_engine)
+        outcome = run_confidential(engine, client, address, "increment")
         assert outcome.receipt.success, outcome.receipt.error
         assert int.from_bytes(outcome.receipt.output, "big") == 13  # 3 + 10
 
@@ -92,9 +94,8 @@ class TestConfidentialUpgrade:
         assert outcome.receipt.success
         # Malicious host restores the old code blob.
         confidential_engine.kv.put(b"c:" + address, old_code_blob)
-        confidential_engine.contracts.clear()
-        confidential_engine.sdm.clear_cache()
-        outcome = run_confidential(confidential_engine, client, address, "increment")
+        engine = restart_enclave(confidential_engine)
+        outcome = run_confidential(engine, client, address, "increment")
         assert not outcome.receipt.success  # v1 AAD cannot open v2 state
 
     def test_old_state_ciphertext_replay_fails_after_upgrade(
@@ -107,20 +108,23 @@ class TestConfidentialUpgrade:
         upgrade_confidential(confidential_engine, client, address, COUNTER_V2)
         # Host rolls the state back to the pre-upgrade ciphertext.
         confidential_engine.kv.put(state_key, stale)
-        confidential_engine.sdm.clear_cache()
-        outcome = run_confidential(confidential_engine, client, address, "increment")
+        engine = restart_enclave(confidential_engine)
+        outcome = run_confidential(engine, client, address, "increment")
         assert not outcome.receipt.success
 
     def test_upgraded_record_reloads_from_storage(self, confidential_engine, client):
         address = deploy_confidential(confidential_engine, client, COUNTER_SOURCE)
         upgrade_confidential(confidential_engine, client, address, COUNTER_V2)
-        confidential_engine.contracts.clear()
-        confidential_engine.sdm.clear_cache()
+        engine = restart_enclave(confidential_engine)
         # Reload happens inside the enclave (record load needs ocalls).
-        value = confidential_engine.call_readonly(address, "read", b"")
+        value = engine.call_readonly(address, "read", b"")
         assert int.from_bytes(value, "big") == 0
-        record = confidential_engine.contracts[address]
-        assert record.security_version == 2
+        # The owner and version travel in plaintext ahead of the sealed
+        # code, as the AAD the enclave rebuilds to open it.
+        _owner, version, _sealed = rlp.decode(engine.kv.get(b"c:" + address))
+        assert rlp.decode_int(version) == 2
+        outcome = run_confidential(engine, client, address, "increment")
+        assert int.from_bytes(outcome.receipt.output, "big") == 10  # v2 code
 
     def test_replicas_agree_after_upgrade(self, client):
         from repro.core import (

@@ -16,7 +16,7 @@ import pytest
 from conftest import deploy_confidential, run_confidential
 from repro.core import ConfidentialEngine, bootstrap_founder
 from repro.obs.export import chrome_trace, prometheus_text
-from repro.obs.metrics import engine_samples
+from repro.obs.metrics import confidential_samples
 from repro.obs.trace import get_tracer
 from repro.storage.lsm import LsmKV, StorageSealer
 from repro.workloads import COLDCHAIN_CONTRACT, encode_reading, encode_register
@@ -67,7 +67,7 @@ class TestNoPlaintextInTelemetry:
         spans = traced.drain()
         trace_text = json.dumps(chrome_trace(spans))
         metrics_text = prometheus_text(
-            engine_samples(confidential_engine, label="confidential"))
+            confidential_samples(confidential_engine))
 
         # The run was actually traced end to end.
         names = {span.name for span in spans}

@@ -10,22 +10,43 @@ consensus quorum on state roots, quote verification (K-Protocol), and
 ciphertext-only storage.
 """
 
+import gc
+import json
+import types
+
 import pytest
 
 from conftest import (
     COUNTER_SOURCE,
     deploy_confidential,
+    restart_enclave,
     run_confidential,
 )
 from repro.chain.consensus import PBFTOrderer
+from repro.chain.node import Node
 from repro.chain.network import SINGLE_ZONE
 from repro.chain.transaction import TX_CONFIDENTIAL, RawTransaction
-from repro.core import ConfidentialEngine, bootstrap_founder, t_protocol
+from repro.core import (
+    ConfidentialEngine,
+    KMEnclave,
+    bootstrap_founder,
+    t_protocol,
+)
 from repro.crypto.ecc import decode_point
 from repro.errors import ChainError, EnclaveError
+from repro.lang import compile_source
+from repro.serve.gateway import Gateway, GatewayConfig
 from repro.storage import MemoryKV, rlp
 from repro.storage.merkle import state_root
+from repro.tee.enclave import Enclave
 from repro.workloads.clients import Client
+from repro.workloads.coldchain import (
+    COLDCHAIN_CONTRACT,
+    COLDCHAIN_SCHEMA_SOURCE,
+    encode_reading,
+    encode_register,
+)
+from repro.workloads.mix import CANARY_TAG
 
 
 def fresh_engine():
@@ -53,7 +74,7 @@ class TestMaliciousStorage:
             sealed = bytearray(engine.kv.get(key))
             sealed[-1] ^= 1
             engine.kv.put(key, bytes(sealed))
-        engine.sdm.clear_cache()
+        engine = restart_enclave(engine)
         outcome = run_confidential(engine, client, address, "increment")
         assert not outcome.receipt.success
         assert "tag mismatch" in outcome.receipt.error.lower() or \
@@ -65,7 +86,7 @@ class TestMaliciousStorage:
         blob = bytearray(engine.kv.get(b"c:" + address))
         blob[-1] ^= 1
         engine.kv.put(b"c:" + address, bytes(blob))
-        engine.contracts.clear()  # force a reload from (tampered) storage
+        engine = restart_enclave(engine)  # reload from (tampered) storage
         outcome = run_confidential(engine, client, address, "increment")
         assert not outcome.receipt.success
 
@@ -82,7 +103,7 @@ class TestMaliciousStorage:
         key_a = b"s:" + addr_a + b"/" + b"count"
         key_b = b"s:" + addr_b + b"/" + b"count"
         engine.kv.put(key_b, engine.kv.get(key_a))
-        engine.sdm.clear_cache()
+        engine = restart_enclave(engine)
         outcome = run_confidential(engine, client, addr_b, "increment")
         assert not outcome.receipt.success
 
@@ -123,8 +144,7 @@ class TestMaliciousStorage:
         # Node 3 rolls its database back to the post-deploy state: the
         # deploy wrote no counter yet, so the rollback deletes the key.
         engines[3].kv.delete(b"s:" + address + b"/" + b"count")
-        engines[3].sdm.clear_cache()
-        engines[3].contracts.clear()
+        engines[3] = restart_enclave(engines[3])
 
         # Everyone executes tx2; node 3 computes on stale state.
         for engine in engines:
@@ -165,11 +185,92 @@ class TestReorderingAdversary:
         assert "nonce" in outcome.receipt.error
 
 
+def _host_reachable(*roots) -> list:
+    """Every object the host reaches from ``roots`` through
+    ``gc.get_referents``.  An enclave's only host doors are ``ecall``
+    and its ocall table, so the walk never enters an :class:`Enclave`;
+    nor a module, class, function or code object (shared program text,
+    not this node's state).  A bound method is entered only through
+    ``__self__``."""
+    skip = (Enclave, types.ModuleType, type, types.FunctionType,
+            types.CodeType)
+    seen: set[int] = set()
+    stack, reached = list(roots), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        reached.append(obj)
+        if isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return reached
+
+
 class TestEnclaveIsolation:
     def test_keys_unreachable_from_host(self, client):
+        """§3.3's host owns every byte outside the enclave.  After sealed
+        coldchain calls commit through a gateway, nothing the host can
+        reach from the gateway and its node — caches included — holds a
+        canary state value, a transaction's k_tx, sk_tx, k_states or the
+        confidential contract code."""
         engine = fresh_engine()
         with pytest.raises(EnclaveError):
             _ = engine.cs.trusted
+
+        node = Node(0)
+        bootstrap_founder(node.confidential.km)
+        node.confidential.provision_from_km()
+        gateway = Gateway(node, GatewayConfig())
+        artifact = compile_source(COLDCHAIN_CONTRACT, "wasm")
+        sender = Client.from_seed(b"reachability")
+        deploy, contract = sender.confidential_deploy(
+            node.pk_tx, artifact, schema_source=COLDCHAIN_SCHEMA_SOURCE)
+        raws = [sender.call_raw(contract, "register",
+                                encode_register(b"SHIP0001", -100, 100))]
+        raws += [sender.call_raw(contract, "record",
+                                 encode_reading(b"SHIP0001", 20 + i,
+                                                CANARY_TAG))
+                 for i in range(4)]
+        try:
+            for tx in [deploy] + [sender.seal(node.pk_tx, raw)
+                                  for raw in raws]:
+                response = json.loads(gateway.handle_raw(json.dumps({
+                    "jsonrpc": "2.0", "id": 1, "method": "submit_tx",
+                    "params": {"tx": tx.encode().hex()},
+                }).encode(), "reachability"))
+                assert response["result"]["accepted"], response
+                assert gateway.produce_block() is not None
+            assert node.height == 1 + len(raws)
+
+            # The oracle: the node's keys, unsealed from its own store by
+            # a KM enclave on the same platform.
+            oracle = KMEnclave(node.confidential.platform, "oracle")
+            oracle.ecall("unseal_keys", node.kv.get(b"km:sealed-keys"))
+            sk_tx = oracle._trusted_state["sk_tx"].private
+            k_states = oracle._trusted_state["k_states"]
+            oracle.destroy()
+            needles = {
+                "canary": CANARY_TAG,
+                "k_states": k_states,
+                "sk_tx": sk_tx.to_bytes(32, "big"),
+                "contract code": artifact.code,
+                **{f"k_tx #{i}": sender.tx_key_for(raw.tx_hash)
+                   for i, raw in enumerate(raws)},
+            }
+            found = set()
+            for obj in _host_reachable(gateway, node):
+                if isinstance(obj, int) and not isinstance(obj, bool):
+                    if obj == sk_tx:
+                        found.add("sk_tx")
+                elif isinstance(obj, (bytes, bytearray)):
+                    found.update(name for name, needle in needles.items()
+                                 if needle in obj)
+            assert not found, f"host memory holds {sorted(found)}"
+        finally:
+            gateway.close()
 
     def test_host_cannot_install_a_verdict(self, client):
         """§3.3: "a malicious host may trigger enclave's computation with
@@ -203,7 +304,7 @@ class TestEnclaveIsolation:
         be added to these sets on purpose."""
         engine = fresh_engine()
         assert set(engine.cs._interface.ecalls) == {
-            "execute", "export_role_key", "install_keys", "preverify",
+            "execute", "export_role_key", "grant_access", "install_keys",
             "preverify_batch", "query",
         }
         assert set(engine.km._interface.ecalls) == {

@@ -148,7 +148,13 @@ def mix_golden() -> dict:
                                  engine.execute(request.tx).receipt))
     sweep = []
     for steps in MIX_SWEEP_STEPS:
-        engine.config = dataclasses.replace(engine.config, max_steps=steps)
+        # The step budget is fixed when the CS enclave is built: restart
+        # it with the new budget over the same store and platform.
+        engine = ConfidentialEngine(
+            engine.kv, dataclasses.replace(engine.config, max_steps=steps),
+            platform=engine.platform,
+        )
+        engine.restore_keys_from_storage()
         for _ in range(3):
             request = mix.next_request()
             sweep.append([steps] + _receipt_row(
